@@ -1,15 +1,8 @@
 //! Deterministic noise: telemetry must be reproducible from a seed so that
 //! nine months of fleet data can be regenerated on demand instead of stored.
 
-/// SplitMix64: the standard 64-bit finalizer-based generator. One call per
-/// sample keeps window queries cheap.
-pub fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+// One splitmix64 call per sample keeps window queries cheap.
+use obs::hash::splitmix64;
 
 /// Hash a sample coordinate to a 64-bit state.
 pub fn coord_hash(seed: u64, dataset: usize, component: u32, step: u64) -> u64 {

@@ -9,6 +9,7 @@ use crate::dataset::{DataType, Dataset};
 use crate::noise;
 use crate::signature::{signature, EffectTarget};
 use cloudsim::{ComponentId, ComponentKind, Fault, FaultScope, SimDuration, SimTime, Topology};
+use obs::hash::splitmix64;
 use std::collections::HashMap;
 
 /// Telemetry sampling interval: one sample every five minutes, so the
@@ -242,7 +243,7 @@ impl<'a> MonitoringSystem<'a> {
             let h = noise::coord_hash(self.config.seed ^ 0xEE, dataset.index(), device.0, step);
             let p_bg = dataset.background_event_rate() * per_step;
             if noise::uniform(h) < p_bg {
-                let kind = (noise::splitmix64(h) % n_kinds) as u8;
+                let kind = (splitmix64(h) % n_kinds) as u8;
                 out.push(Event { time: t, kind });
             }
             // Fault-driven events, per effect.
@@ -361,8 +362,8 @@ impl<'a> MonitoringSystem<'a> {
 /// `splitmix64` so single-field changes (one fault shifted by a minute,
 /// one data set disabled) avalanche into a different epoch.
 fn fingerprint(topo: &Topology, faults: &[Fault], config: &MonitoringConfig) -> u64 {
-    let mut h = noise::splitmix64(config.seed ^ 0x5C07_7E90_C4AC_11E5);
-    let mut mix = |v: u64| h = noise::splitmix64(h ^ v);
+    let mut h = splitmix64(config.seed ^ 0x5C07_7E90_C4AC_11E5);
+    let mut mix = |v: u64| h = splitmix64(h ^ v);
     let tc = topo.config();
     for dim in [
         tc.dcs,

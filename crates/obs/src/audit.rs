@@ -6,7 +6,7 @@
 //! call, capturing what was decided, by which model, how confidently,
 //! which features drove it, and where the incident went.
 
-use crate::json::{Obj, Value};
+use crate::json::{Arr, Obj, Value};
 use crate::trace;
 
 /// One prediction, as written to the audit sink.
@@ -42,21 +42,16 @@ pub struct AuditRecord {
 impl AuditRecord {
     /// Encode as one JSONL line.
     pub fn to_json(&self) -> String {
-        let mut feats = String::from("[");
-        for (i, (name, w)) in self.top_features.iter().enumerate() {
-            if i > 0 {
-                feats.push(',');
-            }
-            feats.push_str(&Obj::new().str("feature", name).num("weight", *w).finish());
-        }
-        feats.push(']');
+        let feats = self.top_features.iter().fold(Arr::new(), |arr, (name, w)| {
+            arr.raw(&Obj::new().str("feature", name).num("weight", *w).finish())
+        });
         let mut obj = Obj::new()
             .str("type", "audit")
             .uint("incident", self.incident)
             .str("model", &self.model)
             .str("verdict", &self.verdict)
             .num("confidence", self.confidence)
-            .raw("top_features", &feats)
+            .raw("top_features", &feats.finish())
             .str("outcome", &self.outcome)
             .uint("model_version", self.model_version);
         if self.trace_id != 0 {

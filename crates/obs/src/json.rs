@@ -111,6 +111,63 @@ impl Default for Obj {
     }
 }
 
+/// Incremental JSON array writer, the sibling of [`Obj`]:
+/// `Arr::new().str("a").uint(1).raw("{}").finish()`. Fold an iterator
+/// into it to render a collection.
+pub struct Arr {
+    buf: String,
+}
+
+impl Arr {
+    /// Start an array (`[`).
+    pub fn new() -> Arr {
+        Arr {
+            buf: String::from("["),
+        }
+    }
+
+    fn sep(&mut self) {
+        if self.buf.len() > 1 {
+            self.buf.push(',');
+        }
+    }
+
+    /// Append a string element.
+    pub fn str(mut self, v: &str) -> Arr {
+        self.sep();
+        self.buf.push('"');
+        escape_into(&mut self.buf, v);
+        self.buf.push('"');
+        self
+    }
+
+    /// Append an unsigned integer element.
+    pub fn uint(mut self, v: u64) -> Arr {
+        self.sep();
+        let _ = write!(self.buf, "{v}");
+        self
+    }
+
+    /// Append a pre-encoded JSON value verbatim.
+    pub fn raw(mut self, v: &str) -> Arr {
+        self.sep();
+        self.buf.push_str(v);
+        self
+    }
+
+    /// Close the array and return the encoded string.
+    pub fn finish(mut self) -> String {
+        self.buf.push(']');
+        self.buf
+    }
+}
+
+impl Default for Arr {
+    fn default() -> Arr {
+        Arr::new()
+    }
+}
+
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
@@ -350,6 +407,26 @@ mod tests {
             line,
             r#"{"name":"a \"quoted\"\nvalue","x":1.5,"n":42,"arr":[1,2]}"#
         );
+    }
+
+    #[test]
+    fn array_builder_handles_empty_escaping_and_nesting() {
+        assert_eq!(Arr::new().finish(), "[]");
+        assert_eq!(
+            Arr::new().str("a\"b").str("c\n").uint(7).finish(),
+            r#"["a\"b","c\n",7]"#
+        );
+        let inner = Arr::new().uint(1).uint(2).finish();
+        let nested = Arr::new()
+            .raw(&inner)
+            .raw(&Obj::new().raw("xs", &Arr::new().finish()).finish())
+            .finish();
+        assert_eq!(nested, r#"[[1,2],{"xs":[]}]"#);
+        let parsed = Value::parse(&nested).unwrap();
+        assert_eq!(parsed.as_arr().unwrap()[0].as_arr().unwrap().len(), 2);
+        // Folding a collection is the call-site idiom.
+        let folded = ["x", "y"].iter().fold(Arr::new(), |a, s| a.str(s));
+        assert_eq!(folded.finish(), r#"["x","y"]"#);
     }
 
     #[test]

@@ -51,6 +51,7 @@
 
 pub mod audit;
 pub mod flight;
+pub mod hash;
 pub mod json;
 pub mod metrics;
 pub mod sink;

@@ -29,7 +29,7 @@
 //! `slo.<name>.burn_fast` / `slo.<name>.burn_slow` gauges so `/metrics`
 //! exposes the burn state continuously.
 
-use crate::json::Obj;
+use crate::json::{Arr, Obj};
 use crate::metrics::Registry;
 use std::collections::VecDeque;
 use std::sync::Mutex;
@@ -272,25 +272,22 @@ impl SloEngine {
 
     /// The status list as a JSON array (for `/readyz` detail).
     pub fn render_json(&self) -> String {
-        let mut out = String::from("[");
-        for (i, s) in self.status().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(
-                &Obj::new()
-                    .str("name", &s.name)
-                    .num("target", s.target)
-                    .num("error_fast", s.error_fast)
-                    .num("error_slow", s.error_slow)
-                    .num("burn_fast", s.burn_fast)
-                    .num("burn_slow", s.burn_slow)
-                    .bool("alerting", s.alerting)
-                    .finish(),
-            );
-        }
-        out.push(']');
-        out
+        self.status()
+            .iter()
+            .fold(Arr::new(), |arr, s| {
+                arr.raw(
+                    &Obj::new()
+                        .str("name", &s.name)
+                        .num("target", s.target)
+                        .num("error_fast", s.error_fast)
+                        .num("error_slow", s.error_slow)
+                        .num("burn_fast", s.burn_fast)
+                        .num("burn_slow", s.burn_slow)
+                        .bool("alerting", s.alerting)
+                        .finish(),
+                )
+            })
+            .finish()
     }
 }
 

@@ -22,7 +22,7 @@
 //! *links* ([`SpanGuard::add_link`]) to spans of other traces — the
 //! batcher's fan-in span links every coalesced request.
 
-use crate::json::{Obj, Value};
+use crate::json::{Arr, Obj, Value};
 use crate::trace::TraceContext;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -180,20 +180,18 @@ impl Drop for SpanGuard {
                 obj = obj.str("trace", &crate::trace::hex(span.trace));
             }
             if !span.links.is_empty() {
-                let mut links = String::from("[");
-                for (i, &(trace, span_id)) in span.links.iter().enumerate() {
-                    if i > 0 {
-                        links.push(',');
-                    }
-                    links.push_str(
-                        &Obj::new()
-                            .str("trace", &crate::trace::hex(trace))
-                            .uint("span", span_id)
-                            .finish(),
-                    );
-                }
-                links.push(']');
-                obj = obj.raw("links", &links);
+                let links = span
+                    .links
+                    .iter()
+                    .fold(Arr::new(), |arr, &(trace, span_id)| {
+                        arr.raw(
+                            &Obj::new()
+                                .str("trace", &crate::trace::hex(trace))
+                                .uint("span", span_id)
+                                .finish(),
+                        )
+                    });
+                obj = obj.raw("links", &links.finish());
             }
             let line = obj.finish();
             if has_sink {

@@ -54,15 +54,6 @@ pub struct TraceContext {
     pub sampled: bool,
 }
 
-/// Finalizer of splitmix64: decorrelates sequential mint counters into
-/// well-spread 64-bit ids.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 impl TraceContext {
     /// The traceless context: entering it is harmless (spans carry trace
     /// id 0 and are not flight-sampled). Lets queue-hop structs carry a
@@ -77,7 +68,8 @@ impl TraceContext {
     pub fn mint() -> TraceContext {
         let seq = NEXT_TRACE.fetch_add(1, Ordering::Relaxed);
         let every = SAMPLE_EVERY.load(Ordering::Relaxed);
-        let mut trace_id = mix(seq);
+        // Decorrelate sequential mint counters into well-spread ids.
+        let mut trace_id = crate::hash::splitmix64(seq);
         if trace_id == 0 {
             trace_id = 1;
         }

@@ -197,12 +197,15 @@ impl Shared {
     fn push_chunks(&self, chunks: Vec<Chunk>, cursor: &AtomicUsize) {
         let n = chunks.len();
         let start = cursor.fetch_add(n, Ordering::Relaxed);
+        // Count the chunks *before* any of them is claimable: a worker
+        // that claims one the instant it lands decrements `queued`, and
+        // must never find it at zero.
+        let q = self.queued.fetch_add(n, Ordering::AcqRel) + n;
+        obs::gauge("pool.queue.depth").set(q as f64);
         for (k, chunk) in chunks.into_iter().enumerate() {
             let dq = (start + k) % self.deques.len();
             self.deques[dq].lock().unwrap().push_back(chunk);
         }
-        let q = self.queued.fetch_add(n, Ordering::AcqRel) + n;
-        obs::gauge("pool.queue.depth").set(q as f64);
         // Wake every sleeper: chunks were fanned across deques.
         let _guard = self.sleep_mx.lock().unwrap();
         self.wake.notify_all();
@@ -520,6 +523,34 @@ mod tests {
         }
         for h in handles {
             h.join().unwrap();
+        }
+    }
+
+    #[test]
+    fn back_to_back_tiny_maps_never_underflow_the_queue_count() {
+        // Many 2-item maps in a tight loop from several threads: workers
+        // claim chunks the instant they land, so `queued` must already
+        // count them (an underflow panics a worker in debug builds, and
+        // the caller then waits forever on a chunk nobody runs — hence
+        // the watchdog instead of a plain join).
+        let pool = Arc::new(Pool::new(4));
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        for t in 0..4u64 {
+            let pool = Arc::clone(&pool);
+            let done_tx = done_tx.clone();
+            std::thread::spawn(move || {
+                for round in 0..20_000u64 {
+                    let items = [t, round];
+                    let out = pool.parallel_map(&items, |_, &v| v + 1);
+                    assert_eq!(out, vec![t + 1, round + 1]);
+                }
+                done_tx.send(()).ok();
+            });
+        }
+        for _ in 0..4 {
+            done_rx
+                .recv_timeout(Duration::from_secs(60))
+                .expect("a caller hung or panicked: queue count underflowed");
         }
     }
 

@@ -237,9 +237,9 @@ serve options:
   --wal-segment-mb MB      rotate WAL segments at MB megabytes (default 8)
   --wal-snapshot-every N   write a snapshot every N events (default 4096;
                            0 disables snapshots)
-  --fleet-shards N         worker groups for the /v1/route fan-out (default:
-                           SCOUTS_FLEET_SHARDS env, else 4); teams are
-                           rendezvous-hashed so add/remove never reshuffles
+  --fleet-shards N         worker groups for the /v1/route fan-out (default
+                           4); teams are rendezvous-hashed so add/remove
+                           never reshuffles
   --fleet-suggestions K    top-k suggestions in /v1/route responses (default 3)
   --fleet-fail-teams A,B   inject per-team Scout failures (case-insensitive)
                            to exercise the degrade-gracefully path
@@ -929,9 +929,8 @@ fn serve_cmd(args: &Args) -> Result<(), ArgError> {
     if let Some(dir) = model_dir {
         engine = engine.with_model_dir(dir);
     }
-    // Fleet routing plane: CLI overrides the SCOUTS_FLEET_SHARDS env
-    // default; `--fleet-fail-teams` injects per-team faults for smoke
-    // tests of the degrade-gracefully path.
+    // Fleet routing plane: `--fleet-fail-teams` injects per-team faults
+    // for smoke tests of the degrade-gracefully path.
     let mut fleet = serve::FleetConfig::default();
     fleet.shards = args.get_parsed("fleet-shards", fleet.shards)?;
     fleet.suggestions = args.get_parsed("fleet-suggestions", fleet.suggestions)?;

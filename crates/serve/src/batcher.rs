@@ -1,52 +1,43 @@
-//! Micro-batched inference.
+//! Micro-batched inference: the predict handler of the serving plane's
+//! [`Coalescer`].
 //!
 //! Predict requests from all connections land in one bounded job queue.
-//! A single batcher thread collects jobs until either the batch is full
-//! or a short deadline lapses (default 32 requests / 2 ms — sized to
+//! The coalescer's worker thread collects jobs until either the batch is
+//! full or a short deadline lapses (default 32 requests / 2 ms — sized to
 //! the flattened forest's 32-row scoring tile, so a full batch feeds
-//! exactly one micro-batch through the node-major tables), groups them
-//! by team, resolves **one** model version per team-group, and runs one
-//! pooled [`Scout::predict_many`] pass per group. Because `prepare` is a
-//! pure per-example function (PR 2's determinism contract), the batched
-//! answers are bit-identical to what N sequential `predict` calls would
-//! have produced — batching changes throughput, never verdicts.
+//! exactly one micro-batch through the node-major tables); this module
+//! groups each batch by team, resolves **one** model version per
+//! team-group, and runs one pooled [`Scout::predict_many`] pass per
+//! group. Because `prepare` is a pure per-example function (PR 2's
+//! determinism contract), the batched answers are bit-identical to what
+//! N sequential `predict` calls would have produced — batching changes
+//! throughput, never verdicts.
 //!
 //! Metrics: `serve.batch.occupancy` (histogram of jobs per batch),
 //! `serve.deadline.expired` (requests that timed out in the queue).
+//!
+//! [`Scout::predict_many`]: scout::Scout::predict_many
 
-use crate::admission::Permit;
-use crate::registry::{ModelEntry, ModelRegistry};
+use crate::coalesce::{Coalescer, Job, Window};
+use crate::registry::ModelEntry;
+use crate::server::{Engine, ServeConfig};
 use cloudsim::SimTime;
-use incident::Workload;
-use monitoring::{MonitoringConfig, MonitoringSystem};
+use monitoring::MonitoringSystem;
 use scout::Prediction;
 use std::collections::BTreeMap;
-use std::sync::mpsc::SyncSender;
-use std::sync::{Arc, Condvar, Mutex, RwLock};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
 
-/// One queued predict job.
-pub struct Job {
+/// One predict request as it queues.
+pub(crate) struct PredictRequest {
     /// Team whose Scout should answer.
     pub team: String,
     /// Incident text.
     pub text: String,
     /// Incident creation time (simulated).
     pub time: SimTime,
-    /// Wall-clock deadline; expired jobs are answered with
-    /// [`PredictError::DeadlineExpired`] instead of running.
-    pub deadline: Option<Instant>,
-    /// Admission slot, held until the reply is sent. `None` when the
-    /// caller holds one permit for a fan-out of jobs (the `/v1/route`
-    /// path).
-    pub permit: Option<Permit>,
-    /// Where the answer goes. `sync_channel(1)` so the send never blocks.
-    pub reply: SyncSender<Result<Answer, PredictError>>,
-    /// The originating request's trace context (span id = the request's
-    /// root span). The batch span links it, and the per-item predict work
-    /// runs under it so its spans land in the request's trace.
-    pub ctx: obs::TraceContext,
 }
+
+pub(crate) type PredictJob = Job<PredictRequest, Answer>;
 
 /// A completed prediction, attributable to exactly one model version.
 #[derive(Debug, Clone)]
@@ -81,255 +72,55 @@ impl std::fmt::Display for PredictError {
     }
 }
 
-#[derive(Default)]
-struct QueueState {
-    jobs: std::collections::VecDeque<Job>,
-    shutdown: bool,
+/// Start the predict batcher over `engine`'s registry, workload and live
+/// monitoring config (a data set deprecated mid-stream takes effect on
+/// the next batch).
+pub(crate) fn start(
+    engine: Arc<Engine>,
+    config: &ServeConfig,
+) -> Coalescer<PredictRequest, Answer> {
+    let window = Window {
+        thread: "serve-batcher",
+        span: "serve.batch",
+        occupancy: "serve.batch.occupancy",
+        batch_size: config.batch_size,
+        wait: config.batch_deadline,
+    };
+    Coalescer::start(window, move |jobs| run_batch(jobs, &engine))
 }
 
-struct Queue {
-    state: Mutex<QueueState>,
-    wake: Condvar,
-}
-
-/// Batcher configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct BatchConfig {
-    /// Maximum jobs per batch.
-    pub batch_size: usize,
-    /// How long to hold an open batch waiting for more jobs.
-    pub batch_deadline: Duration,
-}
-
-impl Default for BatchConfig {
-    fn default() -> BatchConfig {
-        BatchConfig {
-            batch_size: 32,
-            batch_deadline: Duration::from_millis(2),
-        }
-    }
-}
-
-/// The batcher: owns the job queue and the worker thread.
-pub struct Batcher {
-    queue: Arc<Queue>,
-    worker: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Batcher {
-    /// Start the worker thread. `workload` supplies the monitoring plane
-    /// Scouts consult at predict time; `registry` supplies the models;
-    /// `monitoring` is the live shared config (a data set deprecated
-    /// mid-stream takes effect on the next batch).
-    pub fn start(
-        registry: Arc<ModelRegistry>,
-        workload: Arc<Workload>,
-        monitoring: Arc<RwLock<MonitoringConfig>>,
-        config: BatchConfig,
-    ) -> Batcher {
-        let queue = Arc::new(Queue {
-            state: Mutex::new(QueueState::default()),
-            wake: Condvar::new(),
-        });
-        let worker_queue = Arc::clone(&queue);
-        let worker = std::thread::Builder::new()
-            .name("serve-batcher".into())
-            .spawn(move || run_worker(worker_queue, registry, workload, monitoring, config))
-            .expect("spawn batcher thread");
-        Batcher {
-            queue,
-            worker: Some(worker),
-        }
-    }
-
-    /// Enqueue a job. Returns the job back if the batcher has shut down
-    /// (the caller still holds the permit and reply channel).
-    pub fn submit(&self, job: Job) -> Result<(), Job> {
-        let mut state = self.queue.state.lock().unwrap();
-        if state.shutdown {
-            return Err(job);
-        }
-        state.jobs.push_back(job);
-        drop(state);
-        self.queue.wake.notify_one();
-        Ok(())
-    }
-
-    /// Signal shutdown without waiting for the worker: new submits are
-    /// refused, an open batch window closes immediately, and the worker
-    /// drains — everything already queued is answered (or shed with
-    /// [`PredictError::ShuttingDown`]), never silently dropped. The worker
-    /// thread itself is joined by [`Drop`].
-    pub fn begin_shutdown(&self) {
-        {
-            let mut state = self.queue.state.lock().unwrap();
-            state.shutdown = true;
-        }
-        self.queue.wake.notify_all();
-    }
-}
-
-impl Drop for Batcher {
-    fn drop(&mut self) {
-        {
-            let mut state = self.queue.state.lock().unwrap();
-            state.shutdown = true;
-        }
-        self.queue.wake.notify_all();
-        if let Some(worker) = self.worker.take() {
-            worker.join().ok();
-        }
-    }
-}
-
-fn run_worker(
-    queue: Arc<Queue>,
-    registry: Arc<ModelRegistry>,
-    workload: Arc<Workload>,
-    monitoring: Arc<RwLock<MonitoringConfig>>,
-    config: BatchConfig,
-) {
-    let batch_size = config.batch_size.max(1);
-    loop {
-        let batch = collect_batch(&queue, batch_size, config.batch_deadline);
-        match batch {
-            Some(jobs) => run_batch(jobs, &registry, &workload, &monitoring),
-            None => {
-                // Shutdown: fail whatever is still queued. The drain span
-                // links every abandoned request so no trace dead-ends
-                // without a recorded cause.
-                let drained: Vec<Job> = {
-                    let mut state = queue.state.lock().unwrap();
-                    state.jobs.drain(..).collect()
-                };
-                if !drained.is_empty() {
-                    let mut span = obs::span!("serve.batch.drain");
-                    for job in &drained {
-                        if job.ctx.trace_id != 0 {
-                            span.add_link(job.ctx);
-                        }
-                    }
-                    obs::counter("serve.batch.drained").add(drained.len() as u64);
-                    for job in drained {
-                        let _ = job.reply.try_send(Err(PredictError::ShuttingDown));
-                    }
-                }
-                return;
-            }
-        }
-    }
-}
-
-/// Block until at least one job is available, then keep collecting until
-/// the batch is full or `batch_deadline` has passed since the first job
-/// was picked up. Returns `None` on shutdown with an empty queue.
-fn collect_batch(queue: &Queue, batch_size: usize, batch_deadline: Duration) -> Option<Vec<Job>> {
-    let mut state = queue.state.lock().unwrap();
-    loop {
-        if !state.jobs.is_empty() {
-            break;
-        }
-        if state.shutdown {
-            return None;
-        }
-        state = queue.wake.wait(state).unwrap();
-    }
-    let mut batch = Vec::with_capacity(batch_size);
-    while batch.len() < batch_size {
-        if let Some(job) = state.jobs.pop_front() {
-            batch.push(job);
-        } else {
-            break;
-        }
-    }
-    let window_end = Instant::now() + batch_deadline;
-    while batch.len() < batch_size && !state.shutdown {
-        let now = Instant::now();
-        if now >= window_end {
-            break;
-        }
-        let (next, timeout) = queue.wake.wait_timeout(state, window_end - now).unwrap();
-        state = next;
-        while batch.len() < batch_size {
-            if let Some(job) = state.jobs.pop_front() {
-                batch.push(job);
-            } else {
-                break;
-            }
-        }
-        if timeout.timed_out() {
-            break;
-        }
-    }
-    drop(state);
-    Some(batch)
-}
-
-fn run_batch(
-    jobs: Vec<Job>,
-    registry: &ModelRegistry,
-    workload: &Workload,
-    monitoring: &RwLock<MonitoringConfig>,
-) {
-    // The batch span is the fan-in point: it runs outside any single
-    // request's context but *links* every request it coalesced.
-    let mut span = obs::span!("serve.batch");
-    for job in &jobs {
-        if job.ctx.trace_id != 0 {
-            span.add_link(job.ctx);
-        }
-    }
-    let _span = span;
-    obs::observe("serve.batch.occupancy", jobs.len() as f64);
-
-    // Drop expired jobs before doing any work on them.
-    let now = Instant::now();
-    let mut live: Vec<Job> = Vec::with_capacity(jobs.len());
-    let mut expired = 0u64;
-    for job in jobs {
-        if job.deadline.is_some_and(|d| now >= d) {
-            obs::counter("serve.deadline.expired").inc();
-            expired += 1;
-            let _ = job.reply.try_send(Err(PredictError::DeadlineExpired));
-        } else {
-            live.push(job);
-        }
-    }
-    if expired > 0 {
-        obs::flight().alert(
-            "deadline-miss",
-            &format!("{expired} job(s) expired in queue"),
-        );
-    }
-    if live.is_empty() {
-        return;
-    }
-
+fn run_batch(jobs: Vec<PredictJob>, engine: &Engine) {
     // Group by requested team so each group runs one pooled predict pass
     // against exactly one pinned model version.
-    let mut groups: BTreeMap<String, Vec<Job>> = BTreeMap::new();
-    for job in live {
-        groups.entry(job.team.clone()).or_default().push(job);
+    let mut groups: BTreeMap<String, Vec<PredictJob>> = BTreeMap::new();
+    for job in jobs {
+        groups.entry(job.input.team.clone()).or_default().push(job);
     }
 
-    let mon_config = monitoring.read().unwrap().clone();
-    let monitoring = MonitoringSystem::new(&workload.topology, &workload.faults, mon_config);
+    let workload = &engine.workload;
+    let monitoring = MonitoringSystem::new(
+        &workload.topology,
+        &workload.faults,
+        engine.monitoring_now(),
+    );
 
     for (team, group) in groups {
-        let Some(entry) = registry.get(&team) else {
-            for job in group {
-                let _ = job
-                    .reply
-                    .try_send(Err(PredictError::UnknownTeam(team.clone())));
+        match engine.registry.get(&team) {
+            Some(entry) => run_group(group, &entry, &monitoring),
+            None => {
+                for job in group {
+                    job.answer(Err(PredictError::UnknownTeam(team.clone())));
+                }
             }
-            continue;
-        };
-        run_group(group, &entry, &monitoring);
+        }
     }
 }
 
-fn run_group(group: Vec<Job>, entry: &Arc<ModelEntry>, monitoring: &MonitoringSystem<'_>) {
-    let inputs: Vec<(&str, SimTime)> = group.iter().map(|j| (j.text.as_str(), j.time)).collect();
+fn run_group(group: Vec<PredictJob>, entry: &ModelEntry, monitoring: &MonitoringSystem<'_>) {
+    let inputs: Vec<(&str, SimTime)> = group
+        .iter()
+        .map(|j| (j.input.text.as_str(), j.input.time))
+        .collect();
     let ctxs: Vec<obs::TraceContext> = group.iter().map(|j| j.ctx).collect();
     // The per-entry chunk cache makes repeated predicts over overlapping
     // look-back windows skip telemetry generation; the monitoring epoch in
@@ -339,11 +130,10 @@ fn run_group(group: Vec<Job>, entry: &Arc<ModelEntry>, monitoring: &MonitoringSy
             .scout
             .predict_many_traced(&inputs, monitoring, Some(&entry.feat_cache), Some(&ctxs));
     for (job, prediction) in group.into_iter().zip(predictions) {
-        let _ = job.reply.try_send(Ok(Answer {
+        job.answer(Ok(Answer {
             team: entry.team.clone(),
             model_version: entry.version,
             prediction,
         }));
-        // `job.permit` drops here, freeing the admission slot.
     }
 }

@@ -1,0 +1,390 @@
+//! The serving plane's one micro-batching queue.
+//!
+//! Handler threads [`submit`](Coalescer::submit) jobs and park on a
+//! rendezvous channel; a single worker thread collects them until the
+//! batch is full or a short window lapses, then hands the batch to a
+//! handler closure. Two handlers exist: the predict batcher
+//! ([`crate::batcher`]) and the storm layer's Sev3 route coalescer
+//! ([`crate::fleet::start_route_coalescer`]). Everything they have in
+//! common lives here, once:
+//!
+//! * the batch span is the fan-in point — it runs outside any single
+//!   request's context but *links* every request it coalesced;
+//! * a job whose deadline lapsed in the queue is answered
+//!   [`PredictError::DeadlineExpired`] and never reaches the handler;
+//! * shutdown drains, never drops: new submits are refused, an open
+//!   window closes at once and its batch still runs, and whatever is
+//!   left in the queue is shed with [`PredictError::ShuttingDown`]
+//!   under a `serve.batch.drain` span that links every shed request.
+//!
+//! Metrics: the per-queue occupancy histogram named in [`Window`],
+//! `serve.deadline.expired`, `serve.batch.drained`.
+
+use crate::batcher::PredictError;
+use obs::TraceContext;
+use std::collections::VecDeque;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::{Duration, Instant};
+
+/// One queued request: the caller's `input` plus the envelope the
+/// coalescer itself acts on.
+pub(crate) struct Job<I, O> {
+    pub input: I,
+    /// Wall-clock deadline, checked when the job's batch starts.
+    deadline: Option<Instant>,
+    /// The originating request's trace context (span id = the request's
+    /// root span), so the handler's per-item work lands in its trace.
+    pub ctx: TraceContext,
+    /// Where the answer goes. `sync_channel(1)` so the send never blocks.
+    reply: SyncSender<Reply<O>>,
+}
+
+impl<I, O> Job<I, O> {
+    /// A job carrying the calling thread's trace context, and the
+    /// receiver its answer will arrive on.
+    pub fn new(input: I, deadline: Option<Instant>) -> (Job<I, O>, Receiver<Reply<O>>) {
+        let (reply, answer) = sync_channel(1);
+        let ctx = obs::trace::capture().unwrap_or(TraceContext::NONE);
+        (
+            Job {
+                input,
+                deadline,
+                ctx,
+                reply,
+            },
+            answer,
+        )
+    }
+
+    /// Answer the job. The receiver may already be gone (its connection
+    /// died); that is not the worker's problem.
+    pub fn answer(self, result: Reply<O>) {
+        let _ = self.reply.try_send(result);
+    }
+}
+
+pub(crate) type Reply<O> = Result<O, PredictError>;
+
+/// What distinguishes one coalescer from another: its names and its
+/// collect window.
+pub(crate) struct Window {
+    /// Worker thread name.
+    pub thread: &'static str,
+    /// Name of the per-batch span.
+    pub span: &'static str,
+    /// Name of the jobs-per-batch histogram.
+    pub occupancy: &'static str,
+    /// Maximum jobs per batch (`0` is treated as `1`).
+    pub batch_size: usize,
+    /// How long an open batch waits for more jobs.
+    pub wait: Duration,
+}
+
+struct Queue<J> {
+    state: Mutex<QueueState<J>>,
+    wake: Condvar,
+}
+
+struct QueueState<J> {
+    jobs: VecDeque<J>,
+    shutdown: bool,
+}
+
+impl<J> Queue<J> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, QueueState<J>> {
+        // No code path panics while holding this lock.
+        self.state.lock().expect("coalescer queue lock poisoned")
+    }
+}
+
+/// The queue and its worker thread.
+pub(crate) struct Coalescer<I, O> {
+    queue: Arc<Queue<Job<I, O>>>,
+    worker: Option<std::thread::JoinHandle<()>>,
+}
+
+impl<I: Send + 'static, O: Send + 'static> Coalescer<I, O> {
+    /// Start the worker thread; `handler` receives every non-empty batch
+    /// of live jobs and must answer each one.
+    pub fn start(
+        window: Window,
+        mut handler: impl FnMut(Vec<Job<I, O>>) + Send + 'static,
+    ) -> Coalescer<I, O> {
+        let queue = Arc::new(Queue {
+            state: Mutex::new(QueueState {
+                jobs: VecDeque::new(),
+                shutdown: false,
+            }),
+            wake: Condvar::new(),
+        });
+        let worker_queue = Arc::clone(&queue);
+        let worker = std::thread::Builder::new()
+            .name(window.thread.into())
+            .spawn(move || {
+                while let Some(jobs) = collect_batch(&worker_queue, &window) {
+                    run_batch(jobs, &window, &mut handler);
+                }
+                drain(&worker_queue);
+            })
+            .expect("spawn coalescer thread");
+        Coalescer {
+            queue,
+            worker: Some(worker),
+        }
+    }
+
+    /// Enqueue a job. Returns the job back if the coalescer has shut
+    /// down (the caller still holds the reply channel).
+    pub fn submit(&self, job: Job<I, O>) -> Result<(), Job<I, O>> {
+        let mut state = self.queue.lock();
+        if state.shutdown {
+            return Err(job);
+        }
+        state.jobs.push_back(job);
+        drop(state);
+        self.queue.wake.notify_one();
+        Ok(())
+    }
+}
+
+impl<I, O> Coalescer<I, O> {
+    /// Signal shutdown without waiting for the worker (joined by
+    /// [`Drop`]): see the module docs for what happens to queued jobs.
+    pub fn begin_shutdown(&self) {
+        self.queue.lock().shutdown = true;
+        self.queue.wake.notify_all();
+    }
+}
+
+impl<I, O> Drop for Coalescer<I, O> {
+    fn drop(&mut self) {
+        self.begin_shutdown();
+        if let Some(worker) = self.worker.take() {
+            worker.join().ok();
+        }
+    }
+}
+
+/// Block until a job is available, then keep collecting until the batch
+/// is full, the window has passed since the first pick-up, or shutdown
+/// is signalled. Returns `None` once shutdown is signalled with no batch
+/// open; jobs still queued then are left for [`drain`].
+fn collect_batch<J>(queue: &Queue<J>, window: &Window) -> Option<Vec<J>> {
+    let batch_size = window.batch_size.max(1);
+    let mut state = queue.lock();
+    while state.jobs.is_empty() && !state.shutdown {
+        state = queue
+            .wake
+            .wait(state)
+            .expect("coalescer queue lock poisoned");
+    }
+    if state.shutdown {
+        return None;
+    }
+    let mut batch = Vec::with_capacity(batch_size);
+    let window_end = Instant::now() + window.wait;
+    loop {
+        let take = (batch_size - batch.len()).min(state.jobs.len());
+        batch.extend(state.jobs.drain(..take));
+        let now = Instant::now();
+        if batch.len() == batch_size || state.shutdown || now >= window_end {
+            return Some(batch);
+        }
+        state = queue
+            .wake
+            .wait_timeout(state, window_end - now)
+            .expect("coalescer queue lock poisoned")
+            .0;
+    }
+}
+
+fn linked_span<I, O>(name: &'static str, jobs: &[Job<I, O>]) -> obs::SpanGuard {
+    let mut span = obs::span!(name);
+    for job in jobs.iter().filter(|j| j.ctx.trace_id != 0) {
+        span.add_link(job.ctx);
+    }
+    span
+}
+
+fn run_batch<I, O>(
+    jobs: Vec<Job<I, O>>,
+    window: &Window,
+    handler: &mut impl FnMut(Vec<Job<I, O>>),
+) {
+    let _span = linked_span(window.span, &jobs);
+    obs::observe(window.occupancy, jobs.len() as f64);
+
+    // Answer expired jobs before doing any work on them.
+    let now = Instant::now();
+    let (expired, live): (Vec<_>, Vec<_>) = jobs
+        .into_iter()
+        .partition(|j| j.deadline.is_some_and(|d| now >= d));
+    if !expired.is_empty() {
+        obs::counter("serve.deadline.expired").add(expired.len() as u64);
+        obs::flight().alert(
+            "deadline-miss",
+            &format!("{} job(s) expired in queue", expired.len()),
+        );
+        for job in expired {
+            job.answer(Err(PredictError::DeadlineExpired));
+        }
+    }
+    if !live.is_empty() {
+        handler(live);
+    }
+}
+
+/// Shutdown: shed whatever is still queued. The drain span links every
+/// abandoned request so no trace dead-ends without a recorded cause.
+fn drain<I, O>(queue: &Queue<Job<I, O>>) {
+    let drained: Vec<Job<I, O>> = queue.lock().jobs.drain(..).collect();
+    if drained.is_empty() {
+        return;
+    }
+    let _span = linked_span("serve.batch.drain", &drained);
+    obs::counter("serve.batch.drained").add(drained.len() as u64);
+    for job in drained {
+        job.answer(Err(PredictError::ShuttingDown));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc::channel;
+
+    type Echo = Coalescer<u32, u32>;
+
+    fn window(batch_size: usize, wait: Duration) -> Window {
+        Window {
+            thread: "test-coalescer",
+            span: "test.coalesce.batch",
+            occupancy: "test.coalesce.occupancy",
+            batch_size,
+            wait,
+        }
+    }
+
+    /// A coalescer that echoes each input back and reports every batch
+    /// (as its inputs) on the returned channel. With a `gate`, the
+    /// handler parks on it before answering, so the test decides what is
+    /// queued behind the batch in flight.
+    fn start(
+        batch_size: usize,
+        wait: Duration,
+        gate: Option<Receiver<()>>,
+    ) -> (Echo, Receiver<Vec<u32>>) {
+        let (seen_tx, seen) = channel();
+        let coalescer =
+            Coalescer::start(window(batch_size, wait), move |jobs: Vec<Job<u32, u32>>| {
+                let _ = seen_tx.send(jobs.iter().map(|j| j.input).collect());
+                if let Some(gate) = &gate {
+                    let _ = gate.recv();
+                }
+                for job in jobs {
+                    let input = job.input;
+                    job.answer(Ok(input));
+                }
+            });
+        (coalescer, seen)
+    }
+
+    fn gated(batch_size: usize) -> (Echo, Receiver<Vec<u32>>, SyncSender<()>) {
+        let (gate_tx, gate_rx) = sync_channel(0);
+        let (coalescer, seen) = start(batch_size, Duration::ZERO, Some(gate_rx));
+        (coalescer, seen, gate_tx)
+    }
+
+    fn submit(to: &Echo, input: u32, deadline: Option<Instant>) -> Receiver<Reply<u32>> {
+        let (job, answer) = Job::new(input, deadline);
+        assert!(to.submit(job).is_ok(), "coalescer refused job {input}");
+        answer
+    }
+
+    const LONG: Duration = Duration::from_secs(30);
+
+    #[test]
+    fn full_batch_returns_without_waiting_out_the_window() {
+        let (coalescer, seen) = start(3, LONG, None);
+        let started = Instant::now();
+        let answers: Vec<_> = (1..=3).map(|i| submit(&coalescer, i, None)).collect();
+        for (i, answer) in (1..=3).zip(answers) {
+            assert_eq!(answer.recv().unwrap(), Ok(i));
+        }
+        assert!(started.elapsed() < LONG / 2, "waited out the window");
+        // However many wake-ups it took to collect them, the window only
+        // closed once the batch was full: one batch, in submit order.
+        assert_eq!(seen.recv().unwrap(), vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn partial_batch_returns_at_the_window() {
+        let wait = Duration::from_millis(40);
+        let (coalescer, seen) = start(8, wait, None);
+        let started = Instant::now();
+        let answer = submit(&coalescer, 7, None);
+        assert_eq!(answer.recv().unwrap(), Ok(7));
+        assert!(started.elapsed() >= wait, "partial batch ran early");
+        assert_eq!(seen.recv().unwrap(), vec![7]);
+    }
+
+    #[test]
+    fn begin_shutdown_closes_an_open_window_immediately() {
+        let (coalescer, seen) = start(8, LONG, None);
+        let answer = submit(&coalescer, 9, None);
+        // Wait until the worker holds the job in its open window.
+        while !coalescer.queue.lock().jobs.is_empty() {
+            std::thread::yield_now();
+        }
+        let started = Instant::now();
+        coalescer.begin_shutdown();
+        // The batch in the open window still runs.
+        assert_eq!(answer.recv().unwrap(), Ok(9));
+        assert!(
+            started.elapsed() < LONG / 2,
+            "shutdown waited out the window"
+        );
+        assert_eq!(seen.recv().unwrap(), vec![9]);
+    }
+
+    #[test]
+    fn shutdown_sheds_every_queued_job_exactly_once() {
+        let (coalescer, seen, gate) = gated(1);
+        let first = submit(&coalescer, 0, None);
+        assert_eq!(seen.recv().unwrap(), vec![0]);
+        // The worker is parked inside the handler: these five stay queued.
+        let queued: Vec<_> = (1..=5).map(|i| submit(&coalescer, i, None)).collect();
+        coalescer.begin_shutdown();
+        let (late, _late_answer) = Job::new(99, None);
+        let returned = coalescer.submit(late).expect_err("submit after shutdown");
+        assert_eq!(returned.input, 99);
+        gate.send(()).unwrap();
+        assert_eq!(first.recv().unwrap(), Ok(0));
+        drop(coalescer); // joins the worker: the drain has run
+        for answer in queued {
+            assert_eq!(answer.recv().unwrap(), Err(PredictError::ShuttingDown));
+            assert!(answer.recv().is_err(), "a shed job was answered twice");
+        }
+        assert!(seen.try_recv().is_err(), "a shed job reached the handler");
+    }
+
+    #[test]
+    fn expired_jobs_never_reach_the_handler() {
+        let (coalescer, seen, gate) = gated(4);
+        let first = submit(&coalescer, 0, None);
+        assert_eq!(seen.recv().unwrap(), vec![0]);
+        // Queued behind the parked worker: one already past its
+        // deadline, one with time to spare, one undeadlined.
+        let stale = submit(&coalescer, 1, Some(Instant::now()));
+        let fresh = submit(&coalescer, 2, Some(Instant::now() + LONG));
+        let open = submit(&coalescer, 3, None);
+        gate.send(()).unwrap();
+        assert_eq!(first.recv().unwrap(), Ok(0));
+        assert_eq!(seen.recv().unwrap(), vec![2, 3]);
+        gate.send(()).unwrap();
+        assert_eq!(stale.recv().unwrap(), Err(PredictError::DeadlineExpired));
+        assert_eq!(fresh.recv().unwrap(), Ok(2));
+        assert_eq!(open.recv().unwrap(), Ok(3));
+    }
+}

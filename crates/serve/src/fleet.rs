@@ -27,18 +27,19 @@
 //! this.
 
 use crate::batcher::Answer;
+use crate::coalesce::{Coalescer, Job, Window};
 use crate::registry::ModelEntry;
+use crate::server::Engine;
+use cloudsim::SimTime;
 use incident::Workload;
 use monitoring::{MonitoringConfig, MonitoringSystem};
+use obs::hash::{fnv1a, splitmix64, FNV1A_OFFSET};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
+use storm::{BatchPolicy, Gate};
 
-/// Environment variable consulted for the default shard count.
-pub const SHARDS_ENV: &str = "SCOUTS_FLEET_SHARDS";
-
-/// Default shard count when neither `--fleet-shards` nor
-/// [`SHARDS_ENV`] is set.
+/// Default shard count when `--fleet-shards` is not given.
 pub const DEFAULT_SHARDS: usize = 4;
 
 /// Default number of top-k routing suggestions in a `/v1/route`
@@ -60,16 +61,10 @@ pub struct FleetConfig {
 }
 
 impl Default for FleetConfig {
-    /// Shard count from [`SHARDS_ENV`] (else [`DEFAULT_SHARDS`]), three
-    /// suggestions, no injected faults.
+    /// [`DEFAULT_SHARDS`] shards, three suggestions, no injected faults.
     fn default() -> FleetConfig {
-        let shards = std::env::var(SHARDS_ENV)
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or(DEFAULT_SHARDS);
         FleetConfig {
-            shards,
+            shards: DEFAULT_SHARDS,
             suggestions: DEFAULT_SUGGESTIONS,
             fail_teams: Vec::new(),
         }
@@ -138,7 +133,7 @@ pub fn shard_of(team: &str, shards: usize) -> usize {
     if shards == 1 {
         return 0;
     }
-    let team_hash = fnv1a(team.as_bytes());
+    let team_hash = fnv1a(FNV1A_OFFSET, team.as_bytes());
     let mut best = 0usize;
     let mut best_weight = 0u64;
     for shard in 0..shards {
@@ -151,26 +146,6 @@ pub fn shard_of(team: &str, shards: usize) -> usize {
     best
 }
 
-/// FNV-1a over `bytes` — a stable, dependency-free string hash
-/// (`std`'s `DefaultHasher` is seeded per process; rendezvous weights
-/// must agree across processes).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// The splitmix64 finalizer: a cheap, well-mixed 64-bit permutation.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
 /// Fan one incident out to every entry, shard-parallel, and collect the
 /// per-team outcomes **sorted by team name** (the canonical order the
 /// response and the master both consume — this is what makes the bytes
@@ -180,7 +155,7 @@ pub fn dispatch(
     entries: &[Arc<ModelEntry>],
     workload: &Workload,
     text: &str,
-    time: cloudsim::SimTime,
+    time: SimTime,
     deadline: Option<Instant>,
     config: &FleetConfig,
 ) -> Vec<TeamOutcome> {
@@ -217,7 +192,7 @@ pub fn dispatch_batch(
     entries: &[Arc<ModelEntry>],
     workload: &Workload,
     mon: &MonitoringConfig,
-    inputs: &[(&str, cloudsim::SimTime)],
+    inputs: &[(&str, SimTime)],
     deadline: Option<Instant>,
     config: &FleetConfig,
     skip: &[String],
@@ -230,11 +205,7 @@ pub fn dispatch_batch(
     for entry in entries {
         groups[shard_of(&entry.team, shards)].push(entry);
     }
-    let groups: Vec<(usize, Vec<&Arc<ModelEntry>>)> = groups
-        .into_iter()
-        .enumerate()
-        .filter(|(_, g)| !g.is_empty())
-        .collect();
+    groups.retain(|g| !g.is_empty());
     obs::counter("fleet.dispatch.calls").inc();
     obs::counter("fleet.dispatch.fanouts").add(inputs.len() as u64);
     obs::observe("fleet.dispatch.shards", groups.len() as f64);
@@ -248,7 +219,7 @@ pub fn dispatch_batch(
     let ctx = obs::trace::capture();
 
     let per_shard: Vec<TeamBatchResults> =
-        pool::Pool::global().parallel_map(&groups, |_, (shard, group)| {
+        pool::Pool::global().parallel_map(&groups, |_, group| {
             let started = Instant::now();
             let mut span = obs::span!("fleet.shard");
             // The pool re-enters the caller's trace context, but link the
@@ -267,10 +238,7 @@ pub fn dispatch_batch(
                     )
                 })
                 .collect();
-            obs::observe(
-                &format!("fleet.shard.latency.{shard}"),
-                started.elapsed().as_secs_f64() * 1e3,
-            );
+            obs::observe("fleet.shard.latency", started.elapsed().as_secs_f64() * 1e3);
             results
         });
 
@@ -295,13 +263,110 @@ pub fn dispatch_batch(
     out
 }
 
+/// One fleet pass — the whole of what `/v1/route` does between admission
+/// and the Scout-Master decision, for one incident (the handler thread,
+/// Sev1/Sev2) or a coalesced batch of them (the Sev3 worker): registry
+/// snapshot → circuit-breaker gate sampled **once** (a pass is one
+/// fan-out) → [`dispatch_batch`] → **one** breaker report per team (a
+/// panicked Scout fails the whole pass for its team, which is one
+/// breaker event, not `inputs.len()` of them). Without storm control the
+/// gate and the report are skipped. Returns one outcome set per input.
+pub(crate) fn pass(
+    engine: &Engine,
+    inputs: &[(&str, SimTime)],
+    deadline: Option<Instant>,
+) -> Vec<Vec<TeamOutcome>> {
+    let entries = engine.registry.snapshot();
+    let storm = engine.storm.as_deref();
+    // Open teams are skipped inside dispatch (no catch_unwind, no predict).
+    let skip: Vec<String> = storm.map_or_else(Vec::new, |s| {
+        let gate_ms = s.now_ms();
+        entries
+            .iter()
+            .filter(|e| s.gate(&e.team, gate_ms) == Gate::Reject)
+            .map(|e| e.team.clone())
+            .collect()
+    });
+    let outcome_sets = {
+        let _span = obs::span!("fleet.dispatch");
+        dispatch_batch(
+            &entries,
+            &engine.workload,
+            &engine.monitoring_now(),
+            inputs,
+            deadline,
+            &engine.fleet,
+            &skip,
+        )
+    };
+    // Every input saw the same per-team condition, so the first outcome
+    // set speaks for the pass. Deadline and breaker-skip results say
+    // nothing about the Scout itself, so they don't count.
+    if let (Some(storm), Some(first)) = (storm, outcome_sets.first()) {
+        let report_ms = storm.now_ms();
+        for outcome in first {
+            match &outcome.result {
+                Ok(_) => storm.record_outcome(&outcome.team, true, report_ms),
+                Err(ScoutError::Panicked) | Err(ScoutError::Injected) => {
+                    storm.record_outcome(&outcome.team, false, report_ms)
+                }
+                Err(ScoutError::DeadlineExpired) | Err(ScoutError::BreakerOpen) => {}
+            }
+        }
+    }
+    outcome_sets
+}
+
+/// One queued low-severity routing request: incident text and creation
+/// time.
+pub(crate) type RouteRequest = (String, SimTime);
+
+/// Stage 3 of storm control: start the Sev3 route coalescer. Queued
+/// incidents share one [`pass`] per batch — one `MonitoringSystem` build
+/// and one `predict_many_cached` call per Scout, the same economics as
+/// the predict micro-batcher. Batching never changes bytes: outcome sets
+/// are bit-identical to the same incidents passed one at a time, so the
+/// handler thread renders exactly the response a direct fan-out gives.
+pub(crate) fn start_route_coalescer(
+    engine: Arc<Engine>,
+    policy: &BatchPolicy,
+) -> Coalescer<RouteRequest, Vec<TeamOutcome>> {
+    let window = Window {
+        thread: "serve-stormroute",
+        span: "storm.route.batch",
+        occupancy: "storm.batch.occupancy",
+        batch_size: policy.max_batch,
+        wait: Duration::from_millis(policy.max_wait_ms),
+    };
+    Coalescer::start(
+        window,
+        move |jobs: Vec<Job<RouteRequest, Vec<TeamOutcome>>>| {
+            if jobs.len() > 1 {
+                obs::counter("storm.batch.coalesced").add(jobs.len() as u64 - 1);
+            }
+            let inputs: Vec<(&str, SimTime)> = jobs
+                .iter()
+                .map(|j| (j.input.0.as_str(), j.input.1))
+                .collect();
+            // Per-job deadlines were checked when the batch started; the
+            // pass itself runs undeadlined (Sev3 is the severity class
+            // that tolerates queueing).
+            let outcome_sets = pass(&engine, &inputs, None);
+            debug_assert_eq!(outcome_sets.len(), jobs.len());
+            for (job, outcomes) in jobs.into_iter().zip(outcome_sets) {
+                job.answer(Ok(outcomes));
+            }
+        },
+    )
+}
+
 /// Run one team's Scout over the whole input batch with isolation:
 /// breaker skip, deadline re-check, injected faults, and panic
 /// containment. Always returns exactly one result per input.
 fn run_scout_batch(
     entry: &ModelEntry,
     monitoring: &MonitoringSystem<'_>,
-    inputs: &[(&str, cloudsim::SimTime)],
+    inputs: &[(&str, SimTime)],
     deadline: Option<Instant>,
     config: &FleetConfig,
     skip: &[String],
@@ -391,6 +456,76 @@ mod tests {
                 after == before || after >= 4,
                 "{team}: moved {before} -> {after} among surviving shards"
             );
+        }
+    }
+
+    #[test]
+    fn shared_hashes_keep_parent_commit_assignments_and_fingerprints() {
+        // Golden values captured before `splitmix64`/`fnv1a` moved to
+        // `obs::hash`: shard placement and dedup fingerprints are wire-
+        // and cache-visible, so the one shared copy must reproduce them.
+        let graph = cloudsim::DependencyGraph::synthetic_fleet(128);
+        let teams: Vec<&str> = graph.team_names().collect();
+        assert_eq!(teams.len(), 128);
+        let golden: [(usize, u64, [usize; 12]); 4] = [
+            (2, 8140628479476655337, [0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 1]),
+            (
+                4,
+                16089432731714047196,
+                [2, 2, 2, 0, 3, 0, 0, 1, 3, 2, 3, 2],
+            ),
+            (
+                7,
+                16652460516483871395,
+                [5, 2, 6, 6, 4, 0, 4, 4, 6, 2, 4, 2],
+            ),
+            (
+                64,
+                5276025386382752396,
+                [50, 60, 38, 40, 57, 15, 19, 38, 15, 34, 49, 40],
+            ),
+        ];
+        for (shards, checksum, head) in golden {
+            let assigned: Vec<usize> = teams.iter().map(|t| shard_of(t, shards)).collect();
+            assert_eq!(assigned[..12], head, "first teams at {shards} shards");
+            let folded = assigned
+                .iter()
+                .fold(0u64, |acc, &s| acc.wrapping_mul(31).wrapping_add(s as u64));
+            assert_eq!(folded, checksum, "all 128 teams at {shards} shards");
+        }
+
+        let long = format!("alpha {} beta", "x".repeat(200));
+        let corpus: [(&str, &str, u64); 7] = [
+            (
+                "Switch agg-3 in c1.dc1 CRC errors, retry 17",
+                "netmon",
+                0x391d_8489_1c0f_987c,
+            ),
+            (
+                "SWITCH   agg-3 in c1/dc1 CRC errors; retry 9821",
+                "NetMon",
+                0x391d_8489_1c0f_987c,
+            ),
+            (
+                "Packet drops near tor-3.c2.dc1 in c2.dc1",
+                "default",
+                0x3643_9f5b_c948_9a6e,
+            ),
+            ("", "", 0xef81_83df_9be9_5d51),
+            (
+                "VM vm-1093 unreachable: storage latency on cluster c4.dc2 above 250ms",
+                "syslog",
+                0xb496_c8c7_f93a_5198,
+            ),
+            (
+                "DNS resolution failures for *.svc.internal (SERVFAIL) since 12:04:55",
+                "dnsmon",
+                0x0fe7_9a9d_ede0_6f92,
+            ),
+            (&long, "s", 0x5712_91a7_dafa_6c22),
+        ];
+        for (text, source, fp) in corpus {
+            assert_eq!(storm::fingerprint(text, source), fp, "{text:?}/{source:?}");
         }
     }
 

@@ -1,9 +1,12 @@
 //! The HTTP server: endpoints, connection handling, lifecycle.
 //!
 //! One acceptor thread, one handler thread per connection (capped), one
-//! batcher thread. Handlers do the protocol work — parse, admission,
-//! deadline — and park on a rendezvous channel while the batcher answers;
-//! all model execution happens in the batcher on the shared `pool`.
+//! batcher thread (plus the Sev3 route coalescer's under storm control).
+//! Handlers do the protocol work — parse, admission, deadline — and park
+//! on a rendezvous channel while the batcher answers; predict model
+//! execution happens in the batcher on the shared `pool`, and `/v1/route`
+//! fan-outs run as one [`fleet::pass`] — on the handler thread, or
+//! coalesced on the Sev3 worker.
 //!
 //! | Endpoint | Behaviour |
 //! |---|---|
@@ -30,18 +33,18 @@
 //! policy; the id is echoed back in the `X-Trace-Id` response header
 //! either way.
 
-use crate::admission::Admission;
-use crate::batcher::{Answer, BatchConfig, Batcher, Job, PredictError};
+use crate::admission::{Admission, Permit};
+use crate::batcher::{self, Answer, PredictError, PredictRequest};
+use crate::coalesce::{Coalescer, Job, Reply};
 use crate::durability::append_or_count;
 use crate::feedback::{FeedbackEvent, FeedbackHook, ResolveError, ServedLog, DEFAULT_SERVED_CAP};
-use crate::fleet::{self, FleetConfig, ScoutError};
+use crate::fleet::{self, FleetConfig, RouteRequest, ScoutError, TeamOutcome};
 use crate::http::{read_request, HttpError, Request, Response};
 use crate::registry::ModelRegistry;
-use crate::stormroute::{RouteBatcher, RouteBatcherContext, RouteJob};
 use cloudsim::SimTime;
 use incident::Workload;
 use monitoring::{Dataset, MonitoringConfig};
-use obs::json::{escape_into, Obj, Value};
+use obs::json::{Arr, Obj, Value};
 use obs::TraceContext;
 use scout::Prediction;
 use scoutmaster::{FleetAnswer, FleetDecision, FleetMaster};
@@ -49,10 +52,10 @@ use std::io::BufReader;
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::sync_channel;
+use std::sync::mpsc::Receiver;
 use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
-use storm::{DedupOutcome, Gate, StormControl};
+use storm::{DedupOutcome, StormControl};
 
 /// Everything the endpoints need to answer a request.
 pub struct Engine {
@@ -144,6 +147,16 @@ impl Engine {
         self.served = Arc::new(ServedLog::new(cap));
         self
     }
+
+    /// The live monitoring-plane configuration, as of now: every batch
+    /// and every fleet pass reads it once, so a data set deprecated
+    /// mid-stream takes effect on the next one.
+    pub(crate) fn monitoring_now(&self) -> MonitoringConfig {
+        self.monitoring
+            .read()
+            .expect("monitoring config lock poisoned")
+            .clone()
+    }
 }
 
 /// Server tunables. All have serving-grade defaults.
@@ -203,11 +216,12 @@ fn default_slos() -> Vec<obs::SloSpec> {
 }
 
 struct Shared {
-    engine: Engine,
-    batcher: Batcher,
+    /// Shared with the two coalescer workers.
+    engine: Arc<Engine>,
+    batcher: Coalescer<PredictRequest, Answer>,
     /// The storm layer's Sev3 route coalescer (present iff storm
     /// control is attached with a batch-capable policy).
-    route_batcher: Option<RouteBatcher>,
+    route_batcher: Option<Coalescer<RouteRequest, Vec<TeamOutcome>>>,
     admission: Admission,
     slo: Arc<obs::SloEngine>,
     stop: AtomicBool,
@@ -235,28 +249,14 @@ impl Server {
         obs::flight().set_dump_dir(config.flight_dir.clone());
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
-        let batcher = Batcher::start(
-            Arc::clone(&engine.registry),
-            Arc::clone(&engine.workload),
-            Arc::clone(&engine.monitoring),
-            BatchConfig {
-                batch_size: config.batch_size,
-                batch_deadline: config.batch_deadline,
-            },
-        );
+        let engine = Arc::new(engine);
+        let batcher = batcher::start(Arc::clone(&engine), &config);
         let route_batcher = engine
             .storm
             .as_ref()
-            .filter(|s| s.batch_policy().max_batch > 1)
-            .map(|s| {
-                RouteBatcher::start(RouteBatcherContext {
-                    registry: Arc::clone(&engine.registry),
-                    workload: Arc::clone(&engine.workload),
-                    monitoring: Arc::clone(&engine.monitoring),
-                    fleet: engine.fleet.clone(),
-                    storm: Arc::clone(s),
-                })
-            });
+            .map(|s| s.batch_policy())
+            .filter(|policy| policy.max_batch > 1)
+            .map(|policy| fleet::start_route_coalescer(Arc::clone(&engine), policy));
         let shared = Arc::new(Shared {
             engine,
             batcher,
@@ -441,24 +441,29 @@ fn endpoint_label(path: &str) -> &'static str {
     }
 }
 
+/// What an endpoint produces: a response, or the error [`dispatch`]
+/// renders as one (`{"error": …}` under the error's status).
+type Handled = Result<Response, HttpError>;
+
 fn dispatch(req: &Request, shared: &Shared) -> Response {
-    match (req.method.as_str(), req.path.as_str()) {
-        ("GET", "/healthz") => Response::json(200, Obj::new().str("status", "ok").finish()),
+    let handled = match (req.method.as_str(), req.path.as_str()) {
+        ("GET", "/healthz") => Ok(Response::json(200, Obj::new().str("status", "ok").finish())),
         ("GET", "/readyz") => readyz(shared),
-        ("GET", "/metrics") => Response::text(
+        ("GET", "/metrics") => Ok(Response::text(
             200,
             obs::sink::render_metrics_prometheus(&obs::global().metrics),
-        ),
-        ("GET", "/metrics.json") => {
-            Response::text(200, obs::sink::render_metrics_jsonl(&obs::global().metrics))
-        }
+        )),
+        ("GET", "/metrics.json") => Ok(Response::text(
+            200,
+            obs::sink::render_metrics_jsonl(&obs::global().metrics),
+        )),
         ("GET", "/v1/debug/flight") => {
             let mut out = String::new();
             for line in obs::flight().snapshot() {
                 out.push_str(&line);
                 out.push('\n');
             }
-            Response::text(200, out)
+            Ok(Response::text(200, out))
         }
         ("GET", "/v1/wal/state") => wal_state(shared),
         ("POST", "/v1/route") => route(req, shared),
@@ -477,54 +482,48 @@ fn dispatch(req: &Request, shared: &Shared) -> Response {
             }
         }
         ("GET" | "HEAD", path) => not_found(path),
-        (method, _) => {
-            Response::from_error(&HttpError::new(405, format!("method {method} not allowed")))
-        }
-    }
+        (method, _) => Err(HttpError::new(405, format!("method {method} not allowed"))),
+    };
+    handled.unwrap_or_else(|e| Response::from_error(&e))
 }
 
-fn not_found(path: &str) -> Response {
-    Response::from_error(&HttpError::new(404, format!("no such endpoint: {path}")))
+fn not_found(path: &str) -> Handled {
+    Err(HttpError::new(404, format!("no such endpoint: {path}")))
 }
 
-fn readyz(shared: &Shared) -> Response {
+fn readyz(shared: &Shared) -> Handled {
     let entries = shared.engine.registry.snapshot();
     if entries.is_empty() {
-        Response::from_error(&HttpError::new(503, "no models registered"))
-    } else {
-        let teams: Vec<String> = entries.iter().map(|e| e.team.clone()).collect();
-        let mut models = String::from("[");
-        for (i, e) in entries.iter().enumerate() {
-            if i > 0 {
-                models.push(',');
-            }
-            let history = shared.engine.registry.history_of(&e.team);
-            models.push_str(
-                &Obj::new()
-                    .str("team", &e.team)
-                    .uint("version", e.version)
-                    .raw("history", &json_u64_array(&history))
-                    .finish(),
-            );
-        }
-        models.push(']');
-        Response::json(
-            200,
-            Obj::new()
-                .str("status", "ready")
-                .raw("teams", &json_str_array(&teams))
-                .raw("models", &models)
-                .uint("epoch", shared.engine.registry.epoch())
-                .raw("slo", &shared.slo.render_json())
+        return Err(HttpError::new(503, "no models registered"));
+    }
+    let teams = entries.iter().fold(Arr::new(), |arr, e| arr.str(&e.team));
+    let models = entries.iter().fold(Arr::new(), |arr, e| {
+        arr.raw(
+            &Obj::new()
+                .str("team", &e.team)
+                .uint("version", e.version)
+                .raw("history", &history_json(shared, &e.team))
                 .finish(),
         )
-    }
+    });
+    Ok(Response::json(
+        200,
+        Obj::new()
+            .str("status", "ready")
+            .raw("teams", &teams.finish())
+            .raw("models", &models.finish())
+            .uint("epoch", shared.engine.registry.epoch())
+            .raw("slo", &shared.slo.render_json())
+            .finish(),
+    ))
 }
 
-/// Parsed body of a predict/route request.
+/// A parsed predict/route request: its JSON body plus `X-Deadline-Ms`.
 struct PredictInput {
     text: String,
     time: SimTime,
+    /// Wall-clock deadline from `X-Deadline-Ms`, if the header is present.
+    deadline: Option<Instant>,
     /// Alert source (`"source"` field) — the storm throttle's bucket
     /// key. Defaults to [`storm::DEFAULT_SOURCE`].
     source: String,
@@ -534,10 +533,14 @@ struct PredictInput {
     severity: storm::Severity,
 }
 
+/// The request body as JSON.
+fn json_body(req: &Request) -> Result<Value, HttpError> {
+    Value::parse(req.body_str()?)
+        .ok_or_else(|| HttpError::new(400, "request body is not valid JSON"))
+}
+
 fn parse_predict_input(req: &Request, shared: &Shared) -> Result<PredictInput, HttpError> {
-    let body = req.body_str()?;
-    let value =
-        Value::parse(body).ok_or_else(|| HttpError::new(400, "request body is not valid JSON"))?;
+    let value = json_body(req)?;
     let text = value
         .get("text")
         .and_then(Value::as_str)
@@ -571,26 +574,23 @@ fn parse_predict_input(req: &Request, shared: &Shared) -> Result<PredictInput, H
             .and_then(|n| storm::Severity::from_level(n as u64))
             .ok_or_else(|| HttpError::new(400, "\"severity\" must be 1, 2, or 3"))?,
     };
-    Ok(PredictInput {
-        text,
-        time,
-        source,
-        severity,
-    })
-}
-
-/// Per-request deadline from `X-Deadline-Ms`, if present.
-fn request_deadline(req: &Request) -> Result<Option<Instant>, HttpError> {
-    match req.header("x-deadline-ms") {
-        None => Ok(None),
+    let deadline = match req.header("x-deadline-ms") {
+        None => None,
         Some(v) => {
             let ms: u64 = v
                 .trim()
                 .parse()
                 .map_err(|_| HttpError::new(400, "X-Deadline-Ms must be a whole number"))?;
-            Ok(Some(Instant::now() + Duration::from_millis(ms)))
+            Some(Instant::now() + Duration::from_millis(ms))
         }
-    }
+    };
+    Ok(PredictInput {
+        text,
+        time,
+        deadline,
+        source,
+        severity,
+    })
 }
 
 /// Seconds a refused client should wait before retrying, derived from
@@ -635,55 +635,56 @@ fn throttled_response(retry_ms: u64, shared: &Shared) -> Response {
     .with_header("Retry-After", &secs.to_string())
 }
 
-fn predict_error_response(e: &PredictError) -> Response {
-    let status = match e {
-        PredictError::UnknownTeam(_) => 404,
-        PredictError::DeadlineExpired => 504,
-        PredictError::ShuttingDown => 503,
-    };
-    Response::from_error(&HttpError::new(status, e.to_string()))
+impl From<PredictError> for HttpError {
+    fn from(e: PredictError) -> HttpError {
+        let status = match e {
+            PredictError::UnknownTeam(_) => 404,
+            PredictError::DeadlineExpired => 504,
+            PredictError::ShuttingDown => 503,
+        };
+        HttpError::new(status, e.to_string())
+    }
 }
 
-fn predict(req: &Request, team: &str, shared: &Shared) -> Response {
-    let input = match parse_predict_input(req, shared) {
-        Ok(i) => i,
-        Err(e) => return Response::from_error(&e),
+/// Take an admission slot, or `None` when the server is over capacity
+/// (answer [`shed_response`]). The slot is held until the handler has
+/// rendered its reply.
+fn admit(shared: &Shared) -> Option<Permit> {
+    let _span = obs::span!("serve.admission");
+    shared.admission.try_admit()
+}
+
+fn predict(req: &Request, team: &str, shared: &Shared) -> Handled {
+    let input = parse_predict_input(req, shared)?;
+    let Some(_permit) = admit(shared) else {
+        return Ok(shed_response(shared));
     };
-    let deadline = match request_deadline(req) {
-        Ok(d) => d,
-        Err(e) => return Response::from_error(&e),
-    };
-    let admitted = {
-        let _span = obs::span!("serve.admission");
-        shared.admission.try_admit()
-    };
-    let Some(permit) = admitted else {
-        return shed_response(shared);
-    };
-    let (reply_tx, reply_rx) = sync_channel(1);
-    let job = Job {
-        team: team.to_string(),
-        text: input.text.clone(),
-        time: input.time,
-        deadline,
-        permit: Some(permit),
-        reply: reply_tx,
-        // Handoff: the job's spans parent to this request's root span.
-        ctx: obs::trace::capture().unwrap_or(TraceContext::NONE),
-    };
+    // Handoff: the job's spans parent to this request's root span.
+    let (job, reply) = Job::new(
+        PredictRequest {
+            team: team.to_string(),
+            text: input.text.clone(),
+            time: input.time,
+        },
+        input.deadline,
+    );
     if shared.batcher.submit(job).is_err() {
-        return predict_error_response(&PredictError::ShuttingDown);
+        return Err(PredictError::ShuttingDown.into());
     }
-    match reply_rx.recv() {
-        Ok(Ok(answer)) => {
-            let incident = record_served(&answer, &input.text, input.time, shared);
-            Response::json(
-                200,
-                render_answer(&answer).uint("incident", incident).finish(),
-            )
-        }
-        Ok(Err(e)) => predict_error_response(&e),
-        Err(_) => Response::from_error(&HttpError::new(500, "batcher dropped the request")),
+    let answer = await_reply(reply, "batcher dropped the request")?;
+    let incident = record_served(&answer, &input.text, input.time, shared);
+    Ok(Response::json(
+        200,
+        render_answer(&answer).uint("incident", incident).finish(),
+    ))
+}
+
+/// Park until the coalescer worker answers. A worker that died without
+/// answering is a `500` saying `dropped`.
+fn await_reply<O>(reply: Receiver<Reply<O>>, dropped: &str) -> Result<O, HttpError> {
+    match reply.recv() {
+        Ok(answered) => Ok(answered?),
+        Err(_) => Err(HttpError::new(500, dropped)),
     }
 }
 
@@ -740,30 +741,19 @@ fn record_served(answer: &Answer, text: &str, time: SimTime, shared: &Shared) ->
 /// resolving team for a served prediction, join it back to the served
 /// record (and the audit tail), and hand the labeled event to the
 /// lifecycle hook.
-fn feedback(req: &Request, shared: &Shared) -> Response {
-    let body = match req.body_str() {
-        Ok(b) => b,
-        Err(e) => return Response::from_error(&e),
-    };
-    let Some(value) = Value::parse(body) else {
-        return Response::from_error(&HttpError::new(400, "request body is not valid JSON"));
-    };
-    let Some(incident) = value
+fn feedback(req: &Request, shared: &Shared) -> Handled {
+    let value = json_body(req)?;
+    let incident = value
         .get("incident")
         .and_then(Value::as_f64)
         .filter(|n| n.is_finite() && *n >= 1.0)
-    else {
-        return Response::from_error(&HttpError::new(
-            400,
-            "missing required numeric field \"incident\"",
-        ));
-    };
-    let Some(resolving_team) = value.get("team").and_then(Value::as_str) else {
-        return Response::from_error(&HttpError::new(
+        .ok_or_else(|| HttpError::new(400, "missing required numeric field \"incident\""))?;
+    let resolving_team = value.get("team").and_then(Value::as_str).ok_or_else(|| {
+        HttpError::new(
             400,
             "missing required string field \"team\" (the resolving team)",
-        ));
-    };
+        )
+    })?;
     let served = match shared.engine.served.resolve_logged(incident as u64, |rec| {
         if let Some(wal) = shared.engine.wal.as_deref() {
             append_or_count(
@@ -783,11 +773,11 @@ fn feedback(req: &Request, shared: &Shared) -> Response {
         Ok(rec) => rec,
         Err(e @ ResolveError::Unknown(_)) => {
             obs::counter("serve.feedback.unknown").inc();
-            return Response::from_error(&HttpError::new(404, e.to_string()));
+            return Err(HttpError::new(404, e.to_string()));
         }
         Err(e @ ResolveError::AlreadyResolved(_)) => {
             obs::counter("serve.feedback.duplicate").inc();
-            return Response::from_error(&HttpError::new(409, e.to_string()));
+            return Err(HttpError::new(409, e.to_string()));
         }
     };
     // Join against the versioned audit tail: presence means the full
@@ -821,7 +811,7 @@ fn feedback(req: &Request, shared: &Shared) -> Response {
     if let Some(hook) = shared.engine.feedback.as_ref() {
         hook.on_feedback(event);
     }
-    Response::json(200, response)
+    Ok(Response::json(200, response))
 }
 
 /// `POST /v1/route`: fan the incident out to every registered Scout
@@ -834,24 +824,17 @@ fn feedback(req: &Request, shared: &Shared) -> Response {
 /// *every* Scout does (`504` if all deadlines lapsed, else `500`).
 /// Answers from teams outside the dependency graph still route — they
 /// are counted in `serve.route.unmapped`, never dropped.
-fn route(req: &Request, shared: &Shared) -> Response {
-    let input = match parse_predict_input(req, shared) {
-        Ok(i) => i,
-        Err(e) => return Response::from_error(&e),
-    };
-    let deadline = match request_deadline(req) {
-        Ok(d) => d,
-        Err(e) => return Response::from_error(&e),
-    };
+fn route(req: &Request, shared: &Shared) -> Handled {
+    let input = parse_predict_input(req, shared)?;
     let Some(storm) = shared.engine.storm.as_ref() else {
-        return route_fanout(&input, deadline, shared, None);
+        return route_fanout(&input, shared);
     };
     // The storm front-end, stages in cost order: throttle (no state per
     // alert), dedup (a table lookup), then — only for survivors — the
     // fan-out with breaker gating and Sev3 coalescing.
     let now_ms = storm.now_ms();
     if let Err(retry_ms) = storm.admit(&input.source, now_ms) {
-        return throttled_response(retry_ms, shared);
+        return Ok(throttled_response(retry_ms, shared));
     }
     let (fp, outcome) = storm.observe(&input.text, &input.source, now_ms);
     let store_fp = match outcome {
@@ -863,20 +846,20 @@ fn route(req: &Request, shared: &Shared) -> Response {
             // admission slot, no fan-out. The `storm` object is the
             // only difference from the original's bytes.
             obs::counter("serve.route.suppressed").inc();
-            return duplicate_response(&decision, duplicates);
+            return Ok(duplicate_response(&decision, duplicates));
         }
         // The original is still in flight (no decision cached yet):
         // route normally, but only the original stores the decision.
         DedupOutcome::Duplicate { .. } => None,
         DedupOutcome::Fresh => Some(fp),
     };
-    let response = route_fanout(&input, deadline, shared, Some(storm));
+    let response = route_fanout(&input, shared)?;
     if response.status == 200 {
         if let Some(fp) = store_fp {
             storm.store_decision(fp, String::from_utf8_lossy(&response.body).into_owned());
         }
     }
-    response
+    Ok(response)
 }
 
 /// A suppressed duplicate's response: the original's cached body with a
@@ -894,105 +877,46 @@ fn duplicate_response(decision: &str, duplicates: u64) -> Response {
     Response::json(200, body)
 }
 
-/// The fan-out half of `/v1/route`: admission, dispatch (direct or
-/// through the Sev3 coalescer), breaker bookkeeping, and rendering.
-/// `storm` is `Some` when storm control is attached; non-storm traffic
-/// takes the exact same dispatch path either way, which is what keeps
-/// its response bytes identical with the layer on or off.
-fn route_fanout(
-    input: &PredictInput,
-    deadline: Option<Instant>,
-    shared: &Shared,
-    storm: Option<&Arc<StormControl>>,
-) -> Response {
-    let entries = shared.engine.registry.snapshot();
-    if entries.is_empty() {
-        return Response::from_error(&HttpError::new(503, "no models registered"));
+/// The fan-out half of `/v1/route`: admission, one [`fleet::pass`]
+/// (direct, or shared with a batch through the Sev3 coalescer), and
+/// rendering. Non-storm traffic takes the exact same pass with storm
+/// control attached or not, which is what keeps its response bytes
+/// identical with the layer on or off.
+fn route_fanout(input: &PredictInput, shared: &Shared) -> Handled {
+    if shared.engine.registry.is_empty() {
+        return Err(HttpError::new(503, "no models registered"));
     }
     // One admission slot covers the whole fan-out: a routing request is
     // one unit of operator-facing work regardless of Scout count.
-    let admitted = {
-        let _span = obs::span!("serve.admission");
-        shared.admission.try_admit()
-    };
-    let Some(_permit) = admitted else {
-        return shed_response(shared);
+    let Some(_permit) = admit(shared) else {
+        return Ok(shed_response(shared));
     };
 
     // Stage 3: a low-severity incident queues into the coalescer and
-    // shares one fan-out with its batch.
-    if let (Some(storm), Some(route_batcher)) = (storm, shared.route_batcher.as_ref()) {
+    // shares one pass with its batch.
+    if let (Some(storm), Some(coalescer)) = (&shared.engine.storm, &shared.route_batcher) {
         if storm.batch_policy().should_batch(input.severity) {
-            let (reply_tx, reply_rx) = sync_channel(1);
-            let job = RouteJob {
-                text: input.text.clone(),
-                time: input.time,
-                deadline,
-                reply: reply_tx,
-                ctx: obs::trace::capture().unwrap_or(TraceContext::NONE),
-            };
-            if route_batcher.submit(job).is_ok() {
-                return match reply_rx.recv() {
-                    Ok(Ok(outcomes)) => decide_and_render(outcomes, shared),
-                    Ok(Err(e)) => predict_error_response(&e),
-                    Err(_) => Response::from_error(&HttpError::new(
-                        500,
-                        "route batcher dropped the request",
-                    )),
-                };
+            let (job, reply) = Job::new((input.text.clone(), input.time), input.deadline);
+            if coalescer.submit(job).is_ok() {
+                let outcomes = await_reply(reply, "route batcher dropped the request")?;
+                return decide_and_render(outcomes, shared);
             }
-            // Batcher shut down: fall through to a direct fan-out.
+            // Coalescer shut down: fall through to a direct pass.
         }
     }
 
-    // Stage 4 gate: sample the breakers once per fan-out; open teams are
-    // skipped inside dispatch (no catch_unwind, no predict).
-    let skip: Vec<String> = storm
-        .map(|s| {
-            let gate_ms = s.now_ms();
-            entries
-                .iter()
-                .filter(|e| s.gate(&e.team, gate_ms) == Gate::Reject)
-                .map(|e| e.team.clone())
-                .collect()
-        })
-        .unwrap_or_default();
-    let mon = shared.engine.monitoring.read().unwrap().clone();
-    let outcomes = {
-        let _span = obs::span!("fleet.dispatch");
-        fleet::dispatch_batch(
-            &entries,
-            &shared.engine.workload,
-            &mon,
-            &[(&input.text, input.time)],
-            deadline,
-            &shared.engine.fleet,
-            &skip,
-        )
+    // Sev1/Sev2 (and everything without storm control) never queue: the
+    // pass runs here, on the handler thread.
+    let outcomes = fleet::pass(&shared.engine, &[(&input.text, input.time)], input.deadline)
         .pop()
-        .expect("one input yields one outcome set")
-    };
-    // Report outcomes back to the breakers. Deadline and breaker-skip
-    // results say nothing about the Scout itself, so they don't count.
-    if let Some(storm) = storm {
-        let report_ms = storm.now_ms();
-        for outcome in &outcomes {
-            match &outcome.result {
-                Ok(_) => storm.record_outcome(&outcome.team, true, report_ms),
-                Err(ScoutError::Panicked) | Err(ScoutError::Injected) => {
-                    storm.record_outcome(&outcome.team, false, report_ms)
-                }
-                Err(ScoutError::DeadlineExpired) | Err(ScoutError::BreakerOpen) => {}
-            }
-        }
-    }
+        .expect("one input yields one outcome set");
     decide_and_render(outcomes, shared)
 }
 
 /// Split sorted outcomes into answers and errors, run the Scout-Master
 /// decision, and render the `/v1/route` response. Shared by the direct
 /// and the coalesced dispatch paths.
-fn decide_and_render(outcomes: Vec<crate::fleet::TeamOutcome>, shared: &Shared) -> Response {
+fn decide_and_render(outcomes: Vec<TeamOutcome>, shared: &Shared) -> Handled {
     // Outcomes arrive sorted by team name — the canonical order that
     // keeps the response bytes identical across shard counts.
     let mut answers: Vec<Answer> = Vec::new();
@@ -1016,7 +940,7 @@ fn decide_and_render(outcomes: Vec<crate::fleet::TeamOutcome>, shared: &Shared) 
         } else {
             500
         };
-        return Response::from_error(&HttpError::new(
+        return Err(HttpError::new(
             status,
             format!("all {} Scouts failed to answer", errors.len()),
         ));
@@ -1041,40 +965,25 @@ fn decide_and_render(outcomes: Vec<crate::fleet::TeamOutcome>, shared: &Shared) 
         .engine
         .master
         .suggestions(&fleet_answers, shared.engine.fleet.suggestions);
-    let mut suggestions_json = String::from("[");
-    for (i, s) in suggestions.iter().enumerate() {
-        if i > 0 {
-            suggestions_json.push(',');
-        }
-        suggestions_json.push_str(
+    let suggestions_json = suggestions.iter().fold(Arr::new(), |arr, s| {
+        arr.raw(
             &Obj::new()
                 .str("team", &s.team)
                 .num("confidence", s.confidence)
                 .finish(),
-        );
-    }
-    suggestions_json.push(']');
-    let mut answers_json = String::from("[");
-    for (i, a) in answers.iter().enumerate() {
-        if i > 0 {
-            answers_json.push(',');
-        }
-        answers_json.push_str(&render_answer(a).finish());
-    }
-    answers_json.push(']');
-    let mut errors_json = String::from("[");
-    for (i, (team, e)) in errors.iter().enumerate() {
-        if i > 0 {
-            errors_json.push(',');
-        }
-        errors_json.push_str(
+        )
+    });
+    let answers_json = answers
+        .iter()
+        .fold(Arr::new(), |arr, a| arr.raw(&render_answer(a).finish()));
+    let errors_json = errors.iter().fold(Arr::new(), |arr, (team, e)| {
+        arr.raw(
             &Obj::new()
                 .str("team", team)
                 .str("error", &e.to_string())
                 .finish(),
-        );
-    }
-    errors_json.push(']');
+        )
+    });
     let obj = match &decision {
         FleetDecision::SendTo(team) => {
             obs::counter("fleet.route.send_to").inc();
@@ -1085,13 +994,13 @@ fn decide_and_render(outcomes: Vec<crate::fleet::TeamOutcome>, shared: &Shared) 
             Obj::new().str("decision", "fallback")
         }
     };
-    Response::json(
+    Ok(Response::json(
         200,
-        obj.raw("suggestions", &suggestions_json)
-            .raw("answers", &answers_json)
-            .raw("errors", &errors_json)
+        obj.raw("suggestions", &suggestions_json.finish())
+            .raw("answers", &answers_json.finish())
+            .raw("errors", &errors_json.finish())
             .finish(),
-    )
+    ))
 }
 
 /// `POST /v1/monitoring/deprecate {"dataset", "restore"?}`: disable (or
@@ -1099,27 +1008,22 @@ fn decide_and_render(outcomes: Vec<crate::fleet::TeamOutcome>, shared: &Shared) 
 /// request from this point on. The monitoring epoch fingerprint covers
 /// the disabled list, so feature caches invalidate themselves — Scouts
 /// degrade to the remaining sensors instead of erroring.
-fn deprecate(req: &Request, shared: &Shared) -> Response {
-    let body = match req.body_str() {
-        Ok(b) => b,
-        Err(e) => return Response::from_error(&e),
+fn deprecate(req: &Request, shared: &Shared) -> Handled {
+    let Some(obj @ Value::Obj(_)) = Value::parse(req.body_str()?) else {
+        return Err(HttpError::new(400, "body must be a JSON object"));
     };
-    let Some(obj @ Value::Obj(_)) = Value::parse(body) else {
-        return Response::from_error(&HttpError::new(400, "body must be a JSON object"));
-    };
-    let Some(name) = obj.get("dataset").and_then(|v| v.as_str()) else {
-        return Response::from_error(&HttpError::new(400, "missing string field: dataset"));
-    };
+    let name = obj
+        .get("dataset")
+        .and_then(Value::as_str)
+        .ok_or_else(|| HttpError::new(400, "missing string field: dataset"))?;
     let restore = match obj.get("restore") {
         None => false,
         Some(Value::Bool(b)) => *b,
-        Some(_) => {
-            return Response::from_error(&HttpError::new(400, "field restore must be a boolean"))
-        }
+        Some(_) => return Err(HttpError::new(400, "field restore must be a boolean")),
     };
     let Some(dataset) = Dataset::ALL.iter().copied().find(|d| d.name() == name) else {
         let valid: Vec<&str> = Dataset::ALL.iter().map(|d| d.name()).collect();
-        return Response::from_error(&HttpError::new(
+        return Err(HttpError::new(
             400,
             format!("unknown dataset {name:?}; valid: {}", valid.join(", ")),
         ));
@@ -1144,51 +1048,40 @@ fn deprecate(req: &Request, shared: &Shared) -> Response {
             disabled.join(", ")
         ),
     );
-    let mut arr = String::from("[");
-    for (i, d) in disabled.iter().enumerate() {
-        if i > 0 {
-            arr.push(',');
-        }
-        arr.push('"');
-        escape_into(&mut arr, d);
-        arr.push('"');
-    }
-    arr.push(']');
-    Response::json(
+    let arr = disabled.iter().fold(Arr::new(), |arr, d| arr.str(d));
+    Ok(Response::json(
         200,
         Obj::new()
             .str("status", "ok")
-            .raw("disabled", &arr)
+            .raw("disabled", &arr.finish())
             .finish(),
-    )
+    ))
 }
 
-fn reload(shared: &Shared) -> Response {
-    let Some(dir) = shared.engine.model_dir.as_deref() else {
-        return Response::from_error(&HttpError::new(
+fn reload(shared: &Shared) -> Handled {
+    let dir = shared.engine.model_dir.as_deref().ok_or_else(|| {
+        HttpError::new(
             409,
             "server was started without a model directory; reload is unavailable",
-        ));
-    };
-    match shared.engine.registry.load_dir(dir) {
-        Ok(published) => {
-            let mut arr = String::from("[");
-            for (i, (team, version)) in published.iter().enumerate() {
-                if i > 0 {
-                    arr.push(',');
-                }
-                arr.push_str(
-                    &Obj::new()
-                        .str("team", team)
-                        .uint("version", *version)
-                        .finish(),
-                );
-            }
-            arr.push(']');
-            Response::json(200, Obj::new().raw("reloaded", &arr).finish())
-        }
-        Err(e) => Response::from_error(&HttpError::new(500, e.to_string())),
-    }
+        )
+    })?;
+    let published = shared
+        .engine
+        .registry
+        .load_dir(dir)
+        .map_err(|e| HttpError::new(500, e.to_string()))?;
+    let arr = published.iter().fold(Arr::new(), |arr, (team, version)| {
+        arr.raw(
+            &Obj::new()
+                .str("team", team)
+                .uint("version", *version)
+                .finish(),
+        )
+    });
+    Ok(Response::json(
+        200,
+        Obj::new().raw("reloaded", &arr.finish()).finish(),
+    ))
 }
 
 /// `POST /v1/models/rollback {"team", "version"?}`: restore a prior
@@ -1196,68 +1089,53 @@ fn reload(shared: &Shared) -> Response {
 /// exactly `version`. Rollback works on pinned teams (a pin blocks
 /// promotions, never recovery); failures (unknown team, empty or
 /// unretained timeline) are `409` with the retained versions named.
-fn rollback(req: &Request, shared: &Shared) -> Response {
-    let body = match req.body_str() {
-        Ok(b) => b,
-        Err(e) => return Response::from_error(&e),
-    };
-    let Some(value) = Value::parse(body) else {
-        return Response::from_error(&HttpError::new(400, "request body is not valid JSON"));
-    };
-    let Some(team) = value.get("team").and_then(Value::as_str) else {
-        return Response::from_error(&HttpError::new(
-            400,
-            "missing required string field \"team\"",
-        ));
-    };
+fn rollback(req: &Request, shared: &Shared) -> Handled {
+    let value = json_body(req)?;
+    let team = value
+        .get("team")
+        .and_then(Value::as_str)
+        .ok_or_else(|| HttpError::new(400, "missing required string field \"team\""))?;
     let version = match value.get("version") {
         None => None,
-        Some(v) => match v
-            .as_f64()
-            .filter(|n| n.fract() == 0.0 && *n >= 1.0 && *n < 9.0e15)
-        {
-            Some(n) => Some(n as u64),
-            None => {
-                return Response::from_error(&HttpError::new(
-                    400,
-                    "\"version\" must be a whole number >= 1",
-                ))
-            }
-        },
-    };
-    match shared.engine.registry.rollback_to(team, version) {
-        Ok(restored) => Response::json(
-            200,
-            Obj::new()
-                .str("status", "rolled_back")
-                .str("team", team)
-                .uint("version", restored)
-                .raw(
-                    "history",
-                    &json_u64_array(&shared.engine.registry.history_of(team)),
-                )
-                .finish(),
+        Some(v) => Some(
+            v.as_f64()
+                .filter(|n| n.fract() == 0.0 && *n >= 1.0 && *n < 9.0e15)
+                .ok_or_else(|| HttpError::new(400, "\"version\" must be a whole number >= 1"))?
+                as u64,
         ),
-        Err(e) => Response::from_error(&HttpError::new(409, e.to_string())),
-    }
+    };
+    let restored = shared
+        .engine
+        .registry
+        .rollback_to(team, version)
+        .map_err(|e| HttpError::new(409, e.to_string()))?;
+    Ok(Response::json(
+        200,
+        Obj::new()
+            .str("status", "rolled_back")
+            .str("team", team)
+            .uint("version", restored)
+            .raw("history", &history_json(shared, team))
+            .finish(),
+    ))
 }
 
 /// `GET /v1/wal/state`: the durability log's live projections — what a
 /// crash right now would recover to. `409` when serving without a WAL.
-fn wal_state(shared: &Shared) -> Response {
-    match shared.engine.wal.as_deref() {
-        Some(wal) => Response::json(
-            200,
-            Obj::new()
-                .uint("seq", wal.seq())
-                .raw("projections", &wal.render_state())
-                .finish(),
-        ),
-        None => Response::from_error(&HttpError::new(
+fn wal_state(shared: &Shared) -> Handled {
+    let wal = shared.engine.wal.as_deref().ok_or_else(|| {
+        HttpError::new(
             409,
             "server was started without --wal-dir; no durability log",
-        )),
-    }
+        )
+    })?;
+    Ok(Response::json(
+        200,
+        Obj::new()
+            .uint("seq", wal.seq())
+            .raw("projections", &wal.render_state())
+            .finish(),
+    ))
 }
 
 /// Render one [`Answer`] as a JSON object builder.
@@ -1269,8 +1147,21 @@ fn render_answer(answer: &Answer) -> Obj {
         .str("verdict", verdict_name(p))
         .num("confidence", p.confidence)
         .str("model", model_name(p))
-        .raw("components", &json_str_array(&p.explanation.components))
-        .raw("evidence", &json_str_array(&p.explanation.evidence))
+        .raw("components", &str_array(&p.explanation.components))
+        .raw("evidence", &str_array(&p.explanation.evidence))
+}
+
+fn str_array(items: &[String]) -> String {
+    items.iter().fold(Arr::new(), |arr, s| arr.str(s)).finish()
+}
+
+/// `team`'s promotion timeline as a JSON array of versions.
+fn history_json(shared: &Shared, team: &str) -> String {
+    let history = shared.engine.registry.history_of(team);
+    history
+        .iter()
+        .fold(Arr::new(), |arr, v| arr.uint(*v))
+        .finish()
 }
 
 fn verdict_name(p: &Prediction) -> &'static str {
@@ -1291,34 +1182,6 @@ fn model_name(p: &Prediction) -> &'static str {
     }
 }
 
-/// A JSON array of unsigned integers.
-fn json_u64_array(items: &[u64]) -> String {
-    let mut out = String::from("[");
-    for (i, n) in items.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&n.to_string());
-    }
-    out.push(']');
-    out
-}
-
-/// A JSON array of strings.
-fn json_str_array(items: &[String]) -> String {
-    let mut out = String::from("[");
-    for (i, item) in items.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('"');
-        escape_into(&mut out, item);
-        out.push('"');
-    }
-    out.push(']');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1330,14 +1193,5 @@ mod tests {
         assert_eq!(endpoint_label("/v1/scouts/Storage/predict"), "predict");
         assert_eq!(endpoint_label("/v1/route"), "route");
         assert_eq!(endpoint_label("/anything/else"), "other");
-    }
-
-    #[test]
-    fn json_str_array_escapes() {
-        assert_eq!(json_str_array(&[]), "[]");
-        assert_eq!(
-            json_str_array(&["a\"b".to_string(), "c".to_string()]),
-            r#"["a\"b","c"]"#
-        );
     }
 }

@@ -19,25 +19,10 @@
 //! `serve::fleet` use. No per-process seeding: two servers agree on
 //! every fingerprint.
 
-/// FNV-1a offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+use obs::hash::{fnv1a, splitmix64, FNV1A_OFFSET};
 
 /// A token-boundary separator outside the normalized alphabet.
 const SEP: u8 = 0x1f;
-
-/// The splitmix64 finalizer: a cheap, well-mixed 64-bit permutation.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-fn fnv1a_byte(h: u64, b: u8) -> u64 {
-    (h ^ b as u64).wrapping_mul(FNV_PRIME)
-}
 
 /// Is this token alert *content* (kept) or firing debris (dropped)?
 fn keep_token(token: &[u8]) -> bool {
@@ -70,48 +55,29 @@ pub fn normalize(text: &str) -> Vec<String> {
 /// Fingerprint of `(text, source)`: stable across processes, equal
 /// exactly when the normalized token streams and sources are equal.
 pub fn fingerprint(text: &str, source: &str) -> u64 {
-    let mut h = FNV_OFFSET;
-    // Stream the normalized tokens straight into the hash — one pass,
-    // no token vector.
-    let mut token = [0u8; 64];
-    let mut len = 0usize;
-    let mut overflow: Vec<u8> = Vec::new();
-    let flush = |h: &mut u64, token: &[u8], overflow: &mut Vec<u8>| {
-        let full: &[u8] = if overflow.is_empty() {
-            token
-        } else {
-            overflow.extend_from_slice(token);
-            overflow
-        };
-        if keep_token(full) {
-            for &b in full {
-                *h = fnv1a_byte(*h, b);
-            }
-            *h = fnv1a_byte(*h, SEP);
-        }
-        overflow.clear();
-    };
-    for &b in text.as_bytes() {
+    let mut h = FNV1A_OFFSET;
+    // Stream the normalized tokens straight into the hash — one pass, no
+    // token buffer: FNV-1a folds byte by byte, so each token is folded
+    // speculatively into `t` and committed (with its separator) only
+    // once its end shows it was content.
+    let (mut t, mut len, mut all_digits) = (h, 0usize, true);
+    for &b in text.as_bytes().iter().chain(b" ") {
         if b.is_ascii_alphanumeric() {
-            if len == token.len() {
-                overflow.extend_from_slice(&token);
-                len = 0;
-            }
-            token[len] = b.to_ascii_lowercase();
+            t = fnv1a(t, &[b.to_ascii_lowercase()]);
             len += 1;
-        } else if len > 0 || !overflow.is_empty() {
-            flush(&mut h, &token[..len], &mut overflow);
-            len = 0;
+            all_digits &= b.is_ascii_digit();
+        } else {
+            if len >= 2 && !all_digits {
+                h = fnv1a(t, &[SEP]);
+            }
+            (t, len, all_digits) = (h, 0, true);
         }
-    }
-    if len > 0 || !overflow.is_empty() {
-        flush(&mut h, &token[..len], &mut overflow);
     }
     // Mix the source under a distinct tag byte so ("a", "b") never
     // collides with ("a b", "").
-    h = fnv1a_byte(h, 0x02);
+    h = fnv1a(h, &[0x02]);
     for &b in source.as_bytes() {
-        h = fnv1a_byte(h, b.to_ascii_lowercase());
+        h = fnv1a(h, &[b.to_ascii_lowercase()]);
     }
     splitmix64(h)
 }

@@ -19,14 +19,9 @@ use storm::{
     fingerprint, normalize, BreakerConfig, BreakerSet, Gate, SourceThrottle, ThrottleConfig,
 };
 
-/// The splitmix64 finalizer, used here to derive perturbation bits from
-/// a generated seed — pure, so every case replays identically.
-fn mix(x: u64) -> u64 {
-    let mut x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
+// Derives perturbation bits from a generated seed — pure, so every case
+// replays identically.
+use obs::hash::splitmix64 as mix;
 
 /// Render `tokens` as alert text perturbed by `seed`: random case,
 /// random punctuation separators, and injected pure-digit noise

@@ -18,7 +18,7 @@
 
 use crate::event::{Event, SCHEMA};
 use cloudsim::SimTime;
-use obs::json::{Obj, Value};
+use obs::json::{Arr, Obj, Value};
 use std::collections::{BTreeMap, VecDeque};
 
 /// How many superseded versions a registry slot retains for rollback.
@@ -364,12 +364,8 @@ impl Projections {
     /// format, the `scoutctl wal replay` output, and the artifact the
     /// crash-recovery tests compare.
     pub fn render(&self) -> String {
-        let mut records = String::from("[");
-        for (i, r) in self.served.records.iter().enumerate() {
-            if i > 0 {
-                records.push(',');
-            }
-            records.push_str(
+        let records = self.served.records.iter().fold(Arr::new(), |arr, r| {
+            arr.raw(
                 &Obj::new()
                     .uint("incident", r.incident)
                     .str("team", &r.team)
@@ -380,16 +376,11 @@ impl Projections {
                     .uint("time", r.time.0)
                     .bool("resolved", r.resolved)
                     .finish(),
-            );
-        }
-        records.push(']');
+            )
+        });
 
-        let mut items = String::from("[");
-        for (i, f) in self.feedback.items.iter().enumerate() {
-            if i > 0 {
-                items.push(',');
-            }
-            items.push_str(
+        let items = self.feedback.items.iter().fold(Arr::new(), |arr, f| {
+            arr.raw(
                 &Obj::new()
                     .uint("incident", f.incident)
                     .str("team", &f.team)
@@ -399,43 +390,35 @@ impl Projections {
                     .bool("label", f.label)
                     .uint("time", f.time.0)
                     .finish(),
-            );
-        }
-        items.push(']');
+            )
+        });
 
-        let mut teams = String::from("[");
-        for (i, (team, slot)) in self.registry.teams.iter().enumerate() {
-            if i > 0 {
-                teams.push(',');
-            }
-            let mut history = String::from("[");
-            for (j, (v, src)) in slot.history.iter().enumerate() {
-                if j > 0 {
-                    history.push(',');
-                }
-                history.push_str(&Obj::new().uint("version", *v).str("source", src).finish());
-            }
-            history.push(']');
-            let current = match &slot.current {
-                Some((v, src)) => Obj::new().uint("version", *v).str("source", src).finish(),
-                None => "null".to_string(),
-            };
-            teams.push_str(
-                &Obj::new()
-                    .str("team", team)
-                    .raw("current", &current)
-                    .bool("pinned", slot.pinned)
-                    .raw("history", &history)
-                    .finish(),
-            );
-        }
-        teams.push(']');
+        let versioned =
+            |v: &u64, src: &str| Obj::new().uint("version", *v).str("source", src).finish();
+        let teams = self
+            .registry
+            .teams
+            .iter()
+            .fold(Arr::new(), |arr, (team, slot)| {
+                let history = slot
+                    .history
+                    .iter()
+                    .fold(Arr::new(), |h, (v, src)| h.raw(&versioned(v, src)));
+                let current = match &slot.current {
+                    Some((v, src)) => versioned(v, src),
+                    None => "null".to_string(),
+                };
+                arr.raw(
+                    &Obj::new()
+                        .str("team", team)
+                        .raw("current", &current)
+                        .bool("pinned", slot.pinned)
+                        .raw("history", &history.finish())
+                        .finish(),
+                )
+            });
 
-        let mut lifecycle = String::from("[");
-        for (i, (team, lc)) in self.lifecycle.iter().enumerate() {
-            if i > 0 {
-                lifecycle.push(',');
-            }
+        let lifecycle = self.lifecycle.iter().fold(Arr::new(), |arr, (team, lc)| {
             let entry = Obj::new().str("team", team);
             let entry = match &lc.phase {
                 PhaseState::Monitoring => entry.str("phase", "monitoring"),
@@ -449,14 +432,13 @@ impl Projections {
                     .uint("started", started.0)
                     .num("baseline_mcc", *baseline_mcc),
             };
-            lifecycle.push_str(
+            arr.raw(
                 &entry
                     .uint("last_action", lc.last_action.0)
                     .uint("ignore_before", lc.ignore_before.0)
                     .finish(),
-            );
-        }
-        lifecycle.push(']');
+            )
+        });
 
         let mut counts = Obj::new();
         for (kind, n) in &self.counts {
@@ -471,7 +453,7 @@ impl Projections {
                 &Obj::new()
                     .uint("next", self.served.next_incident)
                     .uint("cap", self.served.cap as u64)
-                    .raw("records", &records)
+                    .raw("records", &records.finish())
                     .finish(),
             )
             .raw(
@@ -479,7 +461,7 @@ impl Projections {
                 &Obj::new()
                     .uint("cap", self.feedback.cap as u64)
                     .uint("total", self.feedback.total)
-                    .raw("items", &items)
+                    .raw("items", &items.finish())
                     .finish(),
             )
             .raw(
@@ -487,10 +469,10 @@ impl Projections {
                 &Obj::new()
                     .uint("next_version", self.registry.next_version)
                     .uint("epoch", self.registry.epoch)
-                    .raw("teams", &teams)
+                    .raw("teams", &teams.finish())
                     .finish(),
             )
-            .raw("lifecycle", &lifecycle)
+            .raw("lifecycle", &lifecycle.finish())
             .raw("counts", &counts.finish())
             .finish()
     }
@@ -797,6 +779,28 @@ mod tests {
             },
         ]);
         let rendered = p.render();
+        // The canonical bytes themselves (snapshots on disk and
+        // `GET /v1/wal/state` depend on them), as first shipped.
+        assert_eq!(
+            rendered,
+            concat!(
+                r#"{"schema":1,"seq":9,"served":{"next":3,"cap":4,"records":["#,
+                r#"{"incident":1,"team":"PhyNet","text":"incident 1","model_version":1,"#,
+                r#""predicted":true,"confidence":0.75,"time":10,"resolved":true},"#,
+                r#"{"incident":2,"team":"PhyNet","text":"incident 2","model_version":1,"#,
+                r#""predicted":true,"confidence":0.75,"time":20,"resolved":false}]},"#,
+                r#""feedback":{"cap":4,"total":1,"items":[{"incident":1,"team":"PhyNet","#,
+                r#""text":"incident 1","model_version":1,"predicted":true,"label":false,"#,
+                r#""time":10}]},"registry":{"next_version":3,"epoch":1,"teams":["#,
+                r#"{"team":"PhyNet","current":{"version":2,"source":"lifecycle-retrain"},"#,
+                r#""pinned":false,"history":[{"version":1,"source":"startup"}]},"#,
+                r#"{"team":"Storage","current":null,"pinned":true,"history":[]}]},"#,
+                r#""lifecycle":[{"team":"PhyNet","phase":"probation","version":2,"#,
+                r#""started":500,"baseline_mcc":null,"last_action":500,"ignore_before":500}],"#,
+                r#""counts":{"epoch_changed":1,"feedback_accepted":1,"init":1,"model_pinned":1,"#,
+                r#""model_promoted":2,"prediction_served":2,"probation_started":1}}"#,
+            )
+        );
         let parsed = Projections::parse(&rendered).expect("parse own rendering");
         assert_eq!(parsed.render(), rendered);
         // And folding further events after the round-trip stays aligned

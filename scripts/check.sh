@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Repo-wide hygiene gate: formatting, lints, tests.
 #
-#   scripts/check.sh                # fmt + clippy + tests
+#   scripts/check.sh                # fmt + clippy + tests (incl. scoutbench's,
+#                                   # which pin the API BENCHMARK.json builds on)
 #   scripts/check.sh --bench-smoke  # also run the pool + serve benches on
 #                                   # tiny workloads (BENCH_SMOKE=1) to keep
 #                                   # the benches compiling and running
@@ -50,6 +51,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== cargo test =="
 cargo test -q
+
+# scoutbench is a package of its own (not a workspace member), so an API
+# break against it is invisible to the line above.
+echo "== scoutbench tests (cargo test --release --manifest-path scoutbench/Cargo.toml) =="
+cargo test --release --offline --manifest-path scoutbench/Cargo.toml
 
 if [[ "$bench_smoke" == 1 ]]; then
   echo "== bench smoke (BENCH_SMOKE=1 cargo bench -p bench --bench pool) =="
