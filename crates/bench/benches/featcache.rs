@@ -1,6 +1,5 @@
 //! Feature-chunk cache speedup on repeated `predict_many` over
-//! overlapping look-back windows, emitted as `BENCH_featcache.json` at
-//! the workspace root.
+//! overlapping look-back windows, reported as `BENCH_featcache.json`.
 //!
 //! The workload is the online serving pattern the cache was built for: a
 //! stream of incidents against one cluster, spaced a few minutes apart,
@@ -15,52 +14,21 @@
 //!  - `cold`     — fresh cache per pass; chunks shared within the pass.
 //!  - `warm`     — shared cache, pre-warmed; chunk builds all amortized.
 //!
-//! `BENCH_SMOKE=1` shrinks the workload — used by
-//! `scripts/check.sh --bench-smoke` and CI. The bench asserts warm ≥
-//! cold in every mode; the headline ≥2x warm-over-disabled figure is in
-//! the JSON.
+//! The bench asserts warm ≥ cold in every mode; the headline ≥2x
+//! warm-over-disabled figure is in the JSON.
 
+use bench::{
+    bench_monitoring, dense_world, min, paired_reps, rounded, rows, smoke, time_s, trained,
+    write_report,
+};
 use cloudsim::{SimDuration, SimTime};
 use featcache::FeatCache;
-use incident::{Workload, WorkloadConfig};
-use ml::forest::ForestConfig;
-use monitoring::{MonitoringConfig, MonitoringSystem};
-use scout::{Scout, ScoutBuildConfig, ScoutConfig};
-use std::time::Instant;
+use obs::json::Obj;
 
 struct RunStats {
     name: &'static str,
     pass_ms: f64,
     predictions_per_s: f64,
-}
-
-fn train(smoke: bool) -> (Workload, Scout) {
-    let mut config = WorkloadConfig {
-        seed: 7,
-        ..WorkloadConfig::default()
-    };
-    config.faults.faults_per_day = 2.0;
-    if smoke {
-        config.faults.horizon = SimDuration::days(20);
-    }
-    let world = Workload::generate(config);
-    let mon = MonitoringSystem::new(&world.topology, &world.faults, MonitoringConfig::default());
-    let examples = bench::bench_examples(&world);
-    let build = if smoke {
-        ScoutBuildConfig {
-            forest: ForestConfig {
-                n_trees: 8,
-                ..ForestConfig::default()
-            },
-            cluster_train_cap: 10,
-            ..ScoutBuildConfig::default()
-        }
-    } else {
-        ScoutBuildConfig::default()
-    };
-    let (scout, _) = Scout::train(ScoutConfig::phynet(), build, &examples, &mon);
-    drop(mon);
-    (world, scout)
 }
 
 /// `n` incidents against clusters c1.dc1 and c2.dc1, 10 minutes apart,
@@ -83,46 +51,14 @@ fn incident_stream(n: usize) -> Vec<(String, SimTime)> {
         .collect()
 }
 
-/// Best-of-`reps` timing for one pass of `predict_many_cached`.
-/// `fresh_cache` rebuilds the cache before every rep (cold); otherwise
-/// `cache` is reused across reps (warm after the first).
-fn run(
-    name: &'static str,
-    scout: &Scout,
-    mon: &MonitoringSystem<'_>,
-    inputs: &[(&str, SimTime)],
-    cache: Option<&FeatCache>,
-    fresh_cache: bool,
-    reps: usize,
-) -> RunStats {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let fresh;
-        let pass_cache = if fresh_cache {
-            fresh = cache.map(|c| FeatCache::new(c.capacity_bytes()));
-            fresh.as_ref()
-        } else {
-            cache
-        };
-        let t0 = Instant::now();
-        let preds = scout.predict_many_cached(inputs, mon, pass_cache);
-        let dt = t0.elapsed().as_secs_f64();
-        assert_eq!(preds.len(), inputs.len());
-        best = best.min(dt);
-    }
-    RunStats {
-        name,
-        pass_ms: best * 1e3,
-        predictions_per_s: inputs.len() as f64 / best,
-    }
-}
-
 fn main() {
-    let smoke = std::env::var("BENCH_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0");
+    let smoke = smoke();
     let (n_incidents, reps) = if smoke { (24, 3) } else { (96, 5) };
 
-    let (world, scout) = train(smoke);
-    let mon = MonitoringSystem::new(&world.topology, &world.faults, MonitoringConfig::default());
+    // Two faults a day in both modes; smoke only shortens the horizon.
+    let world = dense_world(smoke.then_some(20));
+    let scout = trained(&world, smoke);
+    let mon = bench_monitoring(&world);
     let stream = incident_stream(n_incidents);
     let inputs: Vec<(&str, SimTime)> = stream.iter().map(|(s, t)| (s.as_str(), *t)).collect();
 
@@ -131,16 +67,28 @@ fn main() {
     // build a chunk.
     scout.predict_many_cached(&inputs, &mon, Some(&cache));
 
-    let rows = [
-        run("disabled", &scout, &mon, &inputs, None, false, reps),
-        run("cold", &scout, &mon, &inputs, Some(&cache), true, reps),
-        run("warm", &scout, &mon, &inputs, Some(&cache), false, reps),
-    ];
-    let warm_vs_disabled = rows[0].pass_ms / rows[2].pass_ms.max(1e-9);
-    let warm_vs_cold = rows[1].pass_ms / rows[2].pass_ms.max(1e-9);
+    // Best-of-`reps` pass time per mode, the modes interleaved. `cold`
+    // gets a fresh cache every rep; `warm` reuses the pre-warmed one.
+    let modes = ["disabled", "cold", "warm"];
+    let secs = paired_reps(reps, modes.len(), |mode| {
+        let fresh = FeatCache::new(cache.capacity_bytes());
+        let pass_cache = [None, Some(&fresh), Some(&cache)][mode];
+        time_s(|| scout.predict_many_cached(&inputs, &mon, pass_cache))
+    });
+    let passes: Vec<RunStats> = modes
+        .iter()
+        .zip(&secs)
+        .map(|(name, secs)| RunStats {
+            name,
+            pass_ms: min(secs) * 1e3,
+            predictions_per_s: inputs.len() as f64 / min(secs),
+        })
+        .collect();
+    let warm_vs_disabled = passes[0].pass_ms / passes[2].pass_ms.max(1e-9);
+    let warm_vs_cold = passes[1].pass_ms / passes[2].pass_ms.max(1e-9);
     let stats = cache.stats();
 
-    for r in &rows {
+    for r in &passes {
         println!(
             "{:<9} pass {:>9.3} ms   {:>9.1} predictions/s",
             r.name, r.pass_ms, r.predictions_per_s
@@ -155,43 +103,36 @@ fn main() {
     // The warm pass does strictly less work than the cold pass (zero chunk
     // builds vs all of them); 5% slack absorbs scheduler noise.
     assert!(
-        rows[2].pass_ms <= rows[1].pass_ms * 1.05,
+        passes[2].pass_ms <= passes[1].pass_ms * 1.05,
         "warm pass ({:.3} ms) slower than cold pass ({:.3} ms)",
-        rows[2].pass_ms,
-        rows[1].pass_ms
+        passes[2].pass_ms,
+        passes[1].pass_ms
     );
     assert!(
         stats.hits > stats.misses,
         "warm passes should be hit-dominated"
     );
 
-    let mut json = String::from("{\n");
-    json.push_str(&format!("  \"smoke\": {smoke},\n"));
-    json.push_str(&format!("  \"incidents_per_pass\": {n_incidents},\n"));
-    json.push_str("  \"configs\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"pass_ms\": {:.3}, \"predictions_per_s\": {:.1}}}{}\n",
-            r.name,
-            r.pass_ms,
-            r.predictions_per_s,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"warm_speedup_vs_disabled\": {warm_vs_disabled:.3},\n"
-    ));
-    json.push_str(&format!("  \"warm_speedup_vs_cold\": {warm_vs_cold:.3},\n"));
-    json.push_str(&format!(
-        "  \"cache\": {{\"hits\": {}, \"misses\": {}, \"evictions\": {}, \"chunks\": {}, \"bytes\": {}}}\n",
-        stats.hits, stats.misses, stats.evictions, stats.chunks, stats.bytes
-    ));
-    json.push_str("}\n");
-
-    let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_featcache.json");
-    std::fs::write(&out, json).expect("write BENCH_featcache.json");
-    println!("wrote {}", out.display());
+    let configs = rows(&passes, |r| {
+        Obj::new()
+            .str("name", r.name)
+            .num("pass_ms", rounded(r.pass_ms, 3))
+            .num("predictions_per_s", rounded(r.predictions_per_s, 1))
+    });
+    let cache = Obj::new()
+        .uint("hits", stats.hits)
+        .uint("misses", stats.misses)
+        .uint("evictions", stats.evictions)
+        .uint("chunks", stats.chunks as u64)
+        .uint("bytes", stats.bytes as u64);
+    write_report(
+        "featcache",
+        reps,
+        Obj::new()
+            .uint("incidents_per_pass", n_incidents as u64)
+            .raw("configs", &configs)
+            .num("warm_speedup_vs_disabled", rounded(warm_vs_disabled, 3))
+            .num("warm_speedup_vs_cold", rounded(warm_vs_cold, 3))
+            .raw("cache", &cache.finish()),
+    );
 }

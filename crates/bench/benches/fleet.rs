@@ -1,5 +1,4 @@
-//! Fleet routing-plane benchmark, emitted as `BENCH_fleet.json` at the
-//! workspace root.
+//! Fleet routing-plane benchmark, reported as `BENCH_fleet.json`.
 //!
 //! For each fleet size (8 / 32 / 128 synthetic teams) this measures:
 //!
@@ -12,47 +11,26 @@
 //!   string-keyed Scout Master. The dispatch outcomes are asserted
 //!   bit-identical, so the sharded accuracy can never trail the
 //!   sequential baseline.
-//!
-//! `BENCH_SMOKE=1` shrinks the world, fleet sizes, and request counts —
-//! used by `scripts/check.sh --bench-smoke` and CI.
 
-use cloudsim::{DependencyGraph, SimDuration, Team};
+use bench::{bench_monitoring, dense_world, rounded, rows, smoke, smoke_build, write_report};
+use cloudsim::{DependencyGraph, Team};
 use featcache::FeatCache;
-use incident::{Workload, WorkloadConfig};
-use ml::forest::ForestConfig;
-use monitoring::{MonitoringConfig, MonitoringSystem};
-use scout::{Example, Scout, ScoutBuildConfig, ScoutConfig};
+use incident::Workload;
+use obs::json::Obj;
+use scout::{Example, Scout, ScoutConfig};
 use scoutmaster::{FleetAnswer, FleetDecision, FleetMaster};
+use serve::client::{drive, percentile};
 use serve::{Client, Engine, FleetConfig, ModelEntry, ModelRegistry, ServeConfig, Server};
 use std::sync::Arc;
-use std::time::Instant;
 
 const SHARDS: usize = 8;
 const CONCURRENCY: usize = 4;
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((p / 100.0) * (sorted.len() - 1) as f64).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
-fn bench_workload(smoke: bool) -> Arc<Workload> {
-    let mut config = WorkloadConfig {
-        seed: 7,
-        ..WorkloadConfig::default()
-    };
-    config.faults.faults_per_day = 2.0;
-    config.faults.horizon = SimDuration::days(if smoke { 20 } else { 40 });
-    Arc::new(Workload::generate(config))
-}
 
 /// One trained model per internal base team, from a single shared
 /// featurization pass (the labels are the only per-team difference).
 fn base_models(world: &Workload) -> Vec<(Team, String)> {
     let bases: Vec<Team> = cloudsim::TeamRegistry::new().internal_teams().collect();
-    let mon = MonitoringSystem::new(&world.topology, &world.faults, MonitoringConfig::default());
+    let mon = bench_monitoring(world);
     let examples: Vec<Example> = world
         .incidents
         .iter()
@@ -60,14 +38,7 @@ fn base_models(world: &Workload) -> Vec<(Team, String)> {
         .collect();
     let owners: Vec<Team> = world.incidents.iter().map(|i| i.owner).collect();
     let config = ScoutConfig::phynet();
-    let build = ScoutBuildConfig {
-        forest: ForestConfig {
-            n_trees: 8,
-            ..ForestConfig::default()
-        },
-        cluster_train_cap: 10,
-        ..ScoutBuildConfig::default()
-    };
+    let build = smoke_build();
     let corpus = Scout::prepare(&config, &build, &examples, &mon);
     bases
         .into_iter()
@@ -155,49 +126,27 @@ fn run_http(
     )
     .expect("bind ephemeral port");
     let addr = server.addr().to_string();
-    let bodies = Arc::new(sample_bodies(world, requests));
+    let bodies = sample_bodies(world, requests);
+    let route = |client: &mut Client, shot: usize| {
+        let resp = client.post_json("/v1/route", &bodies[shot])?;
+        assert!(
+            resp.is_success(),
+            "status {}: {}",
+            resp.status,
+            resp.body_text()
+        );
+        Ok(())
+    };
 
     // Warm up the thread pool and connection paths (feature caches stay
     // per-entry, so the measured pass still pays featurization once per
     // distinct incident text).
-    let mut warm = Client::connect(&addr).expect("warmup connect");
-    assert!(warm
-        .post_json("/v1/route", &bodies[0])
-        .expect("warmup request")
-        .is_success());
-
-    let started = Instant::now();
-    let handles: Vec<_> = (0..CONCURRENCY)
-        .map(|w| {
-            let addr = addr.clone();
-            let bodies = Arc::clone(&bodies);
-            std::thread::spawn(move || {
-                let mut client = Client::connect(&addr).expect("connect");
-                let mut latencies = Vec::new();
-                for body in bodies.iter().skip(w).step_by(CONCURRENCY) {
-                    let t0 = Instant::now();
-                    let resp = client.post_json("/v1/route", body).expect("route");
-                    assert!(
-                        resp.is_success(),
-                        "status {}: {}",
-                        resp.status,
-                        resp.body_text()
-                    );
-                    latencies.push(t0.elapsed().as_secs_f64() * 1e3);
-                }
-                latencies
-            })
-        })
-        .collect();
-    let mut latencies: Vec<f64> = Vec::new();
-    for h in handles {
-        latencies.extend(h.join().expect("client thread"));
-    }
-    let wall = started.elapsed().as_secs_f64();
+    drive(&addr, 1, 1, route).expect("warmup");
+    let measured = drive(&addr, CONCURRENCY, bodies.len(), route).expect("route run");
     server.shutdown();
-    latencies.sort_by(|a, b| a.total_cmp(b));
+    let latencies = measured.latencies_ms(|_| true);
     HttpStats {
-        throughput_rps: latencies.len() as f64 / wall,
+        throughput_rps: measured.throughput_rps(),
         p50_ms: percentile(&latencies, 50.0),
         p99_ms: percentile(&latencies, 99.0),
         requests: latencies.len(),
@@ -300,7 +249,7 @@ fn run_accuracy(
 }
 
 fn main() {
-    let smoke = std::env::var("BENCH_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0");
+    let smoke = smoke();
     // (teams, http requests, accuracy sample) per fleet size.
     let sizes: &[(usize, usize, usize)] = if smoke {
         &[(8, 12, 12)]
@@ -308,7 +257,7 @@ fn main() {
         &[(8, 64, 32), (32, 32, 32), (128, 16, 24)]
     };
 
-    let world = bench_workload(smoke);
+    let world = Arc::new(dense_world(Some(if smoke { 20 } else { 40 })));
     eprintln!(
         "training {} base models on {} incidents…",
         cloudsim::TeamRegistry::new().internal_teams().count(),
@@ -316,8 +265,8 @@ fn main() {
     );
     let bases = base_models(&world);
 
-    let mut rows = String::new();
-    for (i, &(n, requests, sample)) in sizes.iter().enumerate() {
+    let mut results = Vec::new();
+    for &(n, requests, sample) in sizes {
         eprintln!("fleet size {n}: HTTP run ({requests} requests)…");
         let http = run_http(&bases, &world, n, requests);
         eprintln!("fleet size {n}: accuracy run ({sample} incidents)…");
@@ -331,26 +280,27 @@ fn main() {
             "teams {n:>4}   {:>7.2} req/s   p50 {:>8.1} ms   p99 {:>8.1} ms   accuracy {:.3} (sequential {:.3})",
             http.throughput_rps, http.p50_ms, http.p99_ms, acc.fleet_accuracy, acc.sequential_accuracy
         );
-        rows.push_str(&format!(
-            "    {{\"teams\": {n}, \"requests\": {}, \"throughput_rps\": {:.2}, \"p50_ms\": {:.1}, \"p99_ms\": {:.1}, \"accuracy_sample\": {}, \"fleet_accuracy\": {:.4}, \"sequential_accuracy\": {:.4}, \"bit_identical\": {}}}{}\n",
-            http.requests,
-            http.throughput_rps,
-            http.p50_ms,
-            http.p99_ms,
-            acc.sample,
-            acc.fleet_accuracy,
-            acc.sequential_accuracy,
-            acc.bit_identical,
-            if i + 1 < sizes.len() { "," } else { "" }
-        ));
+        results.push((n, http, acc));
     }
 
-    let json = format!(
-        "{{\n  \"smoke\": {smoke},\n  \"shards\": {SHARDS},\n  \"concurrency\": {CONCURRENCY},\n  \"sizes\": [\n{rows}  ]\n}}\n"
+    let sizes = rows(&results, |(n, http, acc)| {
+        Obj::new()
+            .uint("teams", *n as u64)
+            .uint("requests", http.requests as u64)
+            .num("throughput_rps", rounded(http.throughput_rps, 2))
+            .num("p50_ms", rounded(http.p50_ms, 1))
+            .num("p99_ms", rounded(http.p99_ms, 1))
+            .uint("accuracy_sample", acc.sample as u64)
+            .num("fleet_accuracy", rounded(acc.fleet_accuracy, 4))
+            .num("sequential_accuracy", rounded(acc.sequential_accuracy, 4))
+            .bool("bit_identical", acc.bit_identical)
+    });
+    write_report(
+        "fleet",
+        1,
+        Obj::new()
+            .uint("shards", SHARDS as u64)
+            .uint("concurrency", CONCURRENCY as u64)
+            .raw("sizes", &sizes),
     );
-    let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_fleet.json");
-    std::fs::write(&out, json).expect("write BENCH_fleet.json");
-    println!("wrote {}", out.display());
 }

@@ -1,6 +1,5 @@
 //! Forest inference-core throughput: legacy enum-walking batch scoring
-//! vs the flattened node-major tables, emitted as `BENCH_forest.json` at
-//! the workspace root.
+//! vs the flattened node-major tables, reported as `BENCH_forest.json`.
 //!
 //! This isolates the regime the flattening targets: the featcache-warm
 //! serving path, where look-back telemetry aggregation is fully
@@ -17,15 +16,15 @@
 //!
 //! Both paths are bit-identical by construction (proptest-enforced in
 //! `ml/tests/flat_prop.rs`); the bench re-asserts it on this workload
-//! before timing. `BENCH_SMOKE=1` shrinks the workload — used by
-//! `scripts/check.sh --bench-smoke` and CI, which assert flat ≥ 1x walk.
-//! The headline figure comes from the full run's `BENCH_forest.json`.
+//! before timing. Smoke runs assert flat ≥ 1x walk; the headline figure
+//! comes from the full run's `BENCH_forest.json`.
 
+use bench::{median, min, paired_reps, rounded, rows, smoke, time_s, write_report};
 use ml::forest::{ForestConfig, RandomForest};
 use ml::FeatureMatrix;
+use obs::json::Obj;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::time::Instant;
 
 struct RunStats {
     name: &'static str,
@@ -56,59 +55,19 @@ fn training_data(n: usize, d: usize, rng: &mut SmallRng) -> (Vec<Vec<f64>>, Vec<
     (x, y)
 }
 
-/// Time one full batch pass.
-fn time_pass(rows: usize, pass: &impl Fn() -> usize) -> f64 {
-    let t0 = Instant::now();
-    let scored = pass();
-    let dt = t0.elapsed().as_secs_f64();
-    assert_eq!(scored, rows);
-    dt
-}
-
-/// Run both passes `reps` times, *interleaved* (walk, flat, walk, flat,
-/// ...) so slow drift on a shared machine lands on both sides of the
-/// comparison instead of whichever ran second. The headline speedup is
-/// the **median of the per-rep paired ratios** — a best-of-walk /
-/// best-of-flat quotient would pair timings from different drift
-/// windows. Pass times and predictions/s are still best-of-`reps`.
-fn run_pair(
-    rows: usize,
-    reps: usize,
-    walk: impl Fn() -> usize,
-    flat: impl Fn() -> usize,
-) -> ([RunStats; 2], f64) {
-    let (mut best_walk, mut best_flat) = (f64::INFINITY, f64::INFINITY);
-    let mut ratios = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        let w = time_pass(rows, &walk);
-        let f = time_pass(rows, &flat);
-        ratios.push(w / f);
-        best_walk = best_walk.min(w);
-        best_flat = best_flat.min(f);
-    }
-    ratios.sort_by(f64::total_cmp);
-    let median = ratios[ratios.len() / 2];
-    (
-        [
-            RunStats {
-                name: "walk",
-                pass_ms: best_walk * 1e3,
-                predictions_per_s: rows as f64 / best_walk,
-            },
-            RunStats {
-                name: "flat",
-                pass_ms: best_flat * 1e3,
-                predictions_per_s: rows as f64 / best_flat,
-            },
-        ],
-        median,
-    )
+/// The legacy per-sample-pooled batch path: one enum walk per row.
+fn predict_proba_batch_walk(forest: &RandomForest, xs: &[Vec<f64>]) -> Vec<Vec<f64>> {
+    let _span = obs::span!("ml.forest.predict_batch");
+    pool::Pool::global().parallel_map(xs, |_, x| forest.predict_proba_walk(x))
 }
 
 fn main() {
-    let smoke = std::env::var("BENCH_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0");
+    let smoke = smoke();
+    // Smoke shrinks the forest, not the batch: under ~1k rows a pass is
+    // tens of microseconds of pool dispatch and the flat ≥ 1x gate below
+    // reads noise.
     let (train_n, n_trees, batch_rows, reps) = if smoke {
-        (200, 16, 256, 3)
+        (200, 16, 4096, 3)
     } else {
         (8000, 100, 4096, 9)
     };
@@ -131,7 +90,7 @@ fn main() {
     let matrix = FeatureMatrix::from_rows(&batch);
 
     // Bit-identity sanity on this exact workload before timing anything.
-    let walk_out = forest.predict_proba_batch_walk(&batch);
+    let walk_out = predict_proba_batch_walk(&forest, &batch);
     let flat_out = forest.predict_proba_matrix(&matrix);
     for (i, row) in walk_out.iter().enumerate() {
         let flat_row = flat_out.row(i);
@@ -140,14 +99,24 @@ fn main() {
         }
     }
 
-    let (rows, speedup) = run_pair(
-        batch_rows,
-        reps,
-        || forest.predict_proba_batch_walk(&batch).len(),
-        || forest.predict_proba_matrix(&matrix).rows(),
-    );
+    // Walk and flat interleave (walk, flat, walk, flat, ...). The headline
+    // speedup is the **median of the per-rep paired ratios** — a
+    // best-of-walk / best-of-flat quotient would pair timings from
+    // different drift windows. Pass times and predictions/s are still
+    // best-of-`reps`.
+    let secs = paired_reps(reps, 2, |arm| match arm {
+        0 => time_s(|| assert_eq!(predict_proba_batch_walk(&forest, &batch).len(), batch_rows)),
+        _ => time_s(|| assert_eq!(forest.predict_proba_matrix(&matrix).rows(), batch_rows)),
+    });
+    let ratios: Vec<f64> = secs[0].iter().zip(&secs[1]).map(|(w, f)| w / f).collect();
+    let speedup = median(&ratios);
+    let stats = [("walk", min(&secs[0])), ("flat", min(&secs[1]))].map(|(name, best)| RunStats {
+        name,
+        pass_ms: best * 1e3,
+        predictions_per_s: batch_rows as f64 / best,
+    });
 
-    for r in &rows {
+    for r in &stats {
         println!(
             "{:<5} pass {:>9.3} ms   {:>12.0} predictions/s",
             r.name, r.pass_ms, r.predictions_per_s
@@ -167,33 +136,24 @@ fn main() {
     assert!(
         speedup >= 1.0,
         "flattened path ({:.0}/s) lost to the enum walk ({:.0}/s)",
-        rows[1].predictions_per_s,
-        rows[0].predictions_per_s
+        stats[1].predictions_per_s,
+        stats[0].predictions_per_s
     );
 
-    let mut json = String::from("{\n");
-    json.push_str(&format!("  \"smoke\": {smoke},\n"));
-    json.push_str(&format!(
-        "  \"n_trees\": {}, \"n_features\": {n_features}, \"batch_rows\": {batch_rows},\n",
-        forest.trees().len()
-    ));
-    json.push_str("  \"configs\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"pass_ms\": {:.3}, \"predictions_per_s\": {:.0}}}{}\n",
-            r.name,
-            r.pass_ms,
-            r.predictions_per_s,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!("  \"flat_speedup_vs_walk\": {speedup:.3}\n"));
-    json.push_str("}\n");
-
-    let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_forest.json");
-    std::fs::write(&out, json).expect("write BENCH_forest.json");
-    println!("wrote {}", out.display());
+    let configs = rows(&stats, |r| {
+        Obj::new()
+            .str("name", r.name)
+            .num("pass_ms", rounded(r.pass_ms, 3))
+            .num("predictions_per_s", rounded(r.predictions_per_s, 0))
+    });
+    write_report(
+        "forest",
+        reps,
+        Obj::new()
+            .uint("n_trees", forest.trees().len() as u64)
+            .uint("n_features", n_features as u64)
+            .uint("batch_rows", batch_rows as u64)
+            .raw("configs", &configs)
+            .num("flat_speedup_vs_walk", rounded(speedup, 3)),
+    );
 }

@@ -1,5 +1,4 @@
-//! Continual-learning hot paths, emitted as `BENCH_lifecycle.json` at
-//! the workspace root.
+//! Continual-learning hot paths, reported as `BENCH_lifecycle.json`.
 //!
 //! Three measurements, one per controller stage that runs often:
 //!
@@ -12,17 +11,14 @@
 //!  - `shadow` — one [`lifecycle::shadow_evaluate`] pass replaying a
 //!    prepared shadow window through two models; this runs only when a
 //!    retrain fires, but sits on the promotion critical path.
-//!
-//! `BENCH_SMOKE=1` shrinks the workload — used by
-//! `scripts/check.sh --bench-smoke` and CI.
 
+use bench::{bench_monitoring, min, reps_s, rounded, smoke, smoke_build, write_report};
 use cloudsim::{SimDuration, SimTime, Team};
 use incident::{Workload, WorkloadConfig};
 use lifecycle::{DriftConfig, DriftMonitor, Feedback, FeedbackStore};
-use ml::forest::ForestConfig;
-use monitoring::{MonitoringConfig, MonitoringSystem};
-use scout::{Example, Scout, ScoutBuildConfig, ScoutConfig};
-use std::time::Instant;
+use monitoring::MonitoringSystem;
+use obs::json::Obj;
+use scout::{Example, Scout, ScoutConfig};
 
 fn drift_world(smoke: bool) -> Workload {
     let mut config = WorkloadConfig {
@@ -35,17 +31,6 @@ fn drift_world(smoke: bool) -> Workload {
     Workload::generate(config)
 }
 
-fn build_config() -> ScoutBuildConfig {
-    ScoutBuildConfig {
-        forest: ForestConfig {
-            n_trees: 8,
-            ..ForestConfig::default()
-        },
-        cluster_train_cap: 10,
-        ..ScoutBuildConfig::default()
-    }
-}
-
 /// Train a PhyNet Scout on the incidents before `before`.
 fn train_prefix(world: &Workload, mon: &MonitoringSystem<'_>, before: SimTime) -> Scout {
     let examples: Vec<Example> = world
@@ -55,7 +40,7 @@ fn train_prefix(world: &Workload, mon: &MonitoringSystem<'_>, before: SimTime) -
         .map(|i| Example::new(i.text(), i.created_at, i.owner == Team::PhyNet))
         .collect();
     let config = ScoutConfig::phynet();
-    let build = build_config();
+    let build = smoke_build();
     let corpus = Scout::prepare(&config, &build, &examples, mon);
     let train = corpus.trainable_indices();
     Scout::train_prepared(config, build, &corpus, &train, mon)
@@ -80,30 +65,20 @@ fn feedback_stream(n: usize) -> Vec<Feedback> {
         .collect()
 }
 
-fn best_of<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        std::hint::black_box(f());
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    best
-}
-
 fn main() {
-    let smoke = std::env::var("BENCH_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0");
+    let smoke = smoke();
     let (n_feedback, reps) = if smoke { (5_000, 3) } else { (50_000, 5) };
 
     // Ingest: the store bound equals the stream length so nothing is
     // evicted and every push pays the ordered-insert search.
     let stream = feedback_stream(n_feedback);
-    let ingest_s = best_of(reps, || {
+    let ingest_s = min(&reps_s(reps, || {
         let mut store = FeedbackStore::new(n_feedback);
         for fb in &stream {
             store.push(fb.clone());
         }
         store
-    });
+    }));
     let ingest_per_s = n_feedback as f64 / ingest_s;
 
     // Drift: one evaluate pass over the populated store.
@@ -116,13 +91,13 @@ fn main() {
         ..DriftConfig::default()
     });
     let now = SimTime(7 * n_feedback as u64);
-    let drift_s = best_of(reps, || monitor.evaluate(&store, now));
+    let drift_s = min(&reps_s(reps, || monitor.evaluate(&store, now)));
     let buckets = monitor.error_series(&store, now).len();
 
     // Shadow: replay a prepared window through a live and a candidate
     // model (trained on different prefixes so they genuinely differ).
     let world = drift_world(smoke);
-    let mon = MonitoringSystem::new(&world.topology, &world.faults, MonitoringConfig::default());
+    let mon = bench_monitoring(&world);
     let mid = SimTime::from_days(if smoke { 20 } else { 60 });
     let live = train_prefix(&world, &mon, mid);
     let candidate = train_prefix(
@@ -137,12 +112,12 @@ fn main() {
         .map(|i| Example::new(i.text(), i.created_at, i.owner == Team::PhyNet))
         .collect();
     let config = ScoutConfig::phynet();
-    let build = build_config();
+    let build = smoke_build();
     let corpus = Scout::prepare(&config, &build, &shadow_examples, &mon);
     let idx: Vec<usize> = (0..corpus.items.len()).collect();
-    let shadow_s = best_of(reps, || {
+    let shadow_s = min(&reps_s(reps, || {
         lifecycle::shadow_evaluate(&candidate, &live, &corpus, &idx, &mon)
-    });
+    }));
     let shadow_per_s = idx.len() as f64 / shadow_s.max(1e-9);
 
     println!(
@@ -163,26 +138,22 @@ fn main() {
     assert!(ingest_per_s > 10_000.0, "ingest unexpectedly slow");
     assert!(!idx.is_empty(), "shadow window must not be empty");
 
-    let mut json = String::from("{\n");
-    json.push_str(&format!("  \"smoke\": {smoke},\n"));
-    json.push_str(&format!(
-        "  \"ingest\": {{\"items\": {n_feedback}, \"per_s\": {ingest_per_s:.1}}},\n"
-    ));
-    json.push_str(&format!(
-        "  \"drift\": {{\"buckets\": {buckets}, \"evaluate_ms\": {:.3}}},\n",
-        drift_s * 1e3
-    ));
-    json.push_str(&format!(
-        "  \"shadow\": {{\"samples\": {}, \"eval_ms\": {:.3}, \"samples_per_s\": {:.1}}}\n",
-        idx.len(),
-        shadow_s * 1e3,
-        shadow_per_s
-    ));
-    json.push_str("}\n");
-
-    let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_lifecycle.json");
-    std::fs::write(&out, json).expect("write BENCH_lifecycle.json");
-    println!("wrote {}", out.display());
+    let ingest = Obj::new()
+        .uint("items", n_feedback as u64)
+        .num("per_s", rounded(ingest_per_s, 1));
+    let drift = Obj::new()
+        .uint("buckets", buckets as u64)
+        .num("evaluate_ms", rounded(drift_s * 1e3, 3));
+    let shadow = Obj::new()
+        .uint("samples", idx.len() as u64)
+        .num("eval_ms", rounded(shadow_s * 1e3, 3))
+        .num("samples_per_s", rounded(shadow_per_s, 1));
+    write_report(
+        "lifecycle",
+        reps,
+        Obj::new()
+            .raw("ingest", &ingest.finish())
+            .raw("drift", &drift.finish())
+            .raw("shadow", &shadow.finish()),
+    );
 }

@@ -1,5 +1,5 @@
-//! Tracing overhead on the serving hot path, emitted as
-//! `BENCH_obs.json` at the workspace root.
+//! Tracing overhead on the serving hot path, reported as
+//! `BENCH_obs.json`.
 //!
 //! One trained Scout answers the same batched predict call (the exact
 //! call the serve batcher makes) under three tracing regimes:
@@ -15,19 +15,16 @@
 //! cost when unsampled is a thread-local stack push/pop and a histogram
 //! record. Best-of-reps throughput is reported per mode, plus the
 //! overhead of each traced mode relative to `off`.
-//!
-//! `BENCH_SMOKE=1` shrinks the workload and iteration counts — used by
-//! `scripts/check.sh --bench-smoke` and CI to keep this compiling and
-//! running without paying for the full measurement.
 
-use bench::{bench_examples, bench_monitoring, bench_world};
-use cloudsim::{SimDuration, SimTime};
+use bench::{
+    bench_monitoring, max, paired_reps, rounded, rows, serving_world, smoke, trained, write_report,
+};
+use cloudsim::SimTime;
 use featcache::FeatCache;
-use incident::{Workload, WorkloadConfig};
-use ml::forest::ForestConfig;
 use monitoring::MonitoringSystem;
+use obs::json::Obj;
 use obs::TraceContext;
-use scout::{Scout, ScoutBuildConfig, ScoutConfig};
+use scout::Scout;
 use std::time::Instant;
 
 struct Mode {
@@ -40,39 +37,6 @@ struct Mode {
 struct RunStats {
     name: &'static str,
     throughput_ips: f64,
-}
-
-fn train(smoke: bool) -> (Workload, Scout) {
-    let world = if smoke {
-        let mut config = WorkloadConfig {
-            seed: 7,
-            ..WorkloadConfig::default()
-        };
-        config.faults.faults_per_day = 2.0;
-        config.faults.horizon = SimDuration::days(20);
-        Workload::generate(config)
-    } else {
-        bench_world()
-    };
-    let build = if smoke {
-        ScoutBuildConfig {
-            forest: ForestConfig {
-                n_trees: 8,
-                ..ForestConfig::default()
-            },
-            cluster_train_cap: 10,
-            ..ScoutBuildConfig::default()
-        }
-    } else {
-        ScoutBuildConfig::default()
-    };
-    let scout = {
-        let mon = bench_monitoring(&world);
-        let examples = bench_examples(&world);
-        let (scout, _) = Scout::train(ScoutConfig::phynet(), build, &examples, &mon);
-        scout
-    };
-    (world, scout)
 }
 
 /// One timed pass: `iters` batched predicts of `inputs`, under `mode`.
@@ -102,10 +66,11 @@ fn run(
 }
 
 fn main() {
-    let smoke = std::env::var("BENCH_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0");
+    let smoke = smoke();
     let (batch, iters, reps) = if smoke { (16, 4, 2) } else { (64, 25, 5) };
 
-    let (world, scout) = train(smoke);
+    let world = serving_world(smoke);
+    let scout = trained(&world, smoke);
     let mon = bench_monitoring(&world);
     let picked: Vec<(String, SimTime)> = world
         .incidents
@@ -140,54 +105,41 @@ fn main() {
         run(mode, &scout, &mon, &inputs, &cache, 1);
     }
 
-    // Interleave repetitions across modes (A B C, A B C, ...) so clock
-    // and cache drift over the run doesn't bias whichever mode went
-    // first; best-of-reps per mode is the stable estimate.
-    let mut best = [0.0f64; 3];
-    for _ in 0..reps {
-        for (i, mode) in modes.iter().enumerate() {
-            best[i] = best[i].max(run(mode, &scout, &mon, &inputs, &cache, iters));
-        }
-    }
-    let rows: Vec<RunStats> = modes
-        .iter()
-        .zip(best)
-        .map(|(mode, throughput_ips)| RunStats {
-            name: mode.name,
-            throughput_ips,
-        })
-        .collect();
+    // Best-of-reps throughput per mode, the modes interleaved.
+    let stats: Vec<RunStats> = paired_reps(reps, modes.len(), |i| {
+        run(&modes[i], &scout, &mon, &inputs, &cache, iters)
+    })
+    .iter()
+    .zip(&modes)
+    .map(|(samples, mode)| RunStats {
+        name: mode.name,
+        throughput_ips: max(samples),
+    })
+    .collect();
     obs::trace::set_sample_every(64);
 
-    let base = rows[0].throughput_ips.max(1e-9);
+    let base = stats[0].throughput_ips.max(1e-9);
     let overhead = |r: &RunStats| ((base - r.throughput_ips) / base * 100.0).max(0.0);
-    let sampled_overhead = overhead(&rows[1]);
-    let full_overhead = overhead(&rows[2]);
+    let sampled_overhead = overhead(&stats[1]);
+    let full_overhead = overhead(&stats[2]);
 
-    let mut json = String::from("{\n");
-    json.push_str(&format!("  \"smoke\": {smoke},\n"));
-    json.push_str(&format!("  \"batch\": {batch},\n"));
-    json.push_str("  \"modes\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"throughput_items_per_s\": {:.1}}}{}\n",
-            r.name,
-            r.throughput_ips,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
+    for r in &stats {
         println!("{:<10} {:>10.1} items/s", r.name, r.throughput_ips);
     }
-    json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"sampled64_overhead_pct\": {sampled_overhead:.2},\n"
-    ));
-    json.push_str(&format!("  \"full_overhead_pct\": {full_overhead:.2}\n"));
-    json.push_str("}\n");
     println!("overhead vs off: sampled64 {sampled_overhead:.2}%, full {full_overhead:.2}%");
 
-    let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_obs.json");
-    std::fs::write(&out, json).expect("write BENCH_obs.json");
-    println!("wrote {}", out.display());
+    let modes = rows(&stats, |r| {
+        Obj::new()
+            .str("name", r.name)
+            .num("throughput_items_per_s", rounded(r.throughput_ips, 1))
+    });
+    write_report(
+        "obs",
+        reps,
+        Obj::new()
+            .uint("batch", batch as u64)
+            .raw("modes", &modes)
+            .num("sampled64_overhead_pct", rounded(sampled_overhead, 2))
+            .num("full_overhead_pct", rounded(full_overhead, 2)),
+    );
 }

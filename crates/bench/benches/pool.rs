@@ -1,38 +1,21 @@
 //! Sequential vs pooled timings for the two hottest paths — forest
-//! training and CPD+ cluster featurization — emitted as `BENCH_pool.json`
-//! at the workspace root so CI and the docs can cite real numbers.
+//! training and CPD+ cluster featurization — reported as
+//! `BENCH_pool.json` so CI and the docs can cite real numbers.
 //!
 //! Not a Criterion harness: the in-workspace Criterion shim prints
 //! statistics but does not return them, and this bench needs the raw
 //! medians to build the JSON report. Timing is done directly with
 //! `Instant` over a fixed repetition count (median of reps).
-//!
-//! `BENCH_SMOKE=1` shrinks the workload to a few hundred milliseconds —
-//! used by `scripts/check.sh --bench-smoke` to keep the bench compiling
-//! and running without paying for the full measurement.
 
-use bench::bench_world;
+use bench::{bench_monitoring, bench_world, median, reps_s, rounded, rows, smoke, write_report};
 use ml::forest::{ForestConfig, RandomForest};
-use monitoring::{MonitoringConfig, MonitoringSystem};
+use obs::json::Obj;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use scout::cpdplus::{CpdFeatureLayout, CpdPlus, CpdPlusConfig};
 use scout::extract::Extractor;
 use scout::ScoutConfig;
 use std::hint::black_box;
-use std::time::Instant;
-
-fn median_ms(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut times: Vec<f64> = (0..reps)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
-    times.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    times[times.len() / 2]
-}
 
 struct Row {
     name: &'static str,
@@ -41,7 +24,7 @@ struct Row {
 }
 
 fn main() {
-    let smoke = std::env::var("BENCH_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0");
+    let smoke = smoke();
     let (n, d, trees, reps) = if smoke {
         (60, 10, 8, 3)
     } else {
@@ -50,7 +33,7 @@ fn main() {
     let threads = pool::Pool::global().threads();
     let pooled = pool::Pool::global();
     let sequential = pool::Pool::new(1);
-    let mut rows = Vec::new();
+    let mut timings = Vec::new();
 
     // Hot path 1: forest training.
     let x: Vec<Vec<f64>> = (0..n)
@@ -67,20 +50,13 @@ fn main() {
         ..ForestConfig::default()
     };
     let fit = |p: &pool::Pool| {
-        median_ms(reps, || {
+        let secs = reps_s(reps, || {
             let mut rng = SmallRng::seed_from_u64(3);
-            black_box(RandomForest::fit_weighted_on(
-                p,
-                black_box(&x),
-                &y,
-                &w,
-                2,
-                cfg.clone(),
-                &mut rng,
-            ));
-        })
+            RandomForest::fit_weighted_on(p, black_box(&x), &y, &w, 2, cfg.clone(), &mut rng)
+        });
+        median(&secs) * 1e3
     };
-    rows.push(Row {
+    timings.push(Row {
         name: "forest_fit",
         sequential_ms: fit(&sequential),
         pooled_ms: fit(pooled),
@@ -89,7 +65,7 @@ fn main() {
     // Hot path 2: CPD+ cluster featurization (fan-out over every covered
     // device of a cluster mention).
     let world = bench_world();
-    let mon = MonitoringSystem::new(&world.topology, &world.faults, MonitoringConfig::default());
+    let mon = bench_monitoring(&world);
     let scfg = ScoutConfig::phynet();
     let ex = Extractor::new(&scfg, &world.topology);
     let model = CpdPlus::new(
@@ -104,46 +80,45 @@ fn main() {
         .unwrap_or(cloudsim::SimTime::from_hours(100));
     let cpd_reps = if smoke { 1 } else { 3 };
     let cluster = |p: &pool::Pool| {
-        median_ms(cpd_reps, || {
-            black_box(model.cluster_features_on(
+        let secs = reps_s(cpd_reps, || {
+            model.cluster_features_on(
                 p,
                 black_box(&found),
                 t,
                 &mon,
                 cloudsim::SimDuration::hours(2),
-            ));
-        })
+            )
+        });
+        median(&secs) * 1e3
     };
-    rows.push(Row {
+    timings.push(Row {
         name: "cluster_cpd",
         sequential_ms: cluster(&sequential),
         pooled_ms: cluster(pooled),
     });
 
-    let mut json = String::from("{\n");
-    json.push_str(&format!("  \"threads\": {threads},\n"));
-    json.push_str(&format!("  \"smoke\": {smoke},\n"));
-    json.push_str("  \"benches\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let speedup = r.sequential_ms / r.pooled_ms.max(1e-9);
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"sequential_ms\": {:.3}, \"pooled_ms\": {:.3}, \"speedup\": {:.3}}}{}\n",
+    let speedup = |r: &Row| r.sequential_ms / r.pooled_ms.max(1e-9);
+    for r in &timings {
+        println!(
+            "{:<12} sequential {:>9.3} ms   pooled({threads}) {:>9.3} ms   speedup {:.2}x",
             r.name,
             r.sequential_ms,
             r.pooled_ms,
-            speedup,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-        println!(
-            "{:<12} sequential {:>9.3} ms   pooled({threads}) {:>9.3} ms   speedup {:.2}x",
-            r.name, r.sequential_ms, r.pooled_ms, speedup
+            speedup(r)
         );
     }
-    json.push_str("  ]\n}\n");
-
-    let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_pool.json");
-    std::fs::write(&out, json).expect("write BENCH_pool.json");
-    println!("wrote {}", out.display());
+    let benches = rows(&timings, |r| {
+        Obj::new()
+            .str("name", r.name)
+            .num("sequential_ms", rounded(r.sequential_ms, 3))
+            .num("pooled_ms", rounded(r.pooled_ms, 3))
+            .num("speedup", rounded(speedup(r), 3))
+    });
+    write_report(
+        "pool",
+        reps,
+        Obj::new()
+            .uint("threads", threads as u64)
+            .raw("benches", &benches),
+    );
 }

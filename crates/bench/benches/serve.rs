@@ -1,26 +1,23 @@
-//! Sequential vs micro-batched serving throughput, emitted as
-//! `BENCH_serve.json` at the workspace root.
+//! Sequential vs micro-batched serving throughput, reported as
+//! `BENCH_serve.json`.
 //!
 //! Two identical in-process servers share one trained Scout and one
 //! workload; the only difference is `batch_size` (1 = every request is
 //! its own inference pass, 8 = concurrent requests coalesce). The same
 //! concurrent client fleet drives both, so the delta is purely the
 //! micro-batcher amortizing the prepared-corpus pass over the pool.
-//!
-//! `BENCH_SMOKE=1` shrinks the workload and request counts — used by
-//! `scripts/check.sh --bench-smoke` and CI to keep this compiling and
-//! running without paying for the full measurement.
 
-use bench::{bench_examples, bench_monitoring, bench_world};
-use cloudsim::SimDuration;
-use incident::{Workload, WorkloadConfig};
-use ml::forest::ForestConfig;
-use scout::{Scout, ScoutBuildConfig, ScoutConfig};
-use serve::{Client, Engine, ModelRegistry, ServeConfig, Server};
+use bench::{
+    paired_reps, predict_shot, rounded, rows, serving_world, smoke, trained, write_report,
+};
+use incident::Workload;
+use obs::json::Obj;
+use serve::client::{drive, percentile};
+use serve::{Engine, ModelRegistry, ServeConfig, Server};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-const INCIDENT: &str = r#"{"text":"Switch agg-3 in c1.dc1 reporting CRC errors and packet loss"}"#;
+const CONFIGS: [(&str, usize); 2] = [("sequential", 1), ("batched", 8)];
 
 struct RunStats {
     name: &'static str,
@@ -30,52 +27,12 @@ struct RunStats {
     p99_ms: f64,
 }
 
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((p / 100.0) * (sorted.len() - 1) as f64).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
-fn train(smoke: bool) -> (Arc<Workload>, Scout) {
-    let world = if smoke {
-        let mut config = WorkloadConfig {
-            seed: 7,
-            ..WorkloadConfig::default()
-        };
-        config.faults.faults_per_day = 2.0;
-        config.faults.horizon = SimDuration::days(20);
-        Workload::generate(config)
-    } else {
-        bench_world()
-    };
-    let mon = bench_monitoring(&world);
-    let examples = bench_examples(&world);
-    let build = if smoke {
-        ScoutBuildConfig {
-            forest: ForestConfig {
-                n_trees: 8,
-                ..ForestConfig::default()
-            },
-            cluster_train_cap: 10,
-            ..ScoutBuildConfig::default()
-        }
-    } else {
-        ScoutBuildConfig::default()
-    };
-    let (scout, _) = Scout::train(ScoutConfig::phynet(), build, &examples, &mon);
-    drop(mon);
-    (Arc::new(world), scout)
-}
-
 fn run(
-    name: &'static str,
-    batch_size: usize,
+    (name, batch_size): (&'static str, usize),
     registry: &Arc<ModelRegistry>,
     world: &Arc<Workload>,
     concurrency: usize,
-    requests_per_client: usize,
+    requests: usize,
 ) -> RunStats {
     let engine = Engine::new(Arc::clone(registry), Arc::clone(world));
     let server = Server::start(
@@ -93,136 +50,69 @@ fn run(
     let addr = server.addr().to_string();
 
     // Warm up (thread pool, page cache, connection setup paths).
-    let mut warm = Client::connect(&addr).expect("warmup connect");
-    for _ in 0..3 {
-        assert!(warm
-            .post_json("/v1/scouts/PhyNet/predict", INCIDENT)
-            .expect("warmup request")
-            .is_success());
-    }
-
-    let started = Instant::now();
-    let handles: Vec<_> = (0..concurrency)
-        .map(|_| {
-            let addr = addr.clone();
-            std::thread::spawn(move || {
-                let mut client = Client::connect(&addr).expect("connect");
-                let mut latencies = Vec::with_capacity(requests_per_client);
-                for _ in 0..requests_per_client {
-                    let t0 = Instant::now();
-                    let resp = client
-                        .post_json("/v1/scouts/PhyNet/predict", INCIDENT)
-                        .expect("predict");
-                    assert!(resp.is_success(), "status {}", resp.status);
-                    latencies.push(t0.elapsed().as_secs_f64() * 1e3);
-                }
-                latencies
-            })
-        })
-        .collect();
-    let mut latencies: Vec<f64> = Vec::with_capacity(concurrency * requests_per_client);
-    for h in handles {
-        latencies.extend(h.join().expect("client thread"));
-    }
-    let wall = started.elapsed().as_secs_f64();
+    drive(&addr, 1, 3, predict_shot).expect("warmup");
+    let measured = drive(&addr, concurrency, requests, predict_shot).expect("predict run");
     server.shutdown();
-    latencies.sort_by(|a, b| a.total_cmp(b));
+    let latencies = measured.latencies_ms(|_| true);
     RunStats {
         name,
         batch_size,
-        throughput_rps: latencies.len() as f64 / wall,
+        throughput_rps: measured.throughput_rps(),
         p50_ms: percentile(&latencies, 50.0),
         p99_ms: percentile(&latencies, 99.0),
     }
 }
 
-/// Best-of-`reps` throughput for one config. Thread-per-connection over
-/// a shared CPU is noisy (the scheduler interleaves 8 clients, the
-/// acceptor, and the batcher); the max across repetitions is the stable
-/// estimate of what the configuration can sustain.
-fn run_best(
-    name: &'static str,
-    batch_size: usize,
-    registry: &Arc<ModelRegistry>,
-    world: &Arc<Workload>,
-    concurrency: usize,
-    requests_per_client: usize,
-    reps: usize,
-) -> RunStats {
-    (0..reps)
-        .map(|_| {
-            run(
-                name,
-                batch_size,
-                registry,
-                world,
-                concurrency,
-                requests_per_client,
-            )
-        })
-        .max_by(|a, b| a.throughput_rps.total_cmp(&b.throughput_rps))
-        .expect("at least one rep")
-}
-
 fn main() {
-    let smoke = std::env::var("BENCH_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0");
+    let smoke = smoke();
     let (concurrency, requests_per_client, reps) = if smoke { (8, 25, 3) } else { (8, 100, 3) };
 
-    let (world, scout) = train(smoke);
+    let world = Arc::new(serving_world(smoke));
     let registry = Arc::new(ModelRegistry::new());
     registry
-        .register("PhyNet", scout, "bench")
+        .register("PhyNet", trained(&world, smoke), "bench")
         .expect("register bench model");
 
-    let rows = [
-        run_best(
-            "sequential",
-            1,
-            &registry,
-            &world,
-            concurrency,
-            requests_per_client,
-            reps,
-        ),
-        run_best(
-            "batched",
-            8,
-            &registry,
-            &world,
-            concurrency,
-            requests_per_client,
-            reps,
-        ),
-    ];
-    let speedup = rows[1].throughput_rps / rows[0].throughput_rps.max(1e-9);
+    // Best-of-`reps` throughput per config. Thread-per-connection over a
+    // shared CPU is noisy (the scheduler interleaves 8 clients, the
+    // acceptor, and the batcher); the max across repetitions is the
+    // stable estimate of what the configuration can sustain.
+    let requests = concurrency * requests_per_client;
+    let stats: Vec<RunStats> = paired_reps(reps, CONFIGS.len(), |arm| {
+        run(CONFIGS[arm], &registry, &world, concurrency, requests)
+    })
+    .into_iter()
+    .map(|samples| {
+        samples
+            .into_iter()
+            .max_by(|a, b| a.throughput_rps.total_cmp(&b.throughput_rps))
+            .expect("at least one rep")
+    })
+    .collect();
+    let speedup = stats[1].throughput_rps / stats[0].throughput_rps.max(1e-9);
 
-    let mut json = String::from("{\n");
-    json.push_str(&format!("  \"smoke\": {smoke},\n"));
-    json.push_str(&format!("  \"concurrency\": {concurrency},\n"));
-    json.push_str("  \"configs\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"batch_size\": {}, \"throughput_rps\": {:.1}, \"p50_ms\": {:.3}, \"p99_ms\": {:.3}}}{}\n",
-            r.name,
-            r.batch_size,
-            r.throughput_rps,
-            r.p50_ms,
-            r.p99_ms,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
+    for r in &stats {
         println!(
             "{:<10} batch_size {:>2}   {:>8.1} req/s   p50 {:>7.3} ms   p99 {:>7.3} ms",
             r.name, r.batch_size, r.throughput_rps, r.p50_ms, r.p99_ms
         );
     }
-    json.push_str("  ],\n");
-    json.push_str(&format!("  \"batched_speedup\": {speedup:.3}\n"));
-    json.push_str("}\n");
     println!("batched speedup: {speedup:.2}x");
 
-    let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_serve.json");
-    std::fs::write(&out, json).expect("write BENCH_serve.json");
-    println!("wrote {}", out.display());
+    let configs = rows(&stats, |r| {
+        Obj::new()
+            .str("name", r.name)
+            .uint("batch_size", r.batch_size as u64)
+            .num("throughput_rps", rounded(r.throughput_rps, 1))
+            .num("p50_ms", rounded(r.p50_ms, 3))
+            .num("p99_ms", rounded(r.p99_ms, 3))
+    });
+    write_report(
+        "serve",
+        reps,
+        Obj::new()
+            .uint("concurrency", concurrency as u64)
+            .raw("configs", &configs)
+            .num("batched_speedup", rounded(speedup, 3)),
+    );
 }

@@ -1,5 +1,4 @@
-//! Storm-control benchmark, emitted as `BENCH_storm.json` at the
-//! workspace root.
+//! Storm-control benchmark, reported as `BENCH_storm.json`.
 //!
 //! The scenario is the paper's alert storm: a handful of root incidents
 //! re-fired ~100x with cosmetic variation (case, punctuation, counter
@@ -22,61 +21,19 @@
 //! 3. background responses are **byte-identical** between the two runs —
 //!    storm control must be invisible to non-storm traffic.
 //!
-//! `BENCH_SMOKE=1` shrinks the amplification and request counts — used
-//! by `scripts/check.sh --bench-smoke` and CI. `BENCH_STORM_SLO_MS`
-//! overrides the latency gate for slow machines.
+//! `BENCH_STORM_SLO_MS` overrides the latency gate for slow machines.
 
-use cloudsim::SimDuration;
-use incident::{Workload, WorkloadConfig};
-use ml::forest::ForestConfig;
-use monitoring::{MonitoringConfig, MonitoringSystem};
-use scout::{Example, Scout, ScoutBuildConfig, ScoutConfig};
+use bench::{dense_world, rounded, smoke, trained, write_report};
+use incident::Workload;
+use obs::json::Obj;
+use scout::Scout;
+use serve::client::{drive, percentile};
 use serve::{Client, Engine, FleetConfig, ModelRegistry, ServeConfig, Server};
 use std::sync::Arc;
-use std::time::Instant;
 use storm::StormControl;
 
 const TEAMS: &[&str] = &["PhyNet", "Storage", "Database", "SLB"];
 const DEFAULT_SLO_P99_MS: f64 = 750.0;
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((p / 100.0) * (sorted.len() - 1) as f64).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
-fn bench_workload() -> Arc<Workload> {
-    let mut config = WorkloadConfig {
-        seed: 7,
-        ..WorkloadConfig::default()
-    };
-    config.faults.faults_per_day = 2.0;
-    config.faults.horizon = SimDuration::days(20);
-    Arc::new(Workload::generate(config))
-}
-
-fn trained_model_text(world: &Workload) -> String {
-    let mon = MonitoringSystem::new(&world.topology, &world.faults, MonitoringConfig::default());
-    let examples: Vec<Example> = world
-        .incidents
-        .iter()
-        .map(|i| Example::new(i.text(), i.created_at, i.phynet_owned()))
-        .collect();
-    let config = ScoutConfig::phynet();
-    let build = ScoutBuildConfig {
-        forest: ForestConfig {
-            n_trees: 8,
-            ..ForestConfig::default()
-        },
-        cluster_train_cap: 10,
-        ..ScoutBuildConfig::default()
-    };
-    let corpus = Scout::prepare(&config, &build, &examples, &mon);
-    let train = corpus.trainable_indices();
-    Scout::train_prepared(config, build, &corpus, &train, &mon).to_text()
-}
 
 /// A cosmetic re-firing of `text`: case flips, punctuation, and digit
 /// debris — exactly the variation the dedup normalizer erases.
@@ -88,13 +45,21 @@ fn perturb(text: &str, k: usize) -> String {
     }
 }
 
-enum Shot {
-    /// One of `roots` incidents re-fired with cosmetic variation, all
-    /// from the same noisy source.
-    Storm { body: String },
-    /// An unrelated fresh incident from its own source — the traffic
-    /// whose latency and bytes the gates protect.
-    Background { body: String },
+struct Shot {
+    /// `false`: one of `roots` incidents re-fired with cosmetic
+    /// variation, all from the same noisy source. `true`: an unrelated
+    /// fresh incident from its own source — the traffic whose latency
+    /// and bytes the gates protect.
+    background: bool,
+    body: String,
+}
+
+/// What a replayed shot came back as.
+enum Reply {
+    Background(String),
+    FannedOut,
+    Suppressed,
+    Throttled,
 }
 
 /// The replayed request stream: `roots × amplification` storm firings
@@ -115,8 +80,9 @@ fn build_shots(
     let mut bg_next = 0usize;
     for k in 0..storm_total {
         if k % stride == 0 && bg_next < bg_texts.len() {
-            shots.push(Shot::Background {
-                body: obs::json::Obj::new()
+            shots.push(Shot {
+                background: true,
+                body: Obj::new()
                     .str("text", &bg_texts[bg_next])
                     .str("source", &format!("background-{bg_next}"))
                     .uint("severity", 2)
@@ -124,8 +90,9 @@ fn build_shots(
             });
             bg_next += 1;
         }
-        shots.push(Shot::Storm {
-            body: obs::json::Obj::new()
+        shots.push(Shot {
+            background: false,
+            body: Obj::new()
                 .str("text", &perturb(&root_texts[k % roots], k))
                 .str("source", "noisy-monitor")
                 .uint("severity", 2)
@@ -170,67 +137,57 @@ fn run(model_text: &str, world: &Arc<Workload>, shots: &[Shot], storm_on: bool) 
     }
     let server =
         Server::start(engine, "127.0.0.1:0", ServeConfig::default()).expect("bind ephemeral port");
-    let mut client = Client::connect(&server.addr().to_string()).expect("connect");
+    let addr = server.addr().to_string();
 
     // Warm up (featurization paths, thread pool) before the counters are
     // snapshotted — the warmup's fan-out must not pollute the diff.
-    assert!(client
-        .post_json(
-            "/v1/route",
-            &obs::json::Obj::new()
-                .str("text", "warmup incident not part of the stream")
-                .str("source", "warmup")
-                .finish(),
-        )
+    let warmup = Obj::new()
+        .str("text", "warmup incident not part of the stream")
+        .str("source", "warmup")
+        .finish();
+    assert!(Client::connect(&addr)
+        .and_then(|mut c| c.post_json("/v1/route", &warmup))
         .expect("warmup")
         .is_success());
     let fanouts_before = counter_value("fleet.dispatch.fanouts");
 
-    let mut latencies = Vec::new();
-    let mut background_bodies = Vec::new();
-    let mut suppressed = 0usize;
-    let mut throttled = 0usize;
-    for shot in shots {
-        match shot {
-            Shot::Storm { body } => {
-                let resp = client.post_json("/v1/route", body).expect("storm shot");
-                match resp.status {
-                    200 => suppressed += resp.body_text().contains("\"suppressed\":true") as usize,
-                    429 => throttled += 1,
-                    s => panic!("storm shot answered {s}: {}", resp.body_text()),
-                }
-            }
-            Shot::Background { body } => {
-                let t0 = Instant::now();
-                let resp = client
-                    .post_json("/v1/route", body)
-                    .expect("background shot");
-                latencies.push(t0.elapsed().as_secs_f64() * 1e3);
-                assert_eq!(
-                    resp.status,
-                    200,
-                    "background traffic must never degrade: {}",
-                    resp.body_text()
-                );
-                background_bodies.push(resp.body_text());
-            }
-        }
-    }
+    // One connection replays the stream in order.
+    let replay = drive(&addr, 1, shots.len(), |client, i| {
+        let resp = client.post_json("/v1/route", &shots[i].body)?;
+        let text = resp.body_text();
+        Ok(match (shots[i].background, resp.status) {
+            (true, 200) => Reply::Background(text),
+            (true, _) => panic!("background traffic must never degrade: {text}"),
+            (false, 200) if text.contains("\"suppressed\":true") => Reply::Suppressed,
+            (false, 200) => Reply::FannedOut,
+            (false, 429) => Reply::Throttled,
+            (false, s) => panic!("storm shot answered {s}: {text}"),
+        })
+    })
+    .expect("storm replay");
     let fanouts = counter_value("fleet.dispatch.fanouts") - fanouts_before;
     server.shutdown();
-    latencies.sort_by(|a, b| a.total_cmp(b));
+    let latencies = replay.latencies_ms(|r| matches!(r, Reply::Background(_)));
+    let count = |pick: fn(&Reply) -> bool| replay.shots.iter().filter(|(_, r)| pick(r)).count();
     RunStats {
         bg_p50_ms: percentile(&latencies, 50.0),
         bg_p99_ms: percentile(&latencies, 99.0),
         fanouts,
-        suppressed,
-        throttled,
-        background_bodies,
+        suppressed: count(|r| matches!(r, Reply::Suppressed)),
+        throttled: count(|r| matches!(r, Reply::Throttled)),
+        background_bodies: replay
+            .shots
+            .into_iter()
+            .filter_map(|(_, r)| match r {
+                Reply::Background(body) => Some(body),
+                _ => None,
+            })
+            .collect(),
     }
 }
 
 fn main() {
-    let smoke = std::env::var("BENCH_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0");
+    let smoke = smoke();
     let slo_p99_ms = std::env::var("BENCH_STORM_SLO_MS")
         .ok()
         .and_then(|v| v.parse::<f64>().ok())
@@ -239,17 +196,14 @@ fn main() {
     // can clear the 10x fan-out gate.
     let (roots, amplification, background) = if smoke { (2, 50, 6) } else { (3, 100, 20) };
 
-    let world = bench_workload();
+    let world = Arc::new(dense_world(Some(20)));
     eprintln!(
         "training the bench model on {} incidents…",
         world.incidents.len()
     );
-    let model_text = trained_model_text(&world);
+    let model_text = trained(&world, true).to_text();
     let shots = build_shots(&world, roots, amplification, background);
-    let storm_shots = shots
-        .iter()
-        .filter(|s| matches!(s, Shot::Storm { .. }))
-        .count();
+    let storm_shots = shots.iter().filter(|s| !s.background).count();
     eprintln!(
         "replaying {} requests ({storm_shots} storm, {background} background) twice…",
         shots.len()
@@ -292,21 +246,32 @@ fn main() {
         off.fanouts as f64 / on.fanouts.max(1) as f64
     );
 
-    let json = format!(
-        "{{\n  \"smoke\": {smoke},\n  \"roots\": {roots},\n  \"amplification\": {amplification},\n  \"background\": {background},\n  \"slo_p99_ms\": {slo_p99_ms:.1},\n  \"off\": {{\"fanouts\": {}, \"bg_p50_ms\": {:.1}, \"bg_p99_ms\": {:.1}}},\n  \"on\": {{\"fanouts\": {}, \"bg_p50_ms\": {:.1}, \"bg_p99_ms\": {:.1}, \"suppressed\": {}, \"throttled\": {}}},\n  \"fanout_reduction\": {:.2},\n  \"bytes_identical\": true\n}}\n",
-        off.fanouts,
-        off.bg_p50_ms,
-        off.bg_p99_ms,
-        on.fanouts,
-        on.bg_p50_ms,
-        on.bg_p99_ms,
-        on.suppressed,
-        on.throttled,
-        off.fanouts as f64 / on.fanouts.max(1) as f64,
+    let side = |r: &RunStats| {
+        Obj::new()
+            .uint("fanouts", r.fanouts)
+            .num("bg_p50_ms", rounded(r.bg_p50_ms, 1))
+            .num("bg_p99_ms", rounded(r.bg_p99_ms, 1))
+    };
+    write_report(
+        "storm",
+        1,
+        Obj::new()
+            .uint("roots", roots as u64)
+            .uint("amplification", amplification as u64)
+            .uint("background", background as u64)
+            .num("slo_p99_ms", rounded(slo_p99_ms, 1))
+            .raw("off", &side(&off).finish())
+            .raw(
+                "on",
+                &side(&on)
+                    .uint("suppressed", on.suppressed as u64)
+                    .uint("throttled", on.throttled as u64)
+                    .finish(),
+            )
+            .num(
+                "fanout_reduction",
+                rounded(off.fanouts as f64 / on.fanouts.max(1) as f64, 2),
+            )
+            .bool("bytes_identical", true),
     );
-    let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_storm.json");
-    std::fs::write(&out, json).expect("write BENCH_storm.json");
-    println!("wrote {}", out.display());
 }

@@ -1,5 +1,4 @@
-//! Durability-plane benchmarks, emitted as `BENCH_wal.json` at the
-//! workspace root.
+//! Durability-plane benchmarks, reported as `BENCH_wal.json`.
 //!
 //! Three questions, one per section:
 //!
@@ -15,32 +14,21 @@
 //!    with the WAL attached vs without, same model, same client fleet.
 //!    The contract is ≤5% p50 regression: one buffered `write(2)` per
 //!    served prediction, no fsync on the request path.
-//!
-//! `BENCH_SMOKE=1` shrinks the workload and iteration counts — used by
-//! `scripts/check.sh --bench-smoke` and CI to keep this compiling and
-//! running without paying for the full measurement.
 
-use bench::{bench_examples, bench_monitoring, bench_world};
-use cloudsim::{SimDuration, SimTime};
-use incident::{Workload, WorkloadConfig};
-use ml::forest::ForestConfig;
-use scout::{Scout, ScoutBuildConfig, ScoutConfig};
-use serve::{Client, Engine, ModelRegistry, ServeConfig, Server};
+use bench::{
+    max, min, paired_reps, predict_shot, rounded, rows, serving_world, smoke, trained, write_report,
+};
+use cloudsim::SimTime;
+use incident::Workload;
+use obs::json::Obj;
+use scout::Scout;
+use serve::client::{drive, percentile};
+use serve::{Engine, ModelRegistry, ServeConfig, Server};
 use std::hint::black_box;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 use wal::{Event, SyncPolicy, Wal, WalConfig};
-
-const INCIDENT: &str = r#"{"text":"Switch agg-3 in c1.dc1 reporting CRC errors and packet loss"}"#;
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((p / 100.0) * (sorted.len() - 1) as f64).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("bench-wal-{tag}-{}", std::process::id()));
@@ -122,40 +110,10 @@ fn recovery_run(events: u64, snapshot_every: u64, tag: &str) -> f64 {
 // ---- 3. end-to-end serve overhead, WAL on vs off ----
 
 struct ServeStats {
+    name: &'static str,
     throughput_rps: f64,
     p50_ms: f64,
     p99_ms: f64,
-}
-
-fn train(smoke: bool) -> (Arc<Workload>, String) {
-    let world = if smoke {
-        let mut config = WorkloadConfig {
-            seed: 7,
-            ..WorkloadConfig::default()
-        };
-        config.faults.faults_per_day = 2.0;
-        config.faults.horizon = SimDuration::days(20);
-        Workload::generate(config)
-    } else {
-        bench_world()
-    };
-    let mon = bench_monitoring(&world);
-    let examples = bench_examples(&world);
-    let build = if smoke {
-        ScoutBuildConfig {
-            forest: ForestConfig {
-                n_trees: 8,
-                ..ForestConfig::default()
-            },
-            cluster_train_cap: 10,
-            ..ScoutBuildConfig::default()
-        }
-    } else {
-        ScoutBuildConfig::default()
-    };
-    let (scout, _) = Scout::train(ScoutConfig::phynet(), build, &examples, &mon);
-    drop(mon);
-    (Arc::new(world), scout.to_text())
 }
 
 fn serve_run(
@@ -163,7 +121,7 @@ fn serve_run(
     model_text: &str,
     world: &Arc<Workload>,
     concurrency: usize,
-    requests_per_client: usize,
+    requests: usize,
 ) -> ServeStats {
     // A fresh registry per run: the WAL journal attaches to the
     // registry, so sharing one would bleed appends into the "off" run.
@@ -193,38 +151,8 @@ fn serve_run(
     let server = Server::start(engine, "127.0.0.1:0", ServeConfig::default()).expect("bind");
     let addr = server.addr().to_string();
 
-    let mut warm = Client::connect(&addr).expect("warmup connect");
-    for _ in 0..3 {
-        assert!(warm
-            .post_json("/v1/scouts/PhyNet/predict", INCIDENT)
-            .expect("warmup request")
-            .is_success());
-    }
-
-    let started = Instant::now();
-    let handles: Vec<_> = (0..concurrency)
-        .map(|_| {
-            let addr = addr.clone();
-            std::thread::spawn(move || {
-                let mut client = Client::connect(&addr).expect("connect");
-                let mut latencies = Vec::with_capacity(requests_per_client);
-                for _ in 0..requests_per_client {
-                    let t0 = Instant::now();
-                    let resp = client
-                        .post_json("/v1/scouts/PhyNet/predict", INCIDENT)
-                        .expect("predict");
-                    assert!(resp.is_success(), "status {}", resp.status);
-                    latencies.push(t0.elapsed().as_secs_f64() * 1e3);
-                }
-                latencies
-            })
-        })
-        .collect();
-    let mut latencies: Vec<f64> = Vec::with_capacity(concurrency * requests_per_client);
-    for h in handles {
-        latencies.extend(h.join().expect("client thread"));
-    }
-    let wall = started.elapsed().as_secs_f64();
+    drive(&addr, 1, 3, predict_shot).expect("warmup");
+    let measured = drive(&addr, concurrency, requests, predict_shot).expect("predict run");
     server.shutdown();
     if let Some(w) = &wal {
         assert!(
@@ -236,16 +164,17 @@ fn serve_run(
     if let Some(d) = dir {
         let _ = std::fs::remove_dir_all(&d);
     }
-    latencies.sort_by(|a, b| a.total_cmp(b));
+    let latencies = measured.latencies_ms(|_| true);
     ServeStats {
-        throughput_rps: latencies.len() as f64 / wall,
+        name: if with_wal { "wal-on" } else { "wal-off" },
+        throughput_rps: measured.throughput_rps(),
         p50_ms: percentile(&latencies, 50.0),
         p99_ms: percentile(&latencies, 99.0),
     }
 }
 
 fn main() {
-    let smoke = std::env::var("BENCH_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0");
+    let smoke = smoke();
     let (append_events, recovery_lens, concurrency, requests_per_client, reps): (
         u64,
         Vec<u64>,
@@ -266,10 +195,10 @@ fn main() {
     ];
     let mut append_rows = Vec::new();
     for (name, policy) in policies {
-        let mut best = 0.0f64;
-        for _ in 0..reps {
-            best = best.max(append_run(policy, name, append_events));
-        }
+        let eps: Vec<f64> = (0..reps)
+            .map(|_| append_run(policy, name, append_events))
+            .collect();
+        let best = max(&eps);
         println!("append {name:<7} {best:>12.0} events/s");
         append_rows.push((name, best));
     }
@@ -278,14 +207,13 @@ fn main() {
     // 2. recovery vs log length
     let mut recovery_rows = Vec::new();
     for &n in &recovery_lens {
-        let mut genesis = f64::INFINITY;
-        let mut snap = f64::INFINITY;
-        for _ in 0..reps {
-            genesis = genesis.min(recovery_run(n, 0, "rec-genesis"));
-            // Cadence scales with the log so every length actually
-            // exercises snapshot-assisted recovery (~4 snapshots/run).
-            snap = snap.min(recovery_run(n, (n / 4).max(64), "rec-snap"));
-        }
+        // Cadence scales with the log so every length actually exercises
+        // snapshot-assisted recovery (~4 snapshots/run).
+        let ms = paired_reps(reps, 2, |arm| match arm {
+            0 => recovery_run(n, 0, "rec-genesis"),
+            _ => recovery_run(n, (n / 4).max(64), "rec-snap"),
+        });
+        let (genesis, snap) = (min(&ms[0]), min(&ms[1]));
         println!(
             "recovery {n:>7} events: genesis {genesis:>8.2} ms, snapshot-assisted {snap:>8.2} ms"
         );
@@ -296,25 +224,25 @@ fn main() {
         });
     }
 
-    // 3. serve-path overhead. Interleave the two modes (off, on, off,
-    // on, ...) so scheduler and clock drift over the run doesn't bias
-    // whichever went first; best-by-p50 per mode is the stable estimate
-    // of each configuration's floor.
-    let (world, model_text) = train(smoke);
+    // 3. serve-path overhead. The two modes interleave (off, on, off,
+    // on, ...); best-by-p50 per mode is the stable estimate of each
+    // configuration's floor.
+    let world = Arc::new(serving_world(smoke));
+    let model_text = trained(&world, smoke).to_text();
     let serve_reps = if smoke { reps } else { 5 };
-    let mut off: Option<ServeStats> = None;
-    let mut on: Option<ServeStats> = None;
-    for _ in 0..serve_reps {
-        let o = serve_run(false, &model_text, &world, concurrency, requests_per_client);
-        if off.as_ref().is_none_or(|b| o.p50_ms < b.p50_ms) {
-            off = Some(o);
-        }
-        let w = serve_run(true, &model_text, &world, concurrency, requests_per_client);
-        if on.as_ref().is_none_or(|b| w.p50_ms < b.p50_ms) {
-            on = Some(w);
-        }
-    }
-    let (off, on) = (off.expect("reps >= 1"), on.expect("reps >= 1"));
+    let requests = concurrency * requests_per_client;
+    let serve_rows: Vec<ServeStats> = paired_reps(serve_reps, 2, |arm| {
+        serve_run(arm == 1, &model_text, &world, concurrency, requests)
+    })
+    .into_iter()
+    .map(|samples| {
+        samples
+            .into_iter()
+            .min_by(|a, b| a.p50_ms.total_cmp(&b.p50_ms))
+            .expect("reps >= 1")
+    })
+    .collect();
+    let (off, on) = (&serve_rows[0], &serve_rows[1]);
     let p50_overhead = (on.p50_ms - off.p50_ms) / off.p50_ms.max(1e-9) * 100.0;
     println!(
         "serve wal-off: {:>8.1} req/s  p50 {:>7.3} ms  p99 {:>7.3} ms",
@@ -325,49 +253,33 @@ fn main() {
         on.throughput_rps, on.p50_ms, on.p99_ms, p50_overhead
     );
 
-    let mut json = String::from("{\n");
-    json.push_str(&format!("  \"smoke\": {smoke},\n"));
-    json.push_str(&format!("  \"append_events\": {append_events},\n"));
-    json.push_str("  \"append\": [\n");
-    for (i, (name, eps)) in append_rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"sync\": \"{name}\", \"events_per_s\": {eps:.0}}}{}\n",
-            if i + 1 < append_rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"group_vs_always_speedup\": {group_vs_always:.2},\n"
-    ));
-    json.push_str("  \"recovery\": [\n");
-    for (i, r) in recovery_rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"events\": {}, \"genesis_ms\": {:.3}, \"snapshot_ms\": {:.3}}}{}\n",
-            r.events,
-            r.genesis_ms,
-            r.snapshot_ms,
-            if i + 1 < recovery_rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"serve\": [\n");
-    json.push_str(&format!(
-        "    {{\"name\": \"wal-off\", \"throughput_rps\": {:.1}, \"p50_ms\": {:.3}, \"p99_ms\": {:.3}}},\n",
-        off.throughput_rps, off.p50_ms, off.p99_ms
-    ));
-    json.push_str(&format!(
-        "    {{\"name\": \"wal-on\", \"throughput_rps\": {:.1}, \"p50_ms\": {:.3}, \"p99_ms\": {:.3}}}\n",
-        on.throughput_rps, on.p50_ms, on.p99_ms
-    ));
-    json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"serve_p50_overhead_pct\": {p50_overhead:.2}\n"
-    ));
-    json.push_str("}\n");
-
-    let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_wal.json");
-    std::fs::write(&out, json).expect("write BENCH_wal.json");
-    println!("wrote {}", out.display());
+    let append = rows(&append_rows, |(name, eps)| {
+        Obj::new()
+            .str("sync", name)
+            .num("events_per_s", rounded(*eps, 0))
+    });
+    let recovery = rows(&recovery_rows, |r| {
+        Obj::new()
+            .uint("events", r.events)
+            .num("genesis_ms", rounded(r.genesis_ms, 3))
+            .num("snapshot_ms", rounded(r.snapshot_ms, 3))
+    });
+    let serve = rows(&serve_rows, |r| {
+        Obj::new()
+            .str("name", r.name)
+            .num("throughput_rps", rounded(r.throughput_rps, 1))
+            .num("p50_ms", rounded(r.p50_ms, 3))
+            .num("p99_ms", rounded(r.p99_ms, 3))
+    });
+    write_report(
+        "wal",
+        reps,
+        Obj::new()
+            .uint("append_events", append_events)
+            .raw("append", &append)
+            .num("group_vs_always_speedup", rounded(group_vs_always, 2))
+            .raw("recovery", &recovery)
+            .raw("serve", &serve)
+            .num("serve_p50_overhead_pct", rounded(p50_overhead, 2)),
+    );
 }

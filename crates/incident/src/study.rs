@@ -5,7 +5,7 @@
 use crate::model::{Incident, IncidentSource};
 use crate::routing::RoutingTrace;
 use crate::workload::Workload;
-use cloudsim::{Severity, SimDuration, Team};
+use cloudsim::{Severity, Team};
 use std::collections::BTreeMap;
 
 /// Empirical CDF: sorted `(value, cumulative_fraction)` points.
@@ -242,11 +242,6 @@ impl StudyReport {
             misrouted_slowdown,
         }
     }
-}
-
-/// Total investigation time of a trace in hours (helper for reports).
-pub fn trace_hours(tr: &RoutingTrace) -> f64 {
-    SimDuration::as_hours_f64(tr.total_time())
 }
 
 #[cfg(test)]

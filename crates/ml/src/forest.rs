@@ -239,13 +239,6 @@ impl RandomForest {
         (0..scores.rows()).map(|i| scores.row(i).to_vec()).collect()
     }
 
-    /// The legacy per-sample-pooled batch path (enum walk per row). Kept
-    /// for the bench's before/after comparison.
-    pub fn predict_proba_batch_walk(&self, xs: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        let _span = obs::span!("ml.forest.predict_batch");
-        pool::Pool::global().parallel_map(xs, |_, x| RandomForest::predict_proba_walk(self, x))
-    }
-
     /// Batch scoring over a columnar [`FeatureMatrix`]: the output is
     /// filled in place by pool workers, each handling a large multi-tile
     /// chunk of rows. Chunks are deliberately coarse (a couple per

@@ -149,11 +149,6 @@ pub fn set_sample_every(n: u64) {
     SAMPLE_EVERY.store(n, Ordering::Relaxed);
 }
 
-/// The current 1-in-N sampling policy.
-pub fn sample_every() -> u64 {
-    SAMPLE_EVERY.load(Ordering::Relaxed)
-}
-
 /// Render a trace id the way it travels in `X-Trace-Id` and audit
 /// records: 16 lowercase hex digits.
 pub fn hex(id: u64) -> String {

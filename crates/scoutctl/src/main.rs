@@ -16,7 +16,9 @@
 //! ```
 
 mod args;
+mod serving;
 mod stormtraffic;
+mod traffic;
 
 use args::{ArgError, Args};
 use cloudsim::{SimTime, Team};
@@ -88,13 +90,13 @@ fn run(raw: Vec<String>) -> Result<(), ArgError> {
         Some("classify") => classify(&args),
         Some("stats") => stats(&args),
         Some("lifecycle") => lifecycle_cmd(&args),
-        Some("serve") => serve_cmd(&args),
-        Some("loadgen") => loadgen(&args),
-        Some("fleetgen") => fleetgen(&args),
-        Some("stormgen") => stormgen(&args),
+        Some("serve") => serving::serve_cmd(&args),
+        Some("loadgen") => traffic::loadgen(&args),
+        Some("fleetgen") => traffic::fleetgen(&args),
+        Some("stormgen") => traffic::stormgen(&args),
         Some("probe") => probe(&args),
         Some("flight") => flight_cmd(&args),
-        Some("wal") => wal_cmd(&args),
+        Some("wal") => serving::wal_cmd(&args),
         Some(other) => Err(ArgError(format!("unknown command '{other}'"))),
     };
     if observing {
@@ -439,61 +441,6 @@ fn train_scout(
     (scout, corpus, test, mon)
 }
 
-/// Train and register `n` synthetic per-team Scouts in **one**
-/// featurization pass: featurization is label-independent, so the
-/// prepared corpus is relabeled per base team ("is this team
-/// responsible?") and each base Scout trains from the shared features.
-/// Replicas beyond the nine internal base teams reuse the base team's
-/// trained model (round-tripped through the text format so every
-/// registry entry is independent), named by the same scheme as
-/// [`cloudsim::DependencyGraph::synthetic_fleet`].
-fn register_synthetic_fleet(
-    world: &Workload,
-    config: ScoutConfig,
-    n: usize,
-    registry: &serve::ModelRegistry,
-) -> Result<(), ArgError> {
-    let bases: Vec<Team> = cloudsim::TeamRegistry::new().internal_teams().collect();
-    let mon = MonitoringSystem::new(&world.topology, &world.faults, MonitoringConfig::default());
-    let examples: Vec<Example> = world
-        .incidents
-        .iter()
-        .map(|i| Example::new(i.text(), i.created_at, false))
-        .collect();
-    let owners: Vec<Team> = world.incidents.iter().map(|i| i.owner).collect();
-    let build = ScoutBuildConfig::default();
-    let feat_cache = featcache::FeatCache::new(64 * 1024 * 1024);
-    eprintln!(
-        "[scoutctl] featurizing {} incidents once for {n} synthetic Scouts…",
-        examples.len()
-    );
-    let corpus = Scout::prepare_cached(&config, &build, &examples, &mon, Some(&feat_cache));
-    let cutoff = SimTime::from_days(180);
-    let active_bases = bases.len().min(n);
-    let mut base_models: Vec<String> = Vec::with_capacity(active_bases);
-    for base in bases.iter().take(active_bases) {
-        let relabeled = corpus.relabeled(|i, _| owners[i] == *base);
-        let train: Vec<usize> = relabeled
-            .trainable_indices()
-            .into_iter()
-            .filter(|&i| relabeled.items[i].example.time < cutoff)
-            .collect();
-        let scout = Scout::train_prepared(config.clone(), build.clone(), &relabeled, &train, &mon);
-        base_models.push(scout.to_text());
-    }
-    for i in 0..n {
-        let base = bases[i % bases.len()];
-        let name = cloudsim::synthetic_team_name(base, i / bases.len());
-        let scout = Scout::from_text(&base_models[i % bases.len()])
-            .map_err(|e| ArgError(format!("synthetic Scout round-trip failed: {e}")))?;
-        registry
-            .register(&name, scout, "synthetic-fleet")
-            .expect("startup registration cannot hit a pin");
-    }
-    eprintln!("[scoutctl] registered {n} synthetic Scouts ({active_bases} trained base model(s))");
-    Ok(())
-}
-
 fn train_eval(args: &Args) -> Result<(), ArgError> {
     let world = load_world(args)?;
     let config = load_config(args)?;
@@ -796,746 +743,16 @@ fn lifecycle_cmd(args: &Args) -> Result<(), ArgError> {
     Ok(())
 }
 
-// ---------- online serving ----------
-
-/// Open (and recover) the serve WAL from `--wal-*` flags. Writes the
-/// recovered projection to `DIR/recovered.json` before any new event is
-/// appended, so crash-recovery harnesses can diff it against an offline
-/// replay of the same prefix; stamps a fresh log with `Event::Init`.
-fn open_wal(
-    args: &Args,
-    dir: &str,
-    feedback_cap: usize,
-) -> Result<std::sync::Arc<wal::Wal>, ArgError> {
-    let mut cfg = wal::WalConfig::new(dir);
-    cfg.sync = match args.get("wal-sync").unwrap_or("group") {
-        "always" => wal::SyncPolicy::Always,
-        "group" => wal::SyncPolicy::group_default(),
-        "os" => wal::SyncPolicy::Os,
-        other => {
-            return Err(ArgError(format!(
-                "unknown --wal-sync '{other}' (expected always|group|os)"
-            )))
-        }
-    };
-    cfg.segment_bytes = args.get_parsed("wal-segment-mb", 8u64)? * 1024 * 1024;
-    cfg.snapshot_every = args.get_parsed("wal-snapshot-every", 4096u64)?;
-    let w = wal::Wal::open(cfg).map_err(|e| ArgError(format!("cannot open WAL in {dir}: {e}")))?;
-    let recovered = w.render_state();
-    std::fs::write(
-        std::path::Path::new(dir).join("recovered.json"),
-        format!("{recovered}\n"),
-    )
-    .map_err(|e| ArgError(format!("cannot write {dir}/recovered.json: {e}")))?;
-    if w.seq() == 0 {
-        w.append(&wal::Event::Init {
-            served_cap: feedback_cap as u64,
-            feedback_cap: feedback_cap as u64,
-        })
-        .map_err(|e| ArgError(format!("WAL init append: {e}")))?;
-        eprintln!("[scoutctl] WAL started fresh in {dir}");
-    } else {
-        eprintln!(
-            "[scoutctl] WAL recovered to seq {} from {dir} (state in recovered.json)",
-            w.seq()
-        );
-    }
-    Ok(std::sync::Arc::new(w))
-}
-
-/// `scoutctl wal replay`: reconstruct the serving state a log describes,
-/// print the canonical single-line JSON projection. `--until N` stops
-/// after sequence `N` (time travel); `--no-snapshot` forces a
-/// from-genesis replay even when snapshots exist.
-fn wal_cmd(args: &Args) -> Result<(), ArgError> {
-    match args.positional(1) {
-        Some("replay") => {
-            let dir = args
-                .get("wal-dir")
-                .ok_or_else(|| ArgError("wal replay needs --wal-dir DIR".into()))?;
-            let until = match args.get("until") {
-                Some(_) => Some(args.get_parsed("until", 0u64)?),
-                None => None,
-            };
-            let proj = wal::replay_dir(std::path::Path::new(dir), until, !args.flag("no-snapshot"))
-                .map_err(|e| ArgError(format!("replay of {dir} failed: {e}")))?;
-            println!("{}", proj.render());
-            Ok(())
-        }
-        Some(other) => Err(ArgError(format!(
-            "unknown wal subcommand '{other}' (expected replay)"
-        ))),
-        None => Err(ArgError("wal needs a subcommand: replay".into())),
+impl From<serve::ClientError> for ArgError {
+    fn from(e: serve::ClientError) -> ArgError {
+        ArgError(e.to_string())
     }
 }
 
-/// `scoutctl serve`: start the online incident-routing server.
-fn serve_cmd(args: &Args) -> Result<(), ArgError> {
-    use serve::{Engine, ModelRegistry, ServeConfig, Server};
-    use std::io::Write as _;
-    use std::sync::Arc;
-
-    let addr = args.get("addr").unwrap_or("127.0.0.1:7777");
-    let world = Arc::new(load_world(args)?);
-    let feat_cache_mb = args.get_parsed("feat-cache-mb", 64usize)?;
-    let registry = Arc::new(ModelRegistry::with_feat_cache_bytes(
-        feat_cache_mb * 1024 * 1024,
-    ));
-    let feedback_cap = args.get_parsed("feedback-cap", serve::feedback::DEFAULT_SERVED_CAP)?;
-    // Open the WAL (and recover from it) BEFORE any model publish: the
-    // restore seeds the registry's version counter and epoch, and the
-    // journal must be attached so startup promotions land in the log.
-    let wal_handle = match args.get("wal-dir") {
-        None => None,
-        Some(dir) => Some(open_wal(args, dir, feedback_cap)?),
-    };
-    let mut engine =
-        Engine::new(Arc::clone(&registry), Arc::clone(&world)).with_served_cap(feedback_cap);
-    if let Some(w) = &wal_handle {
-        engine = engine.with_wal(Arc::clone(w));
-    }
-    let model_dir = args.get("model-dir").map(std::path::PathBuf::from);
-    match &model_dir {
-        Some(dir) => {
-            let published = registry
-                .load_dir(dir)
-                .map_err(|e| ArgError(e.to_string()))?;
-            for (team, version) in &published {
-                eprintln!(
-                    "[scoutctl] loaded {team} Scout (v{version}) from {}",
-                    dir.display()
-                );
-            }
-        }
-        None => {
-            let synthetic = args.get_parsed("synthetic-teams", 0usize)?;
-            if synthetic > 0 {
-                register_synthetic_fleet(&world, load_config(args)?, synthetic, &registry)?;
-                engine = engine.with_master(scoutmaster::FleetMaster::with_graph(
-                    cloudsim::DependencyGraph::synthetic_fleet(synthetic),
-                ));
-            } else {
-                let config = load_config(args)?;
-                let team = load_team(args)?;
-                eprintln!("[scoutctl] no --model-dir: training a {team} Scout at startup…");
-                let (scout, _, _, _) = train_scout(&world, config, team);
-                let version = registry
-                    .register(team.name(), scout, "trained-at-startup")
-                    .expect("startup registration cannot hit a pin");
-                eprintln!("[scoutctl] registered {team} Scout (v{version})");
-            }
-        }
-    }
-    if let Some(dir) = model_dir {
-        engine = engine.with_model_dir(dir);
-    }
-    // Fleet routing plane: `--fleet-fail-teams` injects per-team faults
-    // for smoke tests of the degrade-gracefully path.
-    let mut fleet = serve::FleetConfig::default();
-    fleet.shards = args.get_parsed("fleet-shards", fleet.shards)?;
-    fleet.suggestions = args.get_parsed("fleet-suggestions", fleet.suggestions)?;
-    if let Some(list) = args.get("fleet-fail-teams") {
-        fleet.fail_teams = list
-            .split(',')
-            .map(|t| t.trim().to_string())
-            .filter(|t| !t.is_empty())
-            .collect();
-    }
-    eprintln!(
-        "[scoutctl] fleet routing plane: {} shard(s), top-{} suggestions",
-        fleet.effective_shards(),
-        fleet.suggestions
-    );
-    engine = engine.with_fleet(fleet);
-    // Storm control in front of /v1/route: dedup, per-source throttle,
-    // Sev3 coalescing, per-team circuit breakers. On by default (it is
-    // byte-invisible to non-storm traffic); `--storm-control off` is
-    // the baseline the storm bench compares against.
-    match args.get("storm-control").unwrap_or("on") {
-        "off" => eprintln!("[scoutctl] storm control off (baseline mode)"),
-        "on" => {
-            let mut sc = storm::StormConfig::default();
-            sc.dedup.window_ms = args.get_parsed("storm-dedup-window-ms", sc.dedup.window_ms)?;
-            sc.throttle.rate_per_sec = args.get_parsed("storm-rate", sc.throttle.rate_per_sec)?;
-            sc.throttle.burst = args.get_parsed("storm-burst", sc.throttle.burst)?;
-            sc.batch.max_batch = args.get_parsed("storm-batch", sc.batch.max_batch)?;
-            sc.breaker.failure_threshold =
-                args.get_parsed("storm-breaker-threshold", sc.breaker.failure_threshold)?;
-            eprintln!(
-                "[scoutctl] storm control on: dedup window {} ms, {}..{} alerts/s per source, Sev3 batch {}, breaker threshold {}",
-                sc.dedup.window_ms,
-                sc.throttle.rate_per_sec,
-                sc.throttle.burst,
-                sc.batch.max_batch,
-                sc.breaker.failure_threshold
-            );
-            engine = engine.with_storm(std::sync::Arc::new(storm::StormControl::new(sc)));
-        }
-        other => {
-            return Err(ArgError(format!(
-                "--storm-control must be 'on' or 'off', got '{other}'"
-            )))
-        }
-    }
-    // Keep the handle alive for the server's lifetime: dropping it stops
-    // the controller worker.
-    let _lifecycle = if args.flag("lifecycle") {
-        let team = load_team(args)?;
-        let mut cfg = lifecycle::LifecycleConfig::new(
-            team.name(),
-            load_config(args)?,
-            ScoutBuildConfig::default(),
-        );
-        cfg.store_cap = feedback_cap;
-        let handle = lifecycle::LifecycleHandle::start_with_wal(
-            cfg,
-            Arc::clone(&registry),
-            Arc::new(world.topology.clone()),
-            Arc::new(world.faults.clone()),
-            MonitoringConfig::default(),
-            wal_handle.as_ref().map(Arc::clone),
-        );
-        engine = engine.with_feedback_hook(handle.clone());
-        eprintln!("[scoutctl] lifecycle controller attached ({team})");
-        Some(handle)
-    } else {
-        None
-    };
-    let config = ServeConfig {
-        batch_size: args.get_parsed("batch-size", 32usize)?,
-        batch_deadline: std::time::Duration::from_millis(
-            args.get_parsed("batch-deadline-ms", 2u64)?,
-        ),
-        queue_cap: args.get_parsed("queue-cap", 64usize)?,
-        max_connections: args.get_parsed("max-connections", 128usize)?,
-        trace_sample: args.get_parsed("trace-sample", 64u64)?,
-        flight_dir: args.get("flight-dir").map(std::path::PathBuf::from),
-    };
-    let server = Server::start(engine, addr, config)
-        .map_err(|e| ArgError(format!("cannot bind {addr}: {e}")))?;
-    // The smoke scripts scrape this exact line for the bound port, so it
-    // must reach the pipe even when stdout is block-buffered.
-    println!("listening on http://{}", server.addr());
-    std::io::stdout()
-        .flush()
-        .map_err(|e| ArgError(format!("stdout: {e}")))?;
-    match args.get_parsed("max-runtime-secs", 0u64)? {
-        0 => loop {
-            std::thread::sleep(std::time::Duration::from_secs(3600));
-        },
-        secs => {
-            std::thread::sleep(std::time::Duration::from_secs(secs));
-            server.shutdown();
-            Ok(())
-        }
-    }
-}
-
-/// `scoutctl loadgen`: drive a running server and report throughput/latency.
-fn loadgen(args: &Args) -> Result<(), ArgError> {
-    use serve::Client;
-
-    let addr = args
-        .get("addr")
-        .ok_or_else(|| ArgError("loadgen needs --addr HOST:PORT".into()))?
-        .to_string();
-    let requests = args.get_parsed("requests", 200usize)?.max(1);
-    let concurrency = args.get_parsed("concurrency", 4usize)?.max(1);
-    let retries = args.get_parsed("retries", 0u32)?;
-    let team = args.get("team").unwrap_or("PhyNet");
-    let text = args
-        .get("text")
-        .unwrap_or("Link flaps on switch agg-3 in c2.dc1; BGP sessions resetting");
-    let path = match args.get("endpoint").unwrap_or("predict") {
-        "predict" => format!("/v1/scouts/{team}/predict"),
-        "route" => "/v1/route".to_string(),
-        other => return Err(ArgError(format!("unknown --endpoint '{other}'"))),
-    };
-    let body = obs::json::Obj::new().str("text", text).finish();
-
-    let started = std::time::Instant::now();
-    let mut handles = Vec::new();
-    for worker in 0..concurrency {
-        let n = requests / concurrency + usize::from(worker < requests % concurrency);
-        let (addr, path, body) = (addr.clone(), path.clone(), body.clone());
-        handles.push(std::thread::spawn(move || -> Result<Vec<f64>, String> {
-            let mut client = Client::connect(&addr).map_err(|e| e.to_string())?;
-            let mut latencies_ms = Vec::with_capacity(n);
-            for _ in 0..n {
-                let t = std::time::Instant::now();
-                let resp = client
-                    .post_json_retry(&path, &body, retries, std::time::Duration::from_secs(2))
-                    .map_err(|e| e.to_string())?;
-                if !resp.is_success() {
-                    return Err(format!(
-                        "server answered {}: {}",
-                        resp.status,
-                        resp.body_text()
-                    ));
-                }
-                latencies_ms.push(t.elapsed().as_secs_f64() * 1e3);
-            }
-            Ok(latencies_ms)
-        }));
-    }
-    let mut latencies: Vec<f64> = Vec::with_capacity(requests);
-    for h in handles {
-        latencies.extend(
-            h.join()
-                .map_err(|_| ArgError("worker panicked".into()))?
-                .map_err(ArgError)?,
-        );
-    }
-    let wall = started.elapsed().as_secs_f64();
-    latencies.sort_by(|a, b| a.total_cmp(b));
-    println!(
-        "{} requests over {} connection(s) in {:.2}s: {:.0} req/s; latency p50 {:.2} ms, p99 {:.2} ms",
-        latencies.len(),
-        concurrency,
-        wall,
-        latencies.len() as f64 / wall,
-        percentile(&latencies, 50.0),
-        percentile(&latencies, 99.0),
-    );
-    Ok(())
-}
-
-/// `scoutctl fleetgen`: trace-driven multi-team replay against a running
-/// fleet server. Regenerates the same synthetic workload the server
-/// booted with (same `--seed`/`--faults-per-day`), replays a burst of
-/// incidents — each with its ground-truth owning team — through
-/// `POST /v1/route` at the requested concurrency, and reports routing
-/// throughput, latency, fleet-level accuracy, and the top-k suggestion
-/// hit rate. `--min-accuracy` / `--max-unmapped` turn the report into a
-/// CI gate (non-zero exit on violation).
-///
-/// Accuracy is judged at *base-team* granularity (replica Scouts of one
-/// base team share a model, so `PhyNet-3` answering for a PhyNet
-/// incident is correct): an incident whose owner has a registered Scout
-/// counts as a hit when the decision is `send_to` that owner's base;
-/// an incident whose owner has no Scout counts as a hit when the fleet
-/// falls back to legacy routing.
-fn fleetgen(args: &Args) -> Result<(), ArgError> {
-    use serve::Client;
-    use std::collections::BTreeSet;
-
-    let addr = args
-        .get("addr")
-        .ok_or_else(|| ArgError("fleetgen needs --addr HOST:PORT".into()))?
-        .to_string();
-    let requests = args.get_parsed("requests", 200usize)?.max(1);
-    let concurrency = args.get_parsed("concurrency", 4usize)?.max(1);
-    let min_accuracy = args.get_parsed("min-accuracy", 0.0f64)?;
-    let retries = args.get_parsed("retries", 0u32)?;
-    let max_unmapped = match args.get("max-unmapped") {
-        None => None,
-        Some(_) => Some(args.get_parsed("max-unmapped", 0u64)?),
-    };
-    // `--storm SCENARIO`: run an adversarial storm (same traffic-shaping
-    // core as stormgen) concurrently with the measured replay — the
-    // accuracy and latency below are then "under storm" numbers.
-    let storm_preset = match args.get("storm") {
-        None => None,
-        Some(slug) => Some(cloudsim::StormScenario::from_slug(slug).ok_or_else(|| {
-            let valid: Vec<&str> = cloudsim::StormScenario::ALL
-                .iter()
-                .map(|s| s.slug())
-                .collect();
-            ArgError(format!(
-                "unknown --storm '{slug}'; valid: {}",
-                valid.join(", ")
-            ))
-        })?),
-    };
-
-    // Which base teams have a registered Scout? The server knows.
-    let mut client = Client::connect(&addr).map_err(|e| ArgError(e.to_string()))?;
-    let ready = client.get("/readyz").map_err(|e| ArgError(e.to_string()))?;
-    if !ready.is_success() {
-        return Err(ArgError(format!("/readyz answered {}", ready.status)));
-    }
-    let ready_text = ready.body_text();
-    let ready_json = obs::json::Value::parse(&ready_text)
-        .ok_or_else(|| ArgError("/readyz response is not valid JSON".into()))?;
-    let scouted: BTreeSet<String> = ready_json
-        .get("teams")
-        .and_then(obs::json::Value::as_arr)
-        .map(|teams| {
-            teams
-                .iter()
-                .filter_map(obs::json::Value::as_str)
-                .map(|t| cloudsim::base_team_name(t).to_string())
-                .collect()
-        })
-        .unwrap_or_default();
-    if scouted.is_empty() {
-        return Err(ArgError("/readyz lists no registered teams".into()));
-    }
-
-    // The replay burst: an even-stride, chronological sample of the
-    // regenerated trace, each incident carrying its ground-truth owner.
-    let world = load_world(args)?;
-    let total = world.incidents.len();
-    if total == 0 {
-        return Err(ArgError("the workload generated no incidents".into()));
-    }
-    let picks: Vec<usize> = (0..requests).map(|k| k * total / requests).collect();
-
-    struct Shot {
-        latency_ms: f64,
-        hit: bool,
-        topk_hit: bool,
-        fallback: bool,
-    }
-
-    let world = std::sync::Arc::new(world);
-    let scouted = std::sync::Arc::new(scouted);
-    let started = std::time::Instant::now();
-
-    // The storm pressure thread fires its whole plan alongside the
-    // measured workers; 429/503 are expected under storm and tolerated.
-    let storm_handle = storm_preset.map(|scenario| {
-        use stormtraffic::{build_plan, PlanAction, StormTrafficConfig};
-        let config = StormTrafficConfig {
-            scenario,
-            amplification: args.get_parsed("amplification", 100usize).unwrap_or(100),
-            background: 0,
-            ..StormTrafficConfig::default()
-        };
-        let plan = build_plan(&world, &config);
-        eprintln!(
-            "[scoutctl] storm preset {}: {} concurrent adversarial shots",
-            scenario.slug(),
-            plan.shot_count()
-        );
-        let addr = addr.clone();
-        std::thread::spawn(move || -> Result<(u64, u64), String> {
-            let mut client = Client::connect(&addr).map_err(|e| e.to_string())?;
-            let (mut suppressed, mut throttled) = (0u64, 0u64);
-            for action in &plan.actions {
-                let PlanAction::Route(shot) = action else {
-                    continue;
-                };
-                let body = obs::json::Obj::new()
-                    .str("text", &shot.text)
-                    .str("source", &shot.source)
-                    .uint("severity", shot.severity as u64)
-                    .uint("time_minutes", shot.time_minutes)
-                    .finish();
-                let resp = client
-                    .post_json("/v1/route", &body)
-                    .map_err(|e| e.to_string())?;
-                match resp.status {
-                    200 if resp.body_text().contains("\"suppressed\":true") => suppressed += 1,
-                    429 => throttled += 1,
-                    _ => {}
-                }
-            }
-            Ok((suppressed, throttled))
-        })
-    });
-
-    let mut handles = Vec::new();
-    for worker in 0..concurrency {
-        let slice: Vec<usize> = picks
-            .iter()
-            .copied()
-            .skip(worker)
-            .step_by(concurrency)
-            .collect();
-        let (addr, world, scouted) = (addr.clone(), world.clone(), scouted.clone());
-        handles.push(std::thread::spawn(move || -> Result<Vec<Shot>, String> {
-            let mut client = Client::connect(&addr).map_err(|e| e.to_string())?;
-            let mut shots = Vec::with_capacity(slice.len());
-            for idx in slice {
-                let incident = &world.incidents[idx];
-                let body = obs::json::Obj::new()
-                    .str("text", &incident.text())
-                    .uint("time_minutes", incident.created_at.0)
-                    .finish();
-                let t = std::time::Instant::now();
-                let resp = client
-                    .post_json_retry(
-                        "/v1/route",
-                        &body,
-                        retries,
-                        std::time::Duration::from_secs(2),
-                    )
-                    .map_err(|e| e.to_string())?;
-                let latency_ms = t.elapsed().as_secs_f64() * 1e3;
-                if !resp.is_success() {
-                    return Err(format!(
-                        "server answered {}: {}",
-                        resp.status,
-                        resp.body_text()
-                    ));
-                }
-                let text = resp.body_text();
-                let value = obs::json::Value::parse(&text)
-                    .ok_or_else(|| format!("route response is not valid JSON: {text}"))?;
-                let decision = value
-                    .get("decision")
-                    .and_then(obs::json::Value::as_str)
-                    .ok_or_else(|| format!("route response has no decision: {text}"))?;
-                let owner = incident.owner.name();
-                let owner_scouted = scouted.contains(owner);
-                let fallback = decision == "fallback";
-                let hit = if owner_scouted {
-                    value
-                        .get("team")
-                        .and_then(obs::json::Value::as_str)
-                        .is_some_and(|t| cloudsim::base_team_name(t) == owner)
-                } else {
-                    fallback
-                };
-                let topk_hit = if owner_scouted {
-                    value
-                        .get("suggestions")
-                        .and_then(obs::json::Value::as_arr)
-                        .is_some_and(|s| {
-                            s.iter()
-                                .filter_map(|v| v.get("team").and_then(obs::json::Value::as_str))
-                                .any(|t| cloudsim::base_team_name(t) == owner)
-                        })
-                } else {
-                    fallback
-                };
-                shots.push(Shot {
-                    latency_ms,
-                    hit,
-                    topk_hit,
-                    fallback,
-                });
-            }
-            Ok(shots)
-        }));
-    }
-    let mut shots: Vec<Shot> = Vec::with_capacity(requests);
-    for h in handles {
-        shots.extend(
-            h.join()
-                .map_err(|_| ArgError("worker panicked".into()))?
-                .map_err(ArgError)?,
-        );
-    }
-    if let Some(h) = storm_handle {
-        let (suppressed, throttled) = h
-            .join()
-            .map_err(|_| ArgError("storm thread panicked".into()))?
-            .map_err(ArgError)?;
-        println!("storm pressure: {suppressed} suppressed, {throttled} throttled");
-    }
-    let wall = started.elapsed().as_secs_f64();
-    let mut latencies: Vec<f64> = shots.iter().map(|s| s.latency_ms).collect();
-    latencies.sort_by(|a, b| a.total_cmp(b));
-    let hits = shots.iter().filter(|s| s.hit).count();
-    let topk_hits = shots.iter().filter(|s| s.topk_hit).count();
-    let fallbacks = shots.iter().filter(|s| s.fallback).count();
-    let accuracy = hits as f64 / shots.len() as f64;
-    println!(
-        "fleetgen: {} incidents over {} connection(s) in {:.2}s: {:.0} req/s; latency p50 {:.2} ms, p99 {:.2} ms",
-        shots.len(),
-        concurrency,
-        wall,
-        shots.len() as f64 / wall,
-        percentile(&latencies, 50.0),
-        percentile(&latencies, 99.0),
-    );
-    println!(
-        "routing accuracy {:.1}% ({hits}/{} correct, {fallbacks} fallback); top-k hit rate {:.1}%",
-        100.0 * accuracy,
-        shots.len(),
-        100.0 * topk_hits as f64 / shots.len() as f64,
-    );
-
-    // The unmapped-drop counter: with the string-keyed master every
-    // registered team is routable, so a fleet built from the dependency
-    // graph should report zero.
-    let metrics = client
-        .get("/metrics.json")
-        .map_err(|e| ArgError(e.to_string()))?;
-    let unmapped = metrics
-        .body_text()
-        .lines()
-        .filter_map(obs::json::Value::parse)
-        .find(|v| v.get("name").and_then(obs::json::Value::as_str) == Some("serve.route.unmapped"))
-        .and_then(|v| v.get("value").and_then(obs::json::Value::as_f64))
-        .unwrap_or(0.0) as u64;
-    println!("unmapped answers: {unmapped}");
-    if let Some(max) = max_unmapped {
-        if unmapped > max {
-            return Err(ArgError(format!(
-                "unmapped answers {unmapped} exceed --max-unmapped {max}"
-            )));
-        }
-    }
-    if accuracy < min_accuracy {
-        return Err(ArgError(format!(
-            "routing accuracy {:.3} below --min-accuracy {min_accuracy}",
-            accuracy
-        )));
-    }
-    Ok(())
-}
-
-/// `scoutctl stormgen`: replay an adversarial alert-storm plan against a
-/// running fleet server and report how the storm-control layer held up —
-/// suppressed duplicates, throttled sources, coalesced batches, breaker
-/// trips, and the latency of the background (non-storm) control group.
-/// `--max-5xx` (default 0) turns the report into a CI gate: the storm
-/// layer's whole point is that a storm degrades into 2xx/4xx, never 5xx.
-fn stormgen(args: &Args) -> Result<(), ArgError> {
-    use serve::Client;
-    use stormtraffic::{build_plan, PlanAction, ShotKind, StormTrafficConfig};
-
-    let addr = args
-        .get("addr")
-        .ok_or_else(|| ArgError("stormgen needs --addr HOST:PORT".into()))?
-        .to_string();
-    let scenario_slug = args.get("scenario").unwrap_or("duplicate-burst");
-    let scenario = cloudsim::StormScenario::from_slug(scenario_slug).ok_or_else(|| {
-        let valid: Vec<&str> = cloudsim::StormScenario::ALL
-            .iter()
-            .map(|s| s.slug())
-            .collect();
-        ArgError(format!(
-            "unknown --scenario '{scenario_slug}'; valid: {}",
-            valid.join(", ")
-        ))
-    })?;
-    let config = StormTrafficConfig {
-        scenario,
-        amplification: args.get_parsed("amplification", 100usize)?.max(1),
-        background: args.get_parsed("background", 40usize)?,
-        sources: args.get_parsed("sources", 3usize)?.max(1),
-        roots: args.get_parsed("roots", 3usize)?.max(1),
-        seed: args.get_parsed("seed", 42u64)?,
-        deprecate_dataset: args
-            .get("deprecate-dataset")
-            .unwrap_or("snmp-syslog")
-            .to_string(),
-    };
-    let retries = args.get_parsed("retries", 0u32)?;
-    let max_5xx = args.get_parsed("max-5xx", 0u64)?;
-    let world = load_world(args)?;
-    let plan = build_plan(&world, &config);
-    eprintln!(
-        "[scoutctl] storm plan: {} ({} shots, amplification {}x)",
-        scenario.slug(),
-        plan.shot_count(),
-        config.amplification
-    );
-
-    let mut client = Client::connect(&addr).map_err(|e| ArgError(e.to_string()))?;
-    let started = std::time::Instant::now();
-    let (mut ok, mut suppressed, mut throttled, mut shed, mut fivexx) =
-        (0u64, 0u64, 0u64, 0u64, 0u64);
-    let mut background_ms: Vec<f64> = Vec::new();
-    for action in &plan.actions {
-        match action {
-            PlanAction::Deprecate { dataset } => {
-                let body = obs::json::Obj::new().str("dataset", dataset).finish();
-                let resp = client
-                    .post_json("/v1/monitoring/deprecate", &body)
-                    .map_err(|e| ArgError(e.to_string()))?;
-                if !resp.is_success() {
-                    return Err(ArgError(format!(
-                        "deprecate answered {}: {}",
-                        resp.status,
-                        resp.body_text()
-                    )));
-                }
-                eprintln!("[scoutctl] deprecated data set {dataset} mid-storm");
-            }
-            PlanAction::Route(shot) => {
-                let body = obs::json::Obj::new()
-                    .str("text", &shot.text)
-                    .str("source", &shot.source)
-                    .uint("severity", shot.severity as u64)
-                    .uint("time_minutes", shot.time_minutes)
-                    .finish();
-                let t = std::time::Instant::now();
-                let resp = client
-                    .post_json_retry(
-                        "/v1/route",
-                        &body,
-                        retries,
-                        std::time::Duration::from_secs(2),
-                    )
-                    .map_err(|e| ArgError(e.to_string()))?;
-                let latency = t.elapsed().as_secs_f64() * 1e3;
-                match resp.status {
-                    200 => {
-                        ok += 1;
-                        if resp.body_text().contains("\"suppressed\":true") {
-                            suppressed += 1;
-                        }
-                        if shot.kind == ShotKind::Background {
-                            background_ms.push(latency);
-                        }
-                    }
-                    429 => throttled += 1,
-                    503 | 504 => shed += 1,
-                    s if s >= 500 => fivexx += 1,
-                    _ => fivexx += 1,
-                }
-            }
-        }
-    }
-    let wall = started.elapsed().as_secs_f64();
-    background_ms.sort_by(|a, b| a.total_cmp(b));
-    println!(
-        "stormgen {}: {} shots in {:.2}s ({:.0} req/s): {ok} ok ({suppressed} suppressed), {throttled} throttled, {shed} shed, {fivexx} 5xx/other",
-        plan.scenario.slug(),
-        plan.shot_count(),
-        wall,
-        plan.shot_count() as f64 / wall,
-    );
-    if !background_ms.is_empty() {
-        println!(
-            "background (non-storm) latency: p50 {:.2} ms, p99 {:.2} ms over {} shots",
-            percentile(&background_ms, 50.0),
-            percentile(&background_ms, 99.0),
-            background_ms.len(),
-        );
-    }
-
-    // The server-side view: what did the storm layer actually do?
-    let metrics = client
-        .get("/metrics.json")
-        .map_err(|e| ArgError(e.to_string()))?;
-    let metric = |name: &str| -> u64 {
-        metrics
-            .body_text()
-            .lines()
-            .filter_map(obs::json::Value::parse)
-            .find(|v| v.get("name").and_then(obs::json::Value::as_str) == Some(name))
-            .and_then(|v| v.get("value").and_then(obs::json::Value::as_f64))
-            .unwrap_or(0.0) as u64
-    };
-    println!(
-        "server storm counters: dedup.suppressed {} throttle.dropped {} batch.coalesced {} breaker.open {} breaker.rejected {}",
-        metric("storm.dedup.suppressed"),
-        metric("storm.throttle.dropped"),
-        metric("storm.batch.coalesced"),
-        metric("storm.breaker.open"),
-        metric("storm.breaker.rejected"),
-    );
-    if fivexx > max_5xx {
-        return Err(ArgError(format!(
-            "{fivexx} server-error responses exceed --max-5xx {max_5xx}: a storm must degrade, not error"
-        )));
-    }
-    Ok(())
-}
-
-/// Percentile of an already-sorted sample (nearest-rank on n-1).
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((p / 100.0) * (sorted.len() - 1) as f64).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
+/// The `--addr` every client-side command needs.
+fn required_addr<'a>(args: &'a Args, command: &str) -> Result<&'a str, ArgError> {
+    args.get("addr")
+        .ok_or_else(|| ArgError(format!("{command} needs --addr HOST:PORT")))
 }
 
 /// `scoutctl flight`: fetch a running server's flight-recorder ring
@@ -1544,13 +761,8 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
 fn flight_cmd(args: &Args) -> Result<(), ArgError> {
     use serve::Client;
 
-    let addr = args
-        .get("addr")
-        .ok_or_else(|| ArgError("flight needs --addr HOST:PORT".into()))?;
-    let mut client = Client::connect(addr).map_err(|e| ArgError(e.to_string()))?;
-    let resp = client
-        .get("/v1/debug/flight")
-        .map_err(|e| ArgError(e.to_string()))?;
+    let addr = required_addr(args, "flight")?;
+    let resp = Client::connect(addr)?.get("/v1/debug/flight")?;
     if !resp.is_success() {
         return Err(ArgError(format!(
             "/v1/debug/flight answered {}",
@@ -1579,11 +791,9 @@ fn probe(args: &Args) -> Result<(), ArgError> {
     use serve::client::status_line;
     use serve::Client;
 
-    let addr = args
-        .get("addr")
-        .ok_or_else(|| ArgError("probe needs --addr HOST:PORT".into()))?;
+    let addr = required_addr(args, "probe")?;
     let path = args.get("path").unwrap_or("/healthz");
-    let mut client = Client::connect(addr).map_err(|e| ArgError(e.to_string()))?;
+    let mut client = Client::connect(addr)?;
     // An explicit trace id makes the request always-sampled, so its
     // spans are recoverable from `scoutctl flight` afterwards.
     let trace_id = args.get("trace-id");
@@ -1591,8 +801,7 @@ fn probe(args: &Args) -> Result<(), ArgError> {
     let resp = match args.get("body") {
         Some(body) => client.request("POST", path, &headers, body.as_bytes()),
         None => client.request("GET", path, &headers, b""),
-    }
-    .map_err(|e| ArgError(e.to_string()))?;
+    }?;
     let text = resp.body_text();
     println!("{} {path}: {}", status_line(resp.status), text.trim());
     if trace_id.is_some() {

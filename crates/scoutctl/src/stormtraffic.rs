@@ -45,6 +45,18 @@ pub struct RouteShot {
     pub kind: ShotKind,
 }
 
+impl RouteShot {
+    /// The `/v1/route` request body for this shot.
+    pub fn body(&self) -> String {
+        obs::json::Obj::new()
+            .str("text", &self.text)
+            .str("source", &self.source)
+            .uint("severity", self.severity as u64)
+            .uint("time_minutes", self.time_minutes)
+            .finish()
+    }
+}
+
 /// One step of the plan, in replay order.
 #[derive(Debug, Clone)]
 pub enum PlanAction {
@@ -67,12 +79,17 @@ pub struct StormPlan {
 }
 
 impl StormPlan {
+    /// The `/v1/route` shots, in replay order (control actions skipped).
+    pub fn route_shots(&self) -> impl Iterator<Item = &RouteShot> {
+        self.actions.iter().filter_map(|a| match a {
+            PlanAction::Route(shot) => Some(shot),
+            PlanAction::Deprecate { .. } => None,
+        })
+    }
+
     /// Number of `/v1/route` shots (excludes control actions).
     pub fn shot_count(&self) -> usize {
-        self.actions
-            .iter()
-            .filter(|a| matches!(a, PlanAction::Route(_)))
-            .count()
+        self.route_shots().count()
     }
 }
 

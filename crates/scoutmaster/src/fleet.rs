@@ -1,14 +1,13 @@
 //! The fleet Scout Master: string-keyed routing for dynamic team sets.
 //!
-//! [`master::ScoutMaster`] speaks the closed [`Team`](cloudsim::Team)
-//! enum — fine for the paper's eleven-team sims, unusable online where
-//! Scouts register under arbitrary names and the fleet grows at runtime.
-//! [`FleetMaster`] applies the identical Appendix C policy over a
-//! [`DependencyGraph`], so the serving plane routes on registered team
-//! names end to end (nothing is dropped for lacking an enum variant),
-//! and adds the DeepTriage-style [`suggestions`](FleetMaster::suggestions)
-//! ranking: top-k `(team, confidence)` candidates rather than a single
-//! winner.
+//! [`FleetMaster`] is the one implementation of the Appendix C policy.
+//! It runs over a [`DependencyGraph`], so the serving plane routes on
+//! registered team names end to end (Scouts register under arbitrary
+//! names and the fleet grows at runtime), and adds the DeepTriage-style
+//! [`suggestions`](FleetMaster::suggestions) ranking: top-k `(team,
+//! confidence)` candidates rather than a single winner.
+//! [`ScoutMaster`](crate::ScoutMaster) is its typed front for the closed
+//! [`Team`](cloudsim::Team) enum of the paper's eleven-team sims.
 //!
 //! # Total order
 //!
@@ -28,7 +27,6 @@
 //! they are deduplicated to the entry that wins under rule 3's order
 //! before routing, keeping the permutation invariant.
 
-use crate::master::{MasterDecision, ScoutAnswer, ScoutMaster};
 use cloudsim::DependencyGraph;
 use std::cmp::Ordering;
 
@@ -121,9 +119,14 @@ impl FleetMaster {
     /// Route one incident given the fleet's answers. See the module
     /// docs for the total order; permutation-invariant by construction.
     pub fn route(&self, answers: &[FleetAnswer]) -> FleetDecision {
+        self.route_at(self.confidence_threshold, answers)
+    }
+
+    /// [`route`](FleetMaster::route) at an explicit confidence bar.
+    pub(crate) fn route_at(&self, threshold: f64, answers: &[FleetAnswer]) -> FleetDecision {
         let mut yes: Vec<&FleetAnswer> = answers
             .iter()
-            .filter(|a| a.responsible && a.confidence >= self.confidence_threshold)
+            .filter(|a| a.responsible && a.confidence >= threshold)
             .collect();
         // Canonical order: confidence desc, then team name asc. Dedup
         // keeps the winning entry per team, and every later "first
@@ -201,33 +204,6 @@ fn cmp_confidence_desc_then_name(a: &FleetAnswer, b: &FleetAnswer) -> Ordering {
         .then_with(|| a.team.cmp(&b.team))
 }
 
-/// Lift enum-keyed answers into fleet answers (for comparing the two
-/// masters in tests and sims).
-pub fn lift_answers(answers: &[ScoutAnswer]) -> Vec<FleetAnswer> {
-    answers
-        .iter()
-        .map(|a| FleetAnswer::new(a.team.name(), a.responsible, a.confidence))
-        .collect()
-}
-
-/// Lift an enum-keyed decision for comparison against a fleet decision.
-pub fn lift_decision(decision: MasterDecision) -> FleetDecision {
-    match decision {
-        MasterDecision::SendTo(t) => FleetDecision::SendTo(t.name().to_string()),
-        MasterDecision::Fallback => FleetDecision::Fallback,
-    }
-}
-
-/// Assert-style helper: do the enum master and the fleet master agree on
-/// this answer set? Used by the equivalence tests.
-pub fn masters_agree(
-    enum_master: &ScoutMaster,
-    fleet: &FleetMaster,
-    answers: &[ScoutAnswer],
-) -> bool {
-    lift_decision(enum_master.route(answers)) == fleet.route(&lift_answers(answers))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -292,69 +268,6 @@ mod tests {
             ans("Firewall", true, 0.9),
         ]);
         assert_eq!(d, FleetDecision::SendTo("DNS".into()));
-    }
-
-    #[test]
-    fn route_matches_the_enum_master() {
-        use cloudsim::Team;
-        let enum_master = ScoutMaster::new();
-        let fleet = FleetMaster::new();
-        // A spread of answer sets over the enum cast, both orders.
-        let cases: Vec<Vec<ScoutAnswer>> = vec![
-            vec![],
-            vec![ScoutAnswer {
-                team: Team::PhyNet,
-                responsible: true,
-                confidence: 0.95,
-            }],
-            vec![
-                ScoutAnswer {
-                    team: Team::Database,
-                    responsible: true,
-                    confidence: 0.99,
-                },
-                ScoutAnswer {
-                    team: Team::PhyNet,
-                    responsible: true,
-                    confidence: 0.85,
-                },
-            ],
-            vec![
-                ScoutAnswer {
-                    team: Team::Dns,
-                    responsible: true,
-                    confidence: 0.9,
-                },
-                ScoutAnswer {
-                    team: Team::Firewall,
-                    responsible: true,
-                    confidence: 0.9,
-                },
-            ],
-            vec![
-                ScoutAnswer {
-                    team: Team::Slb,
-                    responsible: true,
-                    confidence: 0.83,
-                },
-                ScoutAnswer {
-                    team: Team::Compute,
-                    responsible: false,
-                    confidence: 0.99,
-                },
-                ScoutAnswer {
-                    team: Team::HostNet,
-                    responsible: true,
-                    confidence: 0.83,
-                },
-            ],
-        ];
-        for case in &cases {
-            assert!(masters_agree(&enum_master, &fleet, case), "case {case:?}");
-            let mut rev = case.clone();
-            rev.reverse();
-            assert!(masters_agree(&enum_master, &fleet, &rev), "rev {rev:?}");
-        }
     }
 
     #[test]

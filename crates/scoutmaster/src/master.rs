@@ -8,7 +8,8 @@
 //! answer, fall back to the existing, non-Scout-based, incident routing
 //! system."
 
-use cloudsim::{Team, TeamRegistry};
+use crate::fleet::{FleetAnswer, FleetMaster};
+use cloudsim::Team;
 
 /// One Scout's answer as seen by the master.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -30,65 +31,51 @@ pub enum MasterDecision {
     Fallback,
 }
 
-/// The Scout Master.
-#[derive(Debug, Default)]
+/// The Scout Master over the closed [`Team`] enum the paper's sims use:
+/// a typed front for [`FleetMaster`], which holds the one implementation
+/// of the policy.
+#[derive(Debug)]
 pub struct ScoutMaster {
-    registry: TeamRegistry,
+    fleet: FleetMaster,
     /// Minimum confidence for an answer to count as a "yes".
     pub confidence_threshold: f64,
+}
+
+impl Default for ScoutMaster {
+    fn default() -> ScoutMaster {
+        ScoutMaster::new()
+    }
 }
 
 impl ScoutMaster {
     /// A master with the paper's 0.8 confidence bar (§8's operator
     /// recommendation).
     pub fn new() -> ScoutMaster {
+        let fleet = FleetMaster::new();
         ScoutMaster {
-            registry: TeamRegistry::new(),
-            confidence_threshold: 0.8,
+            confidence_threshold: fleet.confidence_threshold,
+            fleet,
         }
     }
 
-    /// Route one incident given the deployed Scouts' answers.
-    ///
-    /// The decision is a pure function of the answer *set*: permuting
-    /// `answers` never changes it. The total order is:
-    ///
-    /// 1. dependency rule — a yes-team that every other yes-team
-    ///    transitively depends on wins; among several such teams
-    ///    (mutually-dependent cycles), the lexicographically smallest
-    ///    team name wins;
-    /// 2. otherwise highest confidence wins, equal confidences (and
-    ///    NaN, which sorts last) broken by ascending team name.
+    /// Route one incident given the deployed Scouts' answers: the
+    /// [`FleetMaster::route`] total order (a pure function of the answer
+    /// *set*) over the teams' names.
     pub fn route(&self, answers: &[ScoutAnswer]) -> MasterDecision {
-        let mut yes: Vec<&ScoutAnswer> = answers
+        let lifted: Vec<FleetAnswer> = answers
             .iter()
-            .filter(|a| a.responsible && a.confidence >= self.confidence_threshold)
+            .map(|a| FleetAnswer::new(a.team.name(), a.responsible, a.confidence))
             .collect();
-        // Canonical order up front: every later "first match wins" step
-        // becomes order-independent.
-        yes.sort_by(|a, b| a.team.name().cmp(b.team.name()));
-        match yes.len() {
-            0 => MasterDecision::Fallback,
-            1 => MasterDecision::SendTo(yes[0].team),
-            _ => {
-                // Dependency rule: if team A depends on team B and both say
-                // yes, B (the dependency) is the better destination.
-                for a in &yes {
-                    if yes.iter().all(|b| {
-                        b.team == a.team || self.registry.is_transitive_dependency(b.team, a.team)
-                    }) {
-                        return MasterDecision::SendTo(a.team);
-                    }
-                }
-                // Otherwise: most confident wins; ties (and NaN) break by
-                // team name thanks to the pre-sort being stable.
-                yes.sort_by(|a, b| {
-                    b.confidence
-                        .partial_cmp(&a.confidence)
-                        .unwrap_or_else(|| a.confidence.is_nan().cmp(&b.confidence.is_nan()))
-                });
-                MasterDecision::SendTo(yes[0].team)
-            }
+        let winner = self.fleet.route_at(self.confidence_threshold, &lifted);
+        match winner.team() {
+            Some(name) => MasterDecision::SendTo(
+                answers
+                    .iter()
+                    .map(|a| a.team)
+                    .find(|t| t.name() == name)
+                    .expect("the winner is one of the answering teams"),
+            ),
+            None => MasterDecision::Fallback,
         }
     }
 }

@@ -17,12 +17,16 @@
 //!   left in the queue is shed with [`PredictError::ShuttingDown`]
 //!   under a `serve.batch.drain` span that links every shed request.
 //!
+//! * a handler panic costs its own batch and nothing else: those jobs'
+//!   callers see a closed reply channel, the worker takes the next batch.
+//!
 //! Metrics: the per-queue occupancy histogram named in [`Window`],
-//! `serve.deadline.expired`, `serve.batch.drained`.
+//! `serve.deadline.expired`, `serve.batch.drained`, `serve.batch.panicked`.
 
 use crate::batcher::PredictError;
 use obs::TraceContext;
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -230,8 +234,13 @@ fn run_batch<I, O>(
             job.answer(Err(PredictError::DeadlineExpired));
         }
     }
-    if !live.is_empty() {
-        handler(live);
+    // A handler panic (a Scout blowing up mid-predict) must not take the
+    // worker with it: submits would keep succeeding and park forever. The
+    // batch's jobs drop with the unwind, which their callers see as a
+    // closed reply channel (`500 … dropped the request`).
+    if !live.is_empty() && catch_unwind(AssertUnwindSafe(|| handler(live))).is_err() {
+        obs::counter("serve.batch.panicked").inc();
+        obs::flight().alert("batch-panic", &format!("{} handler panicked", window.span));
     }
 }
 
@@ -386,5 +395,22 @@ mod tests {
         assert_eq!(stale.recv().unwrap(), Err(PredictError::DeadlineExpired));
         assert_eq!(fresh.recv().unwrap(), Ok(2));
         assert_eq!(open.recv().unwrap(), Ok(3));
+    }
+
+    #[test]
+    fn a_panicking_batch_drops_its_jobs_and_the_worker_takes_the_next() {
+        let coalescer: Echo =
+            Coalescer::start(window(1, Duration::ZERO), |jobs: Vec<Job<u32, u32>>| {
+                for job in jobs {
+                    let input = job.input;
+                    assert_ne!(input, 1, "scout blew up");
+                    job.answer(Ok(input));
+                }
+            });
+        let doomed = submit(&coalescer, 1, None);
+        let next = submit(&coalescer, 2, None);
+        assert!(doomed.recv().is_err(), "the panicked batch was answered");
+        // Without containment the worker is dead and this parks forever.
+        assert_eq!(next.recv_timeout(LONG).expect("worker wedged"), Ok(2));
     }
 }

@@ -3,9 +3,9 @@
 #
 #   scripts/check.sh                # fmt + clippy + tests (incl. scoutbench's,
 #                                   # which pin the API BENCHMARK.json builds on)
-#   scripts/check.sh --bench-smoke  # also run the pool + serve benches on
-#                                   # tiny workloads (BENCH_SMOKE=1) to keep
-#                                   # the benches compiling and running
+#   scripts/check.sh --bench-smoke  # also run every report-writing bench on
+#                                   # its tiny workload (BENCH_SMOKE=1;
+#                                   # reports go to target/bench/)
 #   scripts/check.sh --serve-smoke  # also boot `scoutctl serve` on an
 #                                   # ephemeral port and probe it end-to-end
 #   scripts/check.sh --lifecycle-smoke
@@ -58,24 +58,7 @@ echo "== scoutbench tests (cargo test --release --manifest-path scoutbench/Cargo
 cargo test --release --offline --manifest-path scoutbench/Cargo.toml
 
 if [[ "$bench_smoke" == 1 ]]; then
-  echo "== bench smoke (BENCH_SMOKE=1 cargo bench -p bench --bench pool) =="
-  BENCH_SMOKE=1 cargo bench -p bench --bench pool
-  echo "== bench smoke (BENCH_SMOKE=1 cargo bench -p bench --bench serve) =="
-  BENCH_SMOKE=1 cargo bench -p bench --bench serve
-  echo "== bench smoke (BENCH_SMOKE=1 cargo bench -p bench --bench featcache) =="
-  BENCH_SMOKE=1 cargo bench -p bench --bench featcache
-  echo "== bench smoke (BENCH_SMOKE=1 cargo bench -p bench --bench lifecycle) =="
-  BENCH_SMOKE=1 cargo bench -p bench --bench lifecycle
-  echo "== bench smoke (BENCH_SMOKE=1 cargo bench -p bench --bench obs) =="
-  BENCH_SMOKE=1 cargo bench -p bench --bench obs
-  echo "== bench smoke (BENCH_SMOKE=1 cargo bench -p bench --bench forest) =="
-  BENCH_SMOKE=1 cargo bench -p bench --bench forest
-  echo "== bench smoke (BENCH_SMOKE=1 cargo bench -p bench --bench wal) =="
-  BENCH_SMOKE=1 cargo bench -p bench --bench wal
-  echo "== bench smoke (BENCH_SMOKE=1 cargo bench -p bench --bench fleet) =="
-  BENCH_SMOKE=1 cargo bench -p bench --bench fleet
-  echo "== bench smoke (BENCH_SMOKE=1 cargo bench -p bench --bench storm) =="
-  BENCH_SMOKE=1 cargo bench -p bench --bench storm
+  scripts/bench_smoke.sh
 fi
 
 if [[ "$serve_smoke" == 1 ]]; then
