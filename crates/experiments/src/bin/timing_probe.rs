@@ -94,7 +94,9 @@ fn main() {
     }
     println!("FPs with concurrent same-cluster PhyNet fault: {fp_overlap}/{fp_total}");
     // CPD+-forced error composition (a different prediction path, so it
-    // cannot reuse `preds`).
+    // cannot reuse `preds`). `probe.cpd_only` includes the change-point
+    // detection itself: CPD+ gathers its evidence on this path, not in
+    // `prepare`.
     let mut cpd_fn: BTreeMap<String, usize> = BTreeMap::new();
     let mut cpd_fp: BTreeMap<String, usize> = BTreeMap::new();
     let mut cpd_fn_model: BTreeMap<&'static str, usize> = BTreeMap::new();

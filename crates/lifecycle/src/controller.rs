@@ -409,19 +409,7 @@ impl LifecycleController {
                     at: now,
                     version: cur,
                 });
-                self.log(wal::Event::ProbationStarted {
-                    team: self.cfg.team.clone(),
-                    version: cur,
-                    baseline_mcc: baseline,
-                    external: true,
-                    at: now,
-                });
-                self.phase = Phase::Probation {
-                    version: cur,
-                    started: now,
-                    baseline_mcc: baseline,
-                };
-                self.monitor.reset(now);
+                self.start_probation(now, cur, baseline, true);
                 self.last_action = now;
             }
         }
@@ -523,48 +511,7 @@ impl LifecycleController {
         };
 
         let Some(live) = self.registry.get(&self.cfg.team) else {
-            // Cold start: nothing to shadow against, publish directly.
-            match self
-                .registry
-                .register(&self.cfg.team, candidate, "lifecycle-retrain")
-            {
-                Ok(version) => {
-                    obs::counter("lifecycle.promotions").inc();
-                    out.push(LifecycleEvent::Promoted {
-                        at: now,
-                        version,
-                        candidate_mcc: 0.0,
-                        live_mcc: 0.0,
-                    });
-                    self.log(wal::Event::RetrainFinished {
-                        team: self.cfg.team.clone(),
-                        at: now,
-                        outcome: "cold_start".into(),
-                    });
-                    self.log(wal::Event::ProbationStarted {
-                        team: self.cfg.team.clone(),
-                        version,
-                        baseline_mcc: 0.0,
-                        external: false,
-                        at: now,
-                    });
-                    self.phase = Phase::Probation {
-                        version,
-                        started: now,
-                        baseline_mcc: 0.0,
-                    };
-                    self.monitor.reset(now);
-                    self.expected_version = Some(version);
-                }
-                Err(_) => {
-                    self.log(wal::Event::RetrainFinished {
-                        team: self.cfg.team.clone(),
-                        at: now,
-                        outcome: "blocked_pinned".into(),
-                    });
-                }
-            }
-            self.last_action = now;
+            self.promote(now, candidate, None, out);
             return;
         };
 
@@ -592,51 +539,75 @@ impl LifecycleController {
             self.last_action = now;
             return;
         }
-        match self
+        self.promote(now, candidate, Some(&report), out);
+    }
+
+    /// Publish `candidate` and start its probation. `gate` is the shadow
+    /// report it passed; `None` on a cold start, where there is nothing to
+    /// shadow against and it is published directly. A pin blocks either;
+    /// behind a passed gate the verdict stands but publication does not,
+    /// so it is recorded as a rejection.
+    fn promote(
+        &mut self,
+        now: SimTime,
+        candidate: Scout,
+        gate: Option<&ShadowReport>,
+        out: &mut Vec<LifecycleEvent>,
+    ) {
+        let (candidate_mcc, live_mcc, outcome) = match gate {
+            Some(report) => (report.candidate_mcc(), report.live_mcc(), "promoted"),
+            None => (0.0, 0.0, "cold_start"),
+        };
+        let registered = self
             .registry
-            .register(&self.cfg.team, candidate, "lifecycle-retrain")
-        {
+            .register(&self.cfg.team, candidate, "lifecycle-retrain");
+        self.log(wal::Event::RetrainFinished {
+            team: self.cfg.team.clone(),
+            at: now,
+            outcome: if registered.is_ok() {
+                outcome.into()
+            } else {
+                "blocked_pinned".into()
+            },
+        });
+        match registered {
             Ok(version) => {
                 obs::counter("lifecycle.promotions").inc();
                 out.push(LifecycleEvent::Promoted {
                     at: now,
                     version,
-                    candidate_mcc: report.candidate_mcc(),
-                    live_mcc: report.live_mcc(),
+                    candidate_mcc,
+                    live_mcc,
                 });
-                self.log(wal::Event::RetrainFinished {
-                    team: self.cfg.team.clone(),
-                    at: now,
-                    outcome: "promoted".into(),
-                });
-                self.log(wal::Event::ProbationStarted {
-                    team: self.cfg.team.clone(),
-                    version,
-                    baseline_mcc: report.candidate_mcc(),
-                    external: false,
-                    at: now,
-                });
-                self.phase = Phase::Probation {
-                    version,
-                    started: now,
-                    baseline_mcc: report.candidate_mcc(),
-                };
-                self.monitor.reset(now);
+                self.start_probation(now, version, candidate_mcc, false);
                 self.expected_version = Some(version);
             }
             Err(_) => {
-                // Pinned: the gate verdict stands but publication is
-                // blocked; record it as a rejection.
-                obs::counter("lifecycle.promotion_blocked_pinned").inc();
-                out.push(self.rejected(now, &report));
-                self.log(wal::Event::RetrainFinished {
-                    team: self.cfg.team.clone(),
-                    at: now,
-                    outcome: "blocked_pinned".into(),
-                });
+                if let Some(report) = gate {
+                    obs::counter("lifecycle.promotion_blocked_pinned").inc();
+                    out.push(self.rejected(now, report));
+                }
             }
         }
         self.last_action = now;
+    }
+
+    /// Put `version` on probation against `baseline_mcc` (`external`: an
+    /// operator reload, not a promotion of ours).
+    fn start_probation(&mut self, now: SimTime, version: u64, baseline_mcc: f64, external: bool) {
+        self.log(wal::Event::ProbationStarted {
+            team: self.cfg.team.clone(),
+            version,
+            baseline_mcc,
+            external,
+            at: now,
+        });
+        self.phase = Phase::Probation {
+            version,
+            started: now,
+            baseline_mcc,
+        };
+        self.monitor.reset(now);
     }
 
     fn rejected(&self, now: SimTime, report: &ShadowReport) -> LifecycleEvent {

@@ -15,12 +15,14 @@
 
 use crate::config::{ComponentType, ScoutConfig};
 use crate::extract::ExtractedComponents;
+use crate::scout::ModelUsed;
 use cloudsim::{SimDuration, SimTime};
 use ml::cpd::{detect_change_points, CpdConfig};
 use ml::forest::{ForestConfig, RandomForest};
 use monitoring::{DataType, Dataset, MonitoringSystem};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::borrow::Cow;
 
 /// CPD+ configuration.
 #[derive(Debug, Clone)]
@@ -308,6 +310,41 @@ impl CpdPlus {
         evidence
     }
 
+    /// Does an incident naming `device_count` devices take the
+    /// conservative path? The few-device rule's only home.
+    fn few_devices(&self, device_count: usize) -> bool {
+        (1..=self.config.few_device_threshold).contains(&device_count)
+    }
+
+    /// The whole CPD+ verdict for one incident, and the branch that
+    /// produced it: few named devices → [`CpdPlus::conservative_hits`],
+    /// otherwise the cluster row — `cluster_row` when the prepared corpus
+    /// already holds it, [`CpdPlus::cluster_features`] when not — and
+    /// either way [`CpdPlus::decide`]. Evidence is gathered here, on the
+    /// path that reads it, so an incident the selector hands to the
+    /// forest never pays for change-point detection.
+    pub fn assess(
+        &self,
+        extracted: &ExtractedComponents,
+        t: SimTime,
+        monitoring: &MonitoringSystem<'_>,
+        lookback: SimDuration,
+        cluster_row: Option<&[f64]>,
+    ) -> (CpdVerdict, ModelUsed) {
+        let device_count = extracted.device_count();
+        if self.few_devices(device_count) {
+            let hits = self.conservative_hits(extracted, t, monitoring, lookback);
+            let verdict = self.decide(device_count, &hits, &[]);
+            return (verdict, ModelUsed::CpdConservative);
+        }
+        let row = cluster_row.map_or_else(
+            || Cow::Owned(self.cluster_features(extracted, t, monitoring, lookback)),
+            Cow::Borrowed,
+        );
+        let verdict = self.decide(device_count, &[], &row);
+        (verdict, ModelUsed::CpdCluster)
+    }
+
     /// Decide from precomputed inputs. `device_count` is the number of
     /// named devices; `conservative_hits` and `cluster_features` must have
     /// been computed for the same incident.
@@ -317,7 +354,7 @@ impl CpdPlus {
         conservative_hits: &[String],
         cluster_features: &[f64],
     ) -> CpdVerdict {
-        if device_count > 0 && device_count <= self.config.few_device_threshold {
+        if self.few_devices(device_count) {
             let responsible = !conservative_hits.is_empty();
             return CpdVerdict {
                 responsible,

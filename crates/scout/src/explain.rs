@@ -6,6 +6,8 @@
 //! blurb — including the fine-print caveats the paper's operators were
 //! shown (and, §8 admits, did not read).
 
+use std::cmp::Ordering;
+
 /// The explanation attached to a [`crate::Prediction`].
 #[derive(Debug, Clone, Default)]
 pub struct Explanation {
@@ -21,14 +23,26 @@ pub struct Explanation {
     pub evidence: Vec<String>,
 }
 
+/// Strongest contribution first, by magnitude; `NaN` compares equal to
+/// everything, so a stable sort leaves it (and every tie) in input order.
+fn by_magnitude(a: f64, b: f64) -> Ordering {
+    b.abs().partial_cmp(&a.abs()).unwrap_or(Ordering::Equal)
+}
+
+/// Indices of the `k` strongest `contributions`, ranked exactly as
+/// [`Explanation::truncated`] ranks `(name, contribution)` pairs — for
+/// callers that hold the names elsewhere and want to clone only `k`.
+pub(crate) fn strongest(contributions: &[f64], k: usize) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..contributions.len()).collect();
+    order.sort_by(|&a, &b| by_magnitude(contributions[a], contributions[b]));
+    order.truncate(k);
+    order
+}
+
 impl Explanation {
     /// Keep only the `k` strongest feature contributions by magnitude.
     pub fn truncated(mut self, k: usize) -> Explanation {
-        self.top_features.sort_by(|a, b| {
-            b.1.abs()
-                .partial_cmp(&a.1.abs())
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
+        self.top_features.sort_by(|a, b| by_magnitude(a.1, b.1));
         self.top_features.truncate(k);
         self
     }
@@ -89,6 +103,39 @@ mod tests {
         assert_eq!(t.top_features.len(), 2);
         assert_eq!(t.top_features[0].0, "strong-neg");
         assert_eq!(t.top_features[1].0, "strong-pos");
+    }
+
+    /// Ranking bare indices (what the forest path does, cloning `k`
+    /// names) and ranking named pairs agree on ties and on `NaN`.
+    #[test]
+    fn index_ranking_matches_pair_truncation_on_ties_and_nan() {
+        let cases: [&[f64]; 4] = [
+            &[0.2, -0.2, 0.2, 0.1, -0.2, 0.3],
+            &[0.1, f64::NAN, 0.4, -0.4, f64::NAN, 0.0, 0.4],
+            &[f64::NAN, f64::NAN, f64::NAN],
+            &[],
+        ];
+        for contributions in cases {
+            for k in [0, 1, 3, 5, 10] {
+                let named = contributions.iter().enumerate();
+                let by_pair: Vec<String> = Explanation {
+                    top_features: named.map(|(i, &c)| (i.to_string(), c)).collect(),
+                    ..Default::default()
+                }
+                .truncated(k)
+                .top_features
+                .into_iter()
+                .map(|(name, _)| name)
+                .collect();
+                let by_index: Vec<String> = strongest(contributions, k)
+                    .iter()
+                    .map(|i| i.to_string())
+                    .collect();
+                assert_eq!(by_pair, by_index, "{contributions:?} k={k}");
+            }
+        }
+        // Ties keep feature-index order.
+        assert_eq!(strongest(&[0.2, -0.2, 0.2, 0.3], 3), vec![3, 0, 1]);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 
 use crate::config::ScoutConfig;
 use crate::cpdplus::{CpdFeatureLayout, CpdPlus, CpdPlusConfig};
-use crate::explain::Explanation;
+use crate::explain::{self, Explanation};
 use crate::extract::{ExtractedComponents, Extractor};
 use crate::features::{Aggregation, FeatureLayout, Featurizer};
 use crate::selector::{Selector, SelectorKind};
@@ -144,12 +144,14 @@ pub struct PreparedExample {
     pub component_names: Vec<String>,
     /// Main feature vector; `None` when excluded or component-free.
     pub features: Option<Vec<f64>>,
-    /// Conservative-path evidence (only computed for few-device
-    /// incidents).
-    pub conservative_hits: Vec<String>,
-    /// CPD+ cluster-path features (only computed for cluster-only
-    /// incidents; cached because they are the pipeline's most expensive
-    /// computation).
+    /// CPD+ cluster-path features, computed for cluster-only incidents.
+    /// Eager because they are a label-independent *training* input:
+    /// [`Scout::train_prepared`] fits the CPD+ cluster forest on them, and
+    /// a fleet set-up shares one prepared pass across many
+    /// [`PreparedCorpus::relabeled`] corpora, so computing them at train
+    /// time would repeat the pipeline's most expensive computation once
+    /// per team. All other CPD+ evidence is gathered on the CPD+ path
+    /// ([`CpdPlus::assess`]), which also reuses this row when present.
     pub cluster_features: Option<Vec<f64>>,
 }
 
@@ -303,15 +305,8 @@ impl Scout {
                 .collect();
             let features = (!excluded && !extracted.is_empty())
                 .then(|| featurizer.features(&extracted, ex.time));
-            let device_count = extracted.device_count();
-            let conservative_hits =
-                if (1..=build.cpdplus.few_device_threshold).contains(&device_count) {
-                    cpd.conservative_hits(&extracted, ex.time, monitoring, build.lookback)
-                } else {
-                    Vec::new()
-                };
             let cluster_features =
-                (!excluded && device_count == 0 && !extracted.clusters.is_empty())
+                (!excluded && extracted.device_count() == 0 && !extracted.clusters.is_empty())
                     .then(|| cpd.cluster_features(&extracted, ex.time, monitoring, build.lookback));
             PreparedExample {
                 ordinal,
@@ -320,7 +315,6 @@ impl Scout {
                 extracted,
                 component_names,
                 features,
-                conservative_hits,
                 cluster_features,
             }
         });
@@ -668,18 +662,16 @@ impl Scout {
             .expect("non-empty extraction has features");
         let responsible = proba[1] >= 0.5;
         let (_, contributions) = self.forest.feature_contributions(features, 1);
-        let top_features: Vec<(String, f64)> = contributions
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| (self.layout.names()[i].clone(), c))
+        let top_features = explain::strongest(&contributions, 5)
+            .into_iter()
+            .map(|i| (self.layout.names()[i].clone(), contributions[i]))
             .collect();
         let explanation = Explanation {
             components: item.component_names.clone(),
             datasets: self.dataset_names(),
             top_features,
             evidence: Vec::new(),
-        }
-        .truncated(5);
+        };
         Prediction {
             verdict: if responsible {
                 Verdict::Responsible
@@ -694,23 +686,13 @@ impl Scout {
 
     fn predict_cpd(&self, item: &PreparedExample, monitoring: &MonitoringSystem<'_>) -> Prediction {
         let _span = obs::span!("scout.predict.cpd");
-        let device_count = item.extracted.device_count();
-        let few = (1..=self.build.cpdplus.few_device_threshold).contains(&device_count);
-        let cluster_features = if few {
-            Vec::new()
-        } else if let Some(cached) = &item.cluster_features {
-            cached.clone()
-        } else {
-            self.cpd.cluster_features(
-                &item.extracted,
-                item.example.time,
-                monitoring,
-                self.build.lookback,
-            )
-        };
-        let verdict = self
-            .cpd
-            .decide(device_count, &item.conservative_hits, &cluster_features);
+        let (verdict, model) = self.cpd.assess(
+            &item.extracted,
+            item.example.time,
+            monitoring,
+            self.build.lookback,
+            item.cluster_features.as_deref(),
+        );
         Prediction {
             verdict: if verdict.responsible {
                 Verdict::Responsible
@@ -718,11 +700,7 @@ impl Scout {
                 Verdict::NotResponsible
             },
             confidence: verdict.confidence,
-            model: if few {
-                ModelUsed::CpdConservative
-            } else {
-                ModelUsed::CpdCluster
-            },
+            model,
             explanation: Explanation {
                 components: item.component_names.clone(),
                 datasets: self.dataset_names(),
@@ -971,6 +949,76 @@ mod tests {
             assert_eq!(single.model, b.model);
             assert!((single.confidence - b.confidence).abs() < 1e-15);
         }
+    }
+
+    /// The forced CPD+ path equals `decide` over hand-gathered inputs —
+    /// verdict, confidence, branch and evidence lines in order — for
+    /// cluster-only, few-device and many-device incidents alike, and a
+    /// cached cluster row is the computed row.
+    #[test]
+    fn forced_cpd_path_equals_the_hand_assembled_decision() {
+        let w = world();
+        let mon = MonitoringSystem::new(&w.topo, &w.faults, MonitoringConfig::default());
+        let mut exs = examples(&w);
+        for (i, f) in w.faults.iter().enumerate().take(12) {
+            let cluster = f.scope.cluster();
+            let t = f.start + SimDuration::minutes(30);
+            let label = f.owner == Team::PhyNet;
+            let cname = &w.topo.component(cluster).name;
+            exs.push(Example::new(
+                format!("widespread packet loss across cluster {cname}"),
+                t,
+                label,
+            ));
+            let tors = w
+                .topo
+                .descendants_of_kind(cluster, ComponentKind::TorSwitch);
+            let names: Vec<&str> = tors[..4 + i % 2]
+                .iter()
+                .map(|&d| w.topo.component(d).name.as_str())
+                .collect();
+            exs.push(Example::new(
+                format!("links flapping on {}", names.join(", ")),
+                t,
+                label,
+            ));
+        }
+        let (scout, corpus) = Scout::train(ScoutConfig::phynet(), build_cfg(), &exs, &mon);
+        let mut seen = [0usize; 3];
+        for item in &corpus.items {
+            if item.excluded || item.extracted.is_empty() {
+                continue;
+            }
+            let (x, t, lookback) = (&item.extracted, item.example.time, scout.build.lookback);
+            let devices = x.device_count();
+            let (bucket, branch) = match devices {
+                0 => (0, ModelUsed::CpdCluster),
+                1..=3 => (1, ModelUsed::CpdConservative),
+                _ => (2, ModelUsed::CpdCluster),
+            };
+            seen[bucket] += 1;
+            let by_hand = scout.cpd.decide(
+                devices,
+                &scout.cpd.conservative_hits(x, t, &mon, lookback),
+                &scout.cpd.cluster_features(x, t, &mon, lookback),
+            );
+            let uncached = PreparedExample {
+                cluster_features: None,
+                ..item.clone()
+            };
+            assert_eq!(item.cluster_features.is_some(), devices == 0);
+            for item in [item, &uncached] {
+                let p = scout.predict_path(item, &mon, PathChoice::CpdOnly);
+                assert_eq!(p.says_responsible(), by_hand.responsible);
+                assert_eq!(p.confidence.to_bits(), by_hand.confidence.to_bits());
+                assert_eq!(p.explanation.evidence, by_hand.evidence);
+                assert_eq!(p.model, branch);
+            }
+        }
+        assert!(
+            seen.iter().all(|&n| n >= 12),
+            "0 / 1-3 / >3 devices: {seen:?}"
+        );
     }
 
     #[test]

@@ -31,7 +31,6 @@ fn corpus(times_min: &[u64], untrainable: &[usize]) -> PreparedCorpus {
             } else {
                 Some(vec![i as f64])
             },
-            conservative_hits: Vec::new(),
             cluster_features: None,
         })
         .collect();

@@ -215,7 +215,17 @@ impl ModelRegistry {
         self.epoch.fetch_max(epoch, Ordering::Relaxed);
     }
 
-    fn entry(&self, team: &str, scout: Scout, source: &str) -> (u64, Arc<ModelEntry>) {
+    /// The one publish step, run inside the caller's write-lock window:
+    /// assign the next version, wrap `scout` in an entry with a cold
+    /// feature cache, supersede the slot's current entry (or open the
+    /// slot), and journal the promotion.
+    fn publish_locked(
+        &self,
+        models: &mut BTreeMap<String, Slot>,
+        team: &str,
+        scout: Scout,
+        source: &str,
+    ) -> u64 {
         let version = self.next_version.fetch_add(1, Ordering::Relaxed);
         let entry = Arc::new(ModelEntry {
             team: team.to_string(),
@@ -224,26 +234,6 @@ impl ModelRegistry {
             scout,
             feat_cache: FeatCache::new(self.feat_cache_bytes),
         });
-        (version, entry)
-    }
-
-    fn publish_version_gauge(team: &str, version: u64) {
-        obs::gauge(&format!("serve.model.version.{team}")).set(version as f64);
-    }
-
-    /// Publish `scout` for `team`, returning the version it was
-    /// assigned. Replaces any previous version atomically, pushing the
-    /// replaced entry onto the rollback timeline; in-flight predictions
-    /// against the old `Arc` are unaffected. Errs when the team is
-    /// pinned.
-    pub fn register(&self, team: &str, scout: Scout, source: &str) -> Result<u64, RegistryError> {
-        if self.is_pinned(team) {
-            return Err(RegistryError(format!(
-                "team {team} is pinned; unpin before publishing a new model"
-            )));
-        }
-        let (version, entry) = self.entry(team, scout, source);
-        let mut models = self.models.write().unwrap();
         match models.get_mut(team) {
             Some(slot) => slot.supersede(entry),
             None => {
@@ -261,6 +251,26 @@ impl ModelRegistry {
             version,
             source: source.to_string(),
         });
+        version
+    }
+
+    fn publish_version_gauge(team: &str, version: u64) {
+        obs::gauge(&format!("serve.model.version.{team}")).set(version as f64);
+    }
+
+    /// Publish `scout` for `team`, returning the version it was
+    /// assigned. Replaces any previous version atomically, pushing the
+    /// replaced entry onto the rollback timeline; in-flight predictions
+    /// against the old `Arc` are unaffected. Errs when the team is
+    /// pinned.
+    pub fn register(&self, team: &str, scout: Scout, source: &str) -> Result<u64, RegistryError> {
+        if self.is_pinned(team) {
+            return Err(RegistryError(format!(
+                "team {team} is pinned; unpin before publishing a new model"
+            )));
+        }
+        let mut models = self.models.write().unwrap();
+        let version = self.publish_locked(&mut models, team, scout, source);
         drop(models);
         obs::counter("serve.models.registered").inc();
         Self::publish_version_gauge(team, version);
@@ -447,32 +457,8 @@ impl ModelRegistry {
         {
             let mut models = self.models.write().unwrap();
             for (team, scout, source) in loaded {
-                let version = self.next_version.fetch_add(1, Ordering::Relaxed);
-                published.push((team.clone(), version));
-                let entry = Arc::new(ModelEntry {
-                    team: team.clone(),
-                    version,
-                    source: source.clone(),
-                    scout,
-                    feat_cache: FeatCache::new(self.feat_cache_bytes),
-                });
-                match models.get_mut(&team) {
-                    Some(slot) => slot.supersede(entry),
-                    None => {
-                        models.insert(
-                            team.clone(),
-                            Slot {
-                                current: entry,
-                                history: Vec::new(),
-                            },
-                        );
-                    }
-                }
-                self.journal(RegistryChange::Promoted {
-                    team,
-                    version,
-                    source,
-                });
+                let version = self.publish_locked(&mut models, &team, scout, &source);
+                published.push((team, version));
             }
             let epoch = self.epoch.fetch_add(1, Ordering::Relaxed) + 1;
             self.journal(RegistryChange::EpochChanged { epoch });
