@@ -138,9 +138,9 @@ fn run_http(
         Ok(())
     };
 
-    // Warm up the thread pool and connection paths (feature caches stay
-    // per-entry, so the measured pass still pays featurization once per
-    // distinct incident text).
+    // Warm up the thread pool and connection paths. Every measured shot
+    // is a distinct incident, so each still pays its own featurization —
+    // once per fingerprint group, through that group's one cache.
     drive(&addr, 1, 1, route).expect("warmup");
     let measured = drive(&addr, CONCURRENCY, bodies.len(), route).expect("route run");
     server.shutdown();

@@ -34,8 +34,18 @@
 //! # Invalidation
 //!
 //! The epoch is part of the key: a new fault schedule or monitoring config
-//! simply misses. Model hot-swap in `serve` gets a fresh cache per
-//! [`ModelEntry`], so no explicit flush API is needed.
+//! simply misses, and nothing about a trained model is in a chunk, so one
+//! cache can serve every model that reads the same plane (a `serve` fleet
+//! pass reads through one cache per featurization fingerprint). No
+//! explicit flush API is needed.
+//!
+//! # Counters
+//!
+//! Hits, misses and evictions are counted in atomics on the cache
+//! ([`FeatCache::stats`]). The `obs` mirror is batched:
+//! [`FeatCache::publish`] adds what accrued since the last publish to the
+//! `featcache.*` metrics, outside the cache lock — the featurizer calls
+//! it once per feature vector, not once per chunk.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -270,6 +280,8 @@ pub struct FeatCache {
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
+    /// How much of the three counters above `obs` has already seen.
+    published: [AtomicU64; 3],
 }
 
 /// A point-in-time view of the cache counters, for tests and benches.
@@ -296,6 +308,7 @@ impl FeatCache {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
+            published: Default::default(),
         }
     }
 
@@ -304,9 +317,8 @@ impl FeatCache {
         self.capacity_bytes
     }
 
-    /// Current counters (also mirrored into the `obs` registry as
-    /// `featcache.hits` / `.misses` / `.evictions` counters and
-    /// `featcache.bytes` / `.chunks` gauges).
+    /// Current counters (mirrored into the `obs` registry by
+    /// [`FeatCache::publish`]).
     pub fn stats(&self) -> CacheStats {
         let inner = self.inner.lock().unwrap();
         CacheStats {
@@ -315,6 +327,42 @@ impl FeatCache {
             evictions: self.evictions.load(Ordering::Relaxed),
             bytes: inner.bytes,
             chunks: inner.map.len(),
+        }
+    }
+
+    /// Mirror the counters into the `obs` registry: what accrued since
+    /// the last publish is added to `featcache.hits` / `.misses` /
+    /// `.evictions`, and after a miss (the only event that changes
+    /// residency) the `featcache.bytes` / `.chunks` gauges are refreshed.
+    /// Lookups themselves never touch the registry — its global mutex
+    /// would otherwise be taken once per chunk, under this cache's lock.
+    /// Racing publishers split the delta between them; the totals equal
+    /// the per-event mirror's.
+    pub fn publish(&self) {
+        let unpublished = |counter: &AtomicU64, seen: &AtomicU64| {
+            let now = counter.load(Ordering::Relaxed);
+            now.saturating_sub(seen.fetch_max(now, Ordering::Relaxed))
+        };
+        let [seen_hits, seen_misses, seen_evictions] = &self.published;
+        let hits = unpublished(&self.hits, seen_hits);
+        let misses = unpublished(&self.misses, seen_misses);
+        let evictions = unpublished(&self.evictions, seen_evictions);
+        if hits > 0 {
+            obs::counter("featcache.hits").add(hits);
+        }
+        if evictions > 0 {
+            obs::counter("featcache.evictions").add(evictions);
+        }
+        if misses > 0 {
+            obs::counter("featcache.misses").add(misses);
+            if self.capacity_bytes > 0 {
+                let (bytes, chunks) = {
+                    let inner = self.inner.lock().unwrap();
+                    (inner.bytes, inner.map.len())
+                };
+                obs::gauge("featcache.bytes").set(bytes as f64);
+                obs::gauge("featcache.chunks").set(chunks as f64);
+            }
         }
     }
 
@@ -329,12 +377,10 @@ impl FeatCache {
                 let chunk = Arc::clone(&e.chunk);
                 inner.touch_hit(key);
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                obs::counter("featcache.hits").inc();
                 return chunk;
             }
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        obs::counter("featcache.misses").inc();
         let chunk = {
             let _span = obs::span!("featcache.build");
             Arc::new(build())
@@ -361,12 +407,7 @@ impl FeatCache {
         inner.bytes += bytes;
         inner.touch(key);
         let evicted = inner.evict_to(self.capacity_bytes);
-        if evicted > 0 {
-            self.evictions.fetch_add(evicted, Ordering::Relaxed);
-            obs::counter("featcache.evictions").add(evicted);
-        }
-        obs::gauge("featcache.bytes").set(inner.bytes as f64);
-        obs::gauge("featcache.chunks").set(inner.map.len() as f64);
+        self.evictions.fetch_add(evicted, Ordering::Relaxed);
         chunk
     }
 }
@@ -780,6 +821,45 @@ mod tests {
         assert_eq!(cache.stats().hits, 1);
         let _ = series_chunk(Some(&cache), &mon, Dataset::PingStats, srv, 0);
         assert_eq!(cache.stats().misses, 5);
+    }
+
+    #[test]
+    fn publish_mirrors_exactly_what_accrued_since_the_last_publish() {
+        // The only test in this binary that publishes, so the global
+        // `featcache.*` totals move by this cache's counts alone.
+        obs::enable();
+        let mirrored = || {
+            ["hits", "misses", "evictions"].map(|n| {
+                let name = format!("featcache.{n}");
+                obs::global().metrics.counter_value(&name).unwrap_or(0)
+            })
+        };
+        let topo = topo();
+        let mon = MonitoringSystem::new(&topo, &[], MonitoringConfig::default());
+        let srv = topo.by_name("srv-0.c0.dc0").unwrap().id;
+        let cache = FeatCache::new(600);
+        let before = mirrored();
+        for bucket in [0, 1, 2, 3, 3, 3] {
+            let _ = series_chunk(Some(&cache), &mon, Dataset::PingStats, srv, bucket);
+        }
+        assert_eq!(mirrored(), before, "lookups never touch the registry");
+        let s = cache.stats();
+        assert!(s.hits == 2 && s.misses == 4 && s.evictions >= 2, "{s:?}");
+        cache.publish();
+        let after = mirrored();
+        assert_eq!(
+            [
+                after[0] - before[0],
+                after[1] - before[1],
+                after[2] - before[2]
+            ],
+            [s.hits, s.misses, s.evictions]
+        );
+        let gauge = |n| obs::global().metrics.gauge_value(n);
+        assert_eq!(gauge("featcache.bytes"), Some(s.bytes as f64));
+        assert_eq!(gauge("featcache.chunks"), Some(s.chunks as f64));
+        cache.publish();
+        assert_eq!(mirrored(), after, "nothing accrued, nothing added");
     }
 
     #[test]

@@ -320,6 +320,9 @@ impl<'a> Featurizer<'a> {
         for (i, ctype) in ComponentType::ALL.into_iter().enumerate() {
             out[self.layout.count_offset + i] = extracted.of_type(ctype).len() as f64;
         }
+        if let Some(cache) = self.cache {
+            cache.publish();
+        }
     }
 }
 

@@ -11,12 +11,13 @@
 use crate::config::ScoutConfig;
 use crate::cpdplus::{CpdFeatureLayout, CpdPlus};
 use crate::features::{Aggregation, FeatureLayout};
-use crate::scout::{Scout, ScoutBuildConfig};
+use crate::scout::{featurization_fingerprint, Scout, ScoutBuildConfig};
 use crate::selector::{Selector, SelectorKind};
 use cloudsim::SimDuration;
 use ml::cpd::CpdConfig;
 use ml::persist::{forest_from_lines, forest_to_text, Lines, PersistError};
 use monitoring::Dataset;
+use std::sync::Arc;
 
 const MAGIC: &str = "scout-model v1";
 
@@ -193,9 +194,10 @@ impl Scout {
             )));
         }
         Ok(Scout {
+            fingerprint: featurization_fingerprint(&config, &build),
             config,
             build,
-            layout,
+            layout: Arc::new(layout),
             forest,
             cpd,
             selector,
@@ -298,6 +300,89 @@ mod tests {
             assert!((a.confidence - b.confidence).abs() < 1e-12);
             assert_eq!(a.model, b.model);
         }
+    }
+
+    #[test]
+    fn fingerprint_names_the_five_featurization_inputs_and_survives_a_reload() {
+        let fp = featurization_fingerprint;
+        let (config, build) = (ScoutConfig::phynet(), ScoutBuildConfig::default());
+        let base = fp(&config, &build);
+        let stricter = format!("{}EXCLUDE TITLE = <drill>;\n", crate::config::PHYNET_CONFIG);
+        let variants = [
+            fp(&ScoutConfig::parse(&stricter).unwrap(), &build),
+            fp(
+                &config,
+                &ScoutBuildConfig {
+                    lookback: SimDuration::minutes(90),
+                    ..build.clone()
+                },
+            ),
+            fp(
+                &config,
+                &ScoutBuildConfig {
+                    aggregation: Aggregation::DeviceMeans,
+                    ..build.clone()
+                },
+            ),
+            fp(
+                &config,
+                &ScoutBuildConfig {
+                    disabled_datasets: vec![Dataset::PingStats],
+                    ..build.clone()
+                },
+            ),
+            fp(
+                &config,
+                &ScoutBuildConfig {
+                    cpdplus: crate::CpdPlusConfig {
+                        fast_threshold: build.cpdplus.fast_threshold * 2.0,
+                        ..build.cpdplus.clone()
+                    },
+                    ..build.clone()
+                },
+            ),
+        ];
+        for (i, v) in variants.iter().enumerate() {
+            assert_ne!(*v, base, "input {i} is not in the fingerprint");
+            assert!(!variants[..i].contains(v), "inputs {i} and earlier collide");
+        }
+        // What only the models read leaves it alone: such Scouts share a
+        // corpus.
+        let other_models = ScoutBuildConfig {
+            forest: ml::forest::ForestConfig {
+                n_trees: 3,
+                ..build.forest.clone()
+            },
+            selector: SelectorKind::AdaBoost,
+            meta_words: 7,
+            cluster_train_cap: 1,
+            seed: 1,
+            ..build.clone()
+        };
+        assert_eq!(fp(&config, &other_models), base);
+
+        // Every input at a non-default value comes back from model text.
+        let (topo, faults) = world();
+        let mon = MonitoringSystem::new(&topo, &faults, MonitoringConfig::default());
+        let exs = examples(&topo, &faults);
+        let build = ScoutBuildConfig {
+            lookback: SimDuration::minutes(90),
+            aggregation: Aggregation::DeviceMeans,
+            disabled_datasets: vec![Dataset::PingStats, Dataset::SnmpSyslog],
+            cpdplus: crate::CpdPlusConfig {
+                few_device_threshold: 2,
+                seed: 99,
+                fast_threshold: 3.25,
+                ..build.cpdplus.clone()
+            },
+            ..other_models
+        };
+        let config = ScoutConfig::parse(&stricter).unwrap();
+        let expected = fp(&config, &build);
+        let (scout, _) = Scout::train(config, build, &exs, &mon);
+        assert_eq!(scout.fingerprint(), expected);
+        let loaded = Scout::from_text(&scout.to_text()).expect("round trip");
+        assert_eq!(loaded.fingerprint(), expected);
     }
 
     #[test]

@@ -28,6 +28,7 @@ use ml::Classifier as _;
 use monitoring::{Dataset, MonitoringSystem};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 /// Everything configurable about building a Scout.
 #[derive(Debug, Clone)]
@@ -108,6 +109,19 @@ pub enum PathChoice {
     CpdOnly,
 }
 
+/// Where the pipeline sends one prepared item (§5.3), decided once.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Route {
+    /// An EXCLUDE rule matched.
+    Excluded,
+    /// Nothing extracted: legacy routing.
+    NoComponents,
+    /// The selector trusts the supervised forest.
+    Forest,
+    /// The selector flagged the incident new/rare.
+    Cpd,
+}
+
 /// A full prediction: verdict, confidence, provenance, explanation (§4).
 #[derive(Debug, Clone)]
 pub struct Prediction {
@@ -167,8 +181,9 @@ impl PreparedExample {
 pub struct PreparedCorpus {
     /// Per-example prepared data, in input order.
     pub items: Vec<PreparedExample>,
-    /// The main feature layout used.
-    pub layout: FeatureLayout,
+    /// The main feature layout used (shared with the Scouts trained on
+    /// or preparing this corpus, never rebuilt per call).
+    pub layout: Arc<FeatureLayout>,
 }
 
 impl PreparedCorpus {
@@ -202,10 +217,25 @@ impl PreparedCorpus {
 pub struct Scout {
     pub(crate) config: ScoutConfig,
     pub(crate) build: ScoutBuildConfig,
-    pub(crate) layout: FeatureLayout,
+    pub(crate) layout: Arc<FeatureLayout>,
     pub(crate) forest: RandomForest,
     pub(crate) cpd: CpdPlus,
     pub(crate) selector: Selector,
+    /// See [`Scout::fingerprint`]; computed once at construction.
+    pub(crate) fingerprint: String,
+}
+
+/// The canonical text of everything [`Scout::prepare_inputs`] reads
+/// besides its inputs — see [`Scout::fingerprint`].
+pub(crate) fn featurization_fingerprint(config: &ScoutConfig, build: &ScoutBuildConfig) -> String {
+    format!(
+        "{}lookback {:?}\naggregation {:?}\ndisabled {:?}\ncpdplus {:?}\n",
+        config.to_source(),
+        build.lookback,
+        build.aggregation,
+        build.disabled_datasets,
+        build.cpdplus,
+    )
 }
 
 impl Scout {
@@ -274,51 +304,16 @@ impl Scout {
         cache: Option<&featcache::FeatCache>,
         ctxs: Option<&[obs::TraceContext]>,
     ) -> PreparedCorpus {
-        let _span = obs::span!("scout.prepare");
-        let topo = monitoring.topology();
-        let layout = FeatureLayout::build(config, &build.disabled_datasets);
-        obs::gauge("scout.features.dim").set(layout.len() as f64);
-        obs::counter("scout.prepare.examples").add(examples.len() as u64);
+        let layout = Arc::new(FeatureLayout::build(config, &build.disabled_datasets));
         let cpd_layout = CpdFeatureLayout::build(config, &build.disabled_datasets);
         let cpd = CpdPlus::new(build.cpdplus.clone(), cpd_layout);
-        let extractor = Extractor::new(config, topo);
-        let mut featurizer =
-            Featurizer::with_aggregation(&layout, monitoring, build.lookback, build.aggregation);
-        featurizer.cache = cache;
-        let items = workers.parallel_map(examples, |ordinal, ex| {
-            let _trace = ctxs
-                .and_then(|c| c.get(ordinal))
-                .copied()
-                .filter(|c| c.trace_id != 0)
-                .map(obs::TraceContext::enter);
-            let _span = ctxs.is_some().then(|| obs::span!("scout.prepare.item"));
-            let excluded = config.excludes_incident(&ex.text);
-            let extracted = if excluded {
-                ExtractedComponents::default()
-            } else {
-                extractor.extract(&ex.text)
-            };
-            let component_names = extracted
-                .all()
-                .iter()
-                .map(|&c| topo.component(c).name.clone())
-                .collect();
-            let features = (!excluded && !extracted.is_empty())
-                .then(|| featurizer.features(&extracted, ex.time));
-            let cluster_features =
-                (!excluded && extracted.device_count() == 0 && !extracted.clusters.is_empty())
-                    .then(|| cpd.cluster_features(&extracted, ex.time, monitoring, build.lookback));
-            PreparedExample {
-                ordinal,
-                example: ex.clone(),
-                excluded,
-                extracted,
-                component_names,
-                features,
-                cluster_features,
-            }
-        });
-        PreparedCorpus { items, layout }
+        Preparer {
+            config,
+            build,
+            layout: &layout,
+            cpd: &cpd,
+        }
+        .run(workers, examples, monitoring, cache, ctxs)
     }
 
     /// Stage 2: train on an index subset of a prepared corpus.
@@ -405,9 +400,10 @@ impl Scout {
         }
 
         Scout {
+            fingerprint: featurization_fingerprint(&config, &build),
             config,
             build,
-            layout: corpus.layout.clone(),
+            layout: Arc::clone(&corpus.layout),
             forest,
             cpd,
             selector,
@@ -430,6 +426,19 @@ impl Scout {
     /// The feature layout in use.
     pub fn layout(&self) -> &FeatureLayout {
         &self.layout
+    }
+
+    /// The featurization fingerprint: the canonical text of everything
+    /// [`Scout::prepare_inputs`] reads besides its inputs and the
+    /// monitoring plane — the config source, look-back, aggregation,
+    /// disabled data sets and CPD+ settings. Two Scouts with equal
+    /// fingerprints prepare bit-identical corpora from the same inputs,
+    /// so a fleet pass featurizes once per fingerprint and every such
+    /// Scout only [`classify`](Scout::classify)s. Compare by equality;
+    /// it is the text itself, not a hash, because a collision would
+    /// silently feed one team another's features.
+    pub fn fingerprint(&self) -> &str {
+        &self.fingerprint
     }
 
     /// The underlying forest (for importance analyses).
@@ -463,18 +472,35 @@ impl Scout {
         monitoring: &MonitoringSystem<'_>,
     ) -> Prediction {
         let _span = obs::span!("scout.predict");
-        let pred = self.predict_unaudited(item, monitoring);
+        let pred = self.predict_routed(item, self.route(item), monitoring);
         self.audit(item, &pred);
         pred
     }
 
-    fn predict_unaudited(
+    /// Where the pipeline sends `item`. The selector (meta-feature
+    /// tokenization plus its forest) is consulted at most once per item,
+    /// and never for a rule verdict.
+    fn route(&self, item: &PreparedExample) -> Route {
+        if item.excluded {
+            Route::Excluded
+        } else if item.extracted.is_empty() {
+            Route::NoComponents
+        } else if self.selector.routes_to_cpd(&item.example.text) {
+            Route::Cpd
+        } else {
+            Route::Forest
+        }
+    }
+
+    /// The verdict for `item` on an already-decided route.
+    fn predict_routed(
         &self,
         item: &PreparedExample,
+        route: Route,
         monitoring: &MonitoringSystem<'_>,
     ) -> Prediction {
-        if item.excluded {
-            return Prediction {
+        match route {
+            Route::Excluded => Prediction {
                 verdict: Verdict::NotResponsible,
                 confidence: 1.0,
                 model: ModelUsed::Exclusion,
@@ -482,10 +508,8 @@ impl Scout {
                     evidence: vec!["An EXCLUDE rule matched this incident.".into()],
                     ..Default::default()
                 },
-            };
-        }
-        if item.extracted.is_empty() {
-            return Prediction {
+            },
+            Route::NoComponents => Prediction {
                 verdict: Verdict::Fallback,
                 confidence: 0.0,
                 model: ModelUsed::Fallback,
@@ -495,12 +519,10 @@ impl Scout {
                         .into()],
                     ..Default::default()
                 },
-            };
+            },
+            Route::Cpd => self.predict_cpd(item, monitoring),
+            Route::Forest => self.predict_forest(item),
         }
-        if self.selector.routes_to_cpd(&item.example.text) {
-            return self.predict_cpd(item, monitoring);
-        }
-        self.predict_forest(item)
     }
 
     /// Predict for raw incident text at time `t` (prepares on the fly).
@@ -547,6 +569,10 @@ impl Scout {
     /// serving batcher). Each input's featurization and classification
     /// spans — and its audit record — carry that input's trace id.
     /// Predictions are bit-identical whether `ctxs` is given or not.
+    ///
+    /// This is [`Scout::prepare_inputs`] then [`Scout::classify`], the
+    /// same two calls a fleet pass makes — there once per fingerprint
+    /// and once per team, here back to back.
     pub fn predict_many_traced(
         &self,
         inputs: &[(&str, SimTime)],
@@ -555,19 +581,47 @@ impl Scout {
         ctxs: Option<&[obs::TraceContext]>,
     ) -> Vec<Prediction> {
         let _span = obs::span!("scout.predict_many");
+        let corpus = self.prepare_inputs(inputs, monitoring, cache, ctxs);
+        self.classify(&corpus, monitoring, ctxs)
+    }
+
+    /// The model-independent half of a serving predict: exclusion,
+    /// extraction, featurization and cluster features for `inputs`,
+    /// through `cache` when given. Reads only what
+    /// [`Scout::fingerprint`] names — the Scout's own layout and CPD+
+    /// detector are borrowed, nothing is rebuilt per call — so the
+    /// corpus is bit-identical to [`Scout::prepare`] on the same config
+    /// and can be classified by any Scout with an equal fingerprint.
+    pub fn prepare_inputs(
+        &self,
+        inputs: &[(&str, SimTime)],
+        monitoring: &MonitoringSystem<'_>,
+        cache: Option<&featcache::FeatCache>,
+        ctxs: Option<&[obs::TraceContext]>,
+    ) -> PreparedCorpus {
         let examples: Vec<Example> = inputs
             .iter()
             .map(|&(text, t)| Example::new(text, t, false))
             .collect();
-        let corpus = Scout::prepare_traced_on(
-            pool::Pool::global(),
-            &self.config,
-            &self.build,
-            &examples,
-            monitoring,
-            cache,
-            ctxs,
-        );
+        Preparer {
+            config: &self.config,
+            build: &self.build,
+            layout: &self.layout,
+            cpd: &self.cpd,
+        }
+        .run(pool::Pool::global(), &examples, monitoring, cache, ctxs)
+    }
+
+    /// The per-model half: selector → forest or CPD+ → explanation →
+    /// audit, for every item of a corpus prepared under this Scout's
+    /// [fingerprint](Scout::fingerprint). One prediction per item, in
+    /// item order; `ctxs` as in [`Scout::predict_many_traced`].
+    pub fn classify(
+        &self,
+        corpus: &PreparedCorpus,
+        monitoring: &MonitoringSystem<'_>,
+        ctxs: Option<&[obs::TraceContext]>,
+    ) -> Vec<Prediction> {
         // Columnar forest lane: decide routing per item (pure), gather
         // every forest-routed feature row into one contiguous matrix,
         // and score it in a single tiled pass over the flattened forest.
@@ -575,12 +629,11 @@ impl Scout {
         // `predict_proba` the sequential path runs (crate `ml`'s flat
         // determinism argument), so batched and one-at-a-time predicts
         // still agree byte for byte.
-        let routed: Vec<bool> = pool::Pool::global().parallel_map(&corpus.items, |_, item| {
-            !item.excluded
-                && !item.extracted.is_empty()
-                && !self.selector.routes_to_cpd(&item.example.text)
-        });
-        let rows: Vec<usize> = (0..corpus.items.len()).filter(|&i| routed[i]).collect();
+        let routes: Vec<Route> =
+            pool::Pool::global().parallel_map(&corpus.items, |_, item| self.route(item));
+        let rows: Vec<usize> = (0..corpus.items.len())
+            .filter(|&i| routes[i] == Route::Forest)
+            .collect();
         let mut matrix = ml::FeatureMatrix::zeros(rows.len(), self.layout.len());
         for (r, &i) in rows.iter().enumerate() {
             let features = corpus.items[i]
@@ -607,7 +660,7 @@ impl Scout {
             let pred = if row_of[i] != usize::MAX {
                 self.predict_forest_with(item, scores.row(row_of[i]))
             } else {
-                self.predict_unaudited(item, monitoring)
+                self.predict_routed(item, routes[i], monitoring)
             };
             self.audit(item, &pred);
             pred
@@ -736,6 +789,79 @@ impl Scout {
             .filter(|m| !self.build.disabled_datasets.contains(&m.dataset))
             .map(|m| m.dataset.name().to_string())
             .collect()
+    }
+}
+
+/// What featurization reads besides its inputs. Offline
+/// [`Scout::prepare`] builds the layout and detector from the config;
+/// [`Scout::prepare_inputs`] lends the trained Scout's own.
+struct Preparer<'a> {
+    config: &'a ScoutConfig,
+    build: &'a ScoutBuildConfig,
+    layout: &'a Arc<FeatureLayout>,
+    cpd: &'a CpdPlus,
+}
+
+impl Preparer<'_> {
+    fn run(
+        &self,
+        workers: &pool::Pool,
+        examples: &[Example],
+        monitoring: &MonitoringSystem<'_>,
+        cache: Option<&featcache::FeatCache>,
+        ctxs: Option<&[obs::TraceContext]>,
+    ) -> PreparedCorpus {
+        let _span = obs::span!("scout.prepare");
+        let Preparer {
+            config,
+            build,
+            layout,
+            cpd,
+        } = *self;
+        let topo = monitoring.topology();
+        obs::gauge("scout.features.dim").set(layout.len() as f64);
+        obs::counter("scout.prepare.examples").add(examples.len() as u64);
+        let extractor = Extractor::new(config, topo);
+        let mut featurizer =
+            Featurizer::with_aggregation(layout, monitoring, build.lookback, build.aggregation);
+        featurizer.cache = cache;
+        let items = workers.parallel_map(examples, |ordinal, ex| {
+            let _trace = ctxs
+                .and_then(|c| c.get(ordinal))
+                .copied()
+                .filter(|c| c.trace_id != 0)
+                .map(obs::TraceContext::enter);
+            let _span = ctxs.is_some().then(|| obs::span!("scout.prepare.item"));
+            let excluded = config.excludes_incident(&ex.text);
+            let extracted = if excluded {
+                ExtractedComponents::default()
+            } else {
+                extractor.extract(&ex.text)
+            };
+            let component_names = extracted
+                .all()
+                .iter()
+                .map(|&c| topo.component(c).name.clone())
+                .collect();
+            let features = (!excluded && !extracted.is_empty())
+                .then(|| featurizer.features(&extracted, ex.time));
+            let cluster_features =
+                (!excluded && extracted.device_count() == 0 && !extracted.clusters.is_empty())
+                    .then(|| cpd.cluster_features(&extracted, ex.time, monitoring, build.lookback));
+            PreparedExample {
+                ordinal,
+                example: ex.clone(),
+                excluded,
+                extracted,
+                component_names,
+                features,
+                cluster_features,
+            }
+        });
+        PreparedCorpus {
+            items,
+            layout: Arc::clone(layout),
+        }
     }
 }
 

@@ -34,7 +34,10 @@ fn corpus(times_min: &[u64], untrainable: &[usize]) -> PreparedCorpus {
             cluster_features: None,
         })
         .collect();
-    PreparedCorpus { items, layout }
+    PreparedCorpus {
+        items,
+        layout: layout.into(),
+    }
 }
 
 proptest! {

@@ -122,9 +122,10 @@ fn run_group(group: Vec<PredictJob>, entry: &ModelEntry, monitoring: &Monitoring
         .map(|j| (j.input.text.as_str(), j.input.time))
         .collect();
     let ctxs: Vec<obs::TraceContext> = group.iter().map(|j| j.ctx).collect();
-    // The per-entry chunk cache makes repeated predicts over overlapping
+    // The entry's chunk cache makes repeated predicts over overlapping
     // look-back windows skip telemetry generation; the monitoring epoch in
-    // the chunk key keeps it exact across batches.
+    // the chunk key keeps it exact across batches. Prepare then classify,
+    // the same two halves a fleet pass runs per fingerprint and per team.
     let predictions =
         entry
             .scout

@@ -15,9 +15,22 @@
 //!   thread participates; nested parallelism degrades to inline
 //!   execution), each under a `fleet.shard` span linked to the request
 //!   trace, with per-shard team counts and latency metrics;
+//! * an incident is **featurized once per featurization fingerprint, not
+//!   once per team**: the snapshot is grouped by
+//!   [`scout::Scout::fingerprint`], each group with a runnable member
+//!   prepares the inputs once ([`scout::Scout::prepare_inputs`], under a
+//!   `fleet.prepare` span) through one cache, and the shard workers only
+//!   [`scout::Scout::classify`] per team over the group's shared corpus;
 //! * each Scout runs with the request deadline re-checked at dispatch
 //!   and is individually isolated: a panic or injected fault becomes a
 //!   per-team [`ScoutError`], never a request-wide failure.
+//!
+//! **Isolation:** breaker, deadline and injected outcomes are decided
+//! before any prepare is spent on them. A panic inside a group's prepare
+//! answers [`ScoutError::Panicked`] for every team of that group —
+//! prepare is a pure function of fingerprint and input, so each of them
+//! would have hit the same panic privately. A panic in one team's
+//! classify stays that team's.
 //!
 //! **Determinism:** outcomes are collected per team and sorted by team
 //! name before they leave this module, and each prediction is a pure
@@ -34,6 +47,7 @@ use cloudsim::SimTime;
 use incident::Workload;
 use monitoring::{MonitoringConfig, MonitoringSystem};
 use obs::hash::{fnv1a, splitmix64, FNV1A_OFFSET};
+use scout::scout::PreparedCorpus;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -175,8 +189,10 @@ pub fn dispatch(
 /// Fan a *batch* of incidents out to every entry in one pass: one
 /// `MonitoringSystem` build shared by every shard and every incident
 /// (the severity-batching economics — same as one predict micro-batch),
-/// one `predict_many_cached` call per Scout covering the whole batch.
-/// Returns one outcome set per input, each **sorted by team name**.
+/// one [`scout::Scout::prepare_inputs`] per featurization fingerprint
+/// covering the whole batch, one [`scout::Scout::classify`] per Scout over
+/// its group's corpus. Returns one outcome set per input, each **sorted
+/// by team name**.
 ///
 /// `mon` is the monitoring plane configuration (the server threads its
 /// live config through here so mid-stream data-set deprecation takes
@@ -186,8 +202,11 @@ pub fn dispatch(
 ///
 /// **Determinism:** batched predictions are bit-identical to what the
 /// same incidents dispatched one at a time would produce (the
-/// `predict_many` contract from PRs 2/7), so coalescing changes
-/// throughput, never verdicts — the storm integration tests pin this.
+/// `predict_many` contract from PRs 2/7), and a shared corpus is
+/// bit-identical to the one each Scout would have prepared privately
+/// (the [`scout::Scout::fingerprint`] contract), so neither coalescing
+/// nor grouping changes verdicts — the fleet and storm integration tests
+/// pin this.
 pub fn dispatch_batch(
     entries: &[Arc<ModelEntry>],
     workload: &Workload,
@@ -201,14 +220,14 @@ pub fn dispatch_batch(
         return Vec::new();
     }
     let shards = config.effective_shards();
-    let mut groups: Vec<Vec<&Arc<ModelEntry>>> = vec![Vec::new(); shards];
-    for entry in entries {
-        groups[shard_of(&entry.team, shards)].push(entry);
+    let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); shards];
+    for (i, entry) in entries.iter().enumerate() {
+        by_shard[shard_of(&entry.team, shards)].push(i);
     }
-    groups.retain(|g| !g.is_empty());
+    by_shard.retain(|s| !s.is_empty());
     obs::counter("fleet.dispatch.calls").inc();
     obs::counter("fleet.dispatch.fanouts").add(inputs.len() as u64);
-    obs::observe("fleet.dispatch.shards", groups.len() as f64);
+    obs::observe("fleet.dispatch.shards", by_shard.len() as f64);
     obs::observe("fleet.dispatch.teams", entries.len() as f64);
     obs::observe("fleet.dispatch.batch", inputs.len() as f64);
 
@@ -216,26 +235,80 @@ pub fn dispatch_batch(
     // batcher batch: it is read-only at predict time and shared by every
     // shard.
     let monitoring = MonitoringSystem::new(&workload.topology, &workload.faults, mon.clone());
-    let ctx = obs::trace::capture();
+    // The pool re-enters the caller's trace context, but link the request
+    // explicitly too: fleet spans must stay attributable even when
+    // dispatch is driven outside a request (benches).
+    let ctx = obs::trace::capture().filter(|c| c.trace_id != 0);
 
-    let per_shard: Vec<TeamBatchResults> =
+    // Breaker, deadline and injected outcomes are settled before any
+    // prepare is spent on them.
+    let lapsed = deadline.is_some_and(|d| Instant::now() >= d);
+    let gated: Vec<Option<ScoutError>> = entries
+        .iter()
+        .map(|entry| gate(entry, lapsed, config, skip))
+        .collect();
+    // Group the snapshot by featurization fingerprint. A group reads
+    // through its first member's cache whatever that member's own state,
+    // so the same cache stays warm from pass to pass; a group prepares
+    // only if some member will actually classify.
+    let mut groups: Vec<Group<'_>> = Vec::new();
+    let mut group_of = Vec::with_capacity(entries.len());
+    for (entry, gated) in entries.iter().zip(&gated) {
+        let fingerprint = entry.scout.fingerprint();
+        let g = groups
+            .iter()
+            .position(|g| g.lead.scout.fingerprint() == fingerprint)
+            .unwrap_or_else(|| {
+                groups.push(Group {
+                    lead: entry,
+                    runnable: false,
+                });
+                groups.len() - 1
+            });
+        groups[g].runnable |= gated.is_none();
+        group_of.push(g);
+    }
+    // `None`: nobody to prepare for, or the prepare panicked.
+    let corpora: Vec<Option<PreparedCorpus>> =
         pool::Pool::global().parallel_map(&groups, |_, group| {
-            let started = Instant::now();
-            let mut span = obs::span!("fleet.shard");
-            // The pool re-enters the caller's trace context, but link the
-            // request explicitly too: shard spans must stay attributable
-            // even when dispatch is driven outside a request (benches).
-            if let Some(ctx) = ctx.filter(|c| c.trace_id != 0) {
+            if !group.runnable {
+                return None;
+            }
+            let mut span = obs::span!("fleet.prepare");
+            if let Some(ctx) = ctx {
                 span.add_link(ctx);
             }
-            obs::observe("fleet.shard.teams", group.len() as f64);
-            let results: TeamBatchResults = group
+            let lead = group.lead;
+            catch_unwind(AssertUnwindSafe(|| {
+                lead.scout
+                    .prepare_inputs(inputs, &monitoring, Some(&lead.feat_cache), None)
+            }))
+            .ok()
+        });
+
+    let per_shard: Vec<TeamBatchResults> =
+        pool::Pool::global().parallel_map(&by_shard, |_, shard| {
+            let started = Instant::now();
+            let mut span = obs::span!("fleet.shard");
+            if let Some(ctx) = ctx {
+                span.add_link(ctx);
+            }
+            obs::observe("fleet.shard.teams", shard.len() as f64);
+            let results: TeamBatchResults = shard
                 .iter()
-                .map(|entry| {
-                    (
-                        entry.team.clone(),
-                        run_scout_batch(entry, &monitoring, inputs, deadline, config, skip),
-                    )
+                .map(|&i| {
+                    let entry = &entries[i];
+                    let results = match &gated[i] {
+                        Some(error) => vec![Err(error.clone()); inputs.len()],
+                        None => classify_isolated(
+                            entry,
+                            corpora[group_of[i]].as_ref(),
+                            &monitoring,
+                            inputs.len(),
+                            deadline,
+                        ),
+                    };
+                    (entry.team.clone(), results)
                 })
                 .collect();
             obs::observe("fleet.shard.latency", started.elapsed().as_secs_f64() * 1e3);
@@ -322,9 +395,9 @@ pub(crate) fn pass(
 pub(crate) type RouteRequest = (String, SimTime);
 
 /// Stage 3 of storm control: start the Sev3 route coalescer. Queued
-/// incidents share one [`pass`] per batch — one `MonitoringSystem` build
-/// and one `predict_many_cached` call per Scout, the same economics as
-/// the predict micro-batcher. Batching never changes bytes: outcome sets
+/// incidents share one [`pass`] per batch — one `MonitoringSystem` build,
+/// one prepare per fingerprint and one classify per Scout, the same
+/// economics as the predict micro-batcher. Batching never changes bytes: outcome sets
 /// are bit-identical to the same incidents passed one at a time, so the
 /// handler thread renders exactly the response a direct fan-out gives.
 pub(crate) fn start_route_coalescer(
@@ -360,37 +433,62 @@ pub(crate) fn start_route_coalescer(
     )
 }
 
-/// Run one team's Scout over the whole input batch with isolation:
-/// breaker skip, deadline re-check, injected faults, and panic
-/// containment. Always returns exactly one result per input.
-fn run_scout_batch(
+/// One featurization group of a pass: the entries of the snapshot whose
+/// Scouts share a [`scout::Scout::fingerprint`].
+struct Group<'a> {
+    /// First member in snapshot order: its Scout prepares for the group,
+    /// through its cache.
+    lead: &'a ModelEntry,
+    /// Will any member classify?
+    runnable: bool,
+}
+
+/// Why `entry` sits this pass out, if it does: open breaker, lapsed
+/// deadline, injected fault — in that order.
+fn gate(
     entry: &ModelEntry,
-    monitoring: &MonitoringSystem<'_>,
-    inputs: &[(&str, SimTime)],
-    deadline: Option<Instant>,
+    lapsed: bool,
     config: &FleetConfig,
     skip: &[String],
-) -> Vec<Result<Answer, ScoutError>> {
-    let n = inputs.len();
+) -> Option<ScoutError> {
     if skip.iter().any(|t| t == &entry.team) {
         obs::counter("fleet.scout.breaker_open").inc();
-        return vec![Err(ScoutError::BreakerOpen); n];
+        return Some(ScoutError::BreakerOpen);
     }
+    if lapsed {
+        obs::counter("fleet.scout.deadline_expired").inc();
+        return Some(ScoutError::DeadlineExpired);
+    }
+    if config.fails(&entry.team) {
+        obs::counter("fleet.scout.injected_failure").inc();
+        return Some(ScoutError::Injected);
+    }
+    None
+}
+
+/// Classify the group's corpus with one team's Scout, with the deadline
+/// re-checked at the team's turn and panics contained to the team. A
+/// missing corpus is a panicked prepare. Always returns exactly `n`
+/// results, one per input.
+fn classify_isolated(
+    entry: &ModelEntry,
+    corpus: Option<&PreparedCorpus>,
+    monitoring: &MonitoringSystem<'_>,
+    n: usize,
+    deadline: Option<Instant>,
+) -> Vec<Result<Answer, ScoutError>> {
     if deadline.is_some_and(|d| Instant::now() >= d) {
         obs::counter("fleet.scout.deadline_expired").inc();
         return vec![Err(ScoutError::DeadlineExpired); n];
     }
-    if config.fails(&entry.team) {
-        obs::counter("fleet.scout.injected_failure").inc();
-        return vec![Err(ScoutError::Injected); n];
-    }
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        entry
-            .scout
-            .predict_many_cached(inputs, monitoring, Some(&entry.feat_cache))
-    }));
-    match result {
-        Ok(predictions) => {
+    let predictions = corpus.and_then(|corpus| {
+        catch_unwind(AssertUnwindSafe(|| {
+            entry.scout.classify(corpus, monitoring, None)
+        }))
+        .ok()
+    });
+    match predictions {
+        Some(predictions) => {
             debug_assert_eq!(predictions.len(), n);
             predictions
                 .into_iter()
@@ -403,7 +501,7 @@ fn run_scout_batch(
                 })
                 .collect()
         }
-        Err(_) => {
+        None => {
             obs::counter("fleet.scout.panicked").inc();
             vec![Err(ScoutError::Panicked); n]
         }

@@ -22,8 +22,9 @@
 //!   predicts) and the storm layer's Sev3 route coalescer in [`fleet`];
 //! * [`fleet`] — the sharded routing plane behind `POST /v1/route`:
 //!   registered teams are rendezvous-hashed across bounded worker
-//!   groups, each incident fans out shard-parallel with per-team fault
-//!   isolation, and the string-keyed Scout Master aggregates the
+//!   groups, each incident is featurized once per featurization
+//!   fingerprint and classified shard-parallel per team with per-team
+//!   fault isolation, and the string-keyed Scout Master aggregates the
 //!   outcomes deterministically (byte-identical across shard counts).
 //!   One *fleet pass* (registry snapshot → breaker gate sampled once →
 //!   `dispatch_batch` → one breaker report per team) serves both the

@@ -56,9 +56,13 @@ pub struct ModelEntry {
     pub source: String,
     /// The trained Scout.
     pub scout: Scout,
-    /// Feature-chunk cache shared by every predict against this entry.
-    /// Fresh per registration, so hot-swapping a model (or its world)
-    /// starts cold instead of serving stale chunks.
+    /// Feature-chunk cache. `/v1/scouts/{team}/predict` reads through
+    /// the entry's own; a fleet pass reads through the cache of the first
+    /// entry of each featurization-fingerprint group (see
+    /// [`fleet`](crate::fleet)), so same-fingerprint entries share one
+    /// warm cache and the others' stay empty. Chunks hold nothing of the
+    /// model and are keyed by the monitoring epoch, so no cache can serve
+    /// a stale chunk whichever entry owns it.
     pub feat_cache: FeatCache,
 }
 
@@ -216,7 +220,7 @@ impl ModelRegistry {
     }
 
     /// The one publish step, run inside the caller's write-lock window:
-    /// assign the next version, wrap `scout` in an entry with a cold
+    /// assign the next version, wrap `scout` in an entry with an empty
     /// feature cache, supersede the slot's current entry (or open the
     /// slot), and journal the promotion.
     fn publish_locked(

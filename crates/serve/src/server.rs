@@ -449,14 +449,20 @@ fn dispatch(req: &Request, shared: &Shared) -> Response {
     let handled = match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/healthz") => Ok(Response::json(200, Obj::new().str("status", "ok").finish())),
         ("GET", "/readyz") => readyz(shared),
-        ("GET", "/metrics") => Ok(Response::text(
-            200,
-            obs::sink::render_metrics_prometheus(&obs::global().metrics),
-        )),
-        ("GET", "/metrics.json") => Ok(Response::text(
-            200,
-            obs::sink::render_metrics_jsonl(&obs::global().metrics),
-        )),
+        ("GET", "/metrics") => {
+            refresh_registry_gauges(shared);
+            Ok(Response::text(
+                200,
+                obs::sink::render_metrics_prometheus(&obs::global().metrics),
+            ))
+        }
+        ("GET", "/metrics.json") => {
+            refresh_registry_gauges(shared);
+            Ok(Response::text(
+                200,
+                obs::sink::render_metrics_jsonl(&obs::global().metrics),
+            ))
+        }
         ("GET", "/v1/debug/flight") => {
             let mut out = String::new();
             for line in obs::flight().snapshot() {
@@ -489,6 +495,22 @@ fn dispatch(req: &Request, shared: &Shared) -> Response {
 
 fn not_found(path: &str) -> Handled {
     Err(HttpError::new(404, format!("no such endpoint: {path}")))
+}
+
+/// Gauges that are sums over the registry, brought up to date when
+/// scraped: `serve.featcache.bytes` is the chunk bytes held by every
+/// current entry's cache together (`featcache.bytes` is whichever single
+/// cache published last). A fleet of one featurization fingerprint keeps
+/// it under one cache's budget.
+fn refresh_registry_gauges(shared: &Shared) {
+    let bytes: usize = shared
+        .engine
+        .registry
+        .snapshot()
+        .iter()
+        .map(|e| e.feat_cache.stats().bytes)
+        .sum();
+    obs::gauge("serve.featcache.bytes").set(bytes as f64);
 }
 
 fn readyz(shared: &Shared) -> Handled {

@@ -1,6 +1,8 @@
 //! Fleet routing-plane tests: graceful degradation under partial Scout
-//! failure, unmapped-team answers participating in the decision, and the
-//! bit-identity of sharded dispatch against the sequential fan-out.
+//! failure, unmapped-team answers participating in the decision, the
+//! bit-identity of sharded dispatch against the sequential fan-out, and
+//! of featurize-once-per-fingerprint dispatch against every team
+//! predicting privately.
 
 use cloudsim::{SimDuration, Team};
 use featcache::FeatCache;
@@ -9,8 +11,11 @@ use ml::forest::ForestConfig;
 use monitoring::{MonitoringConfig, MonitoringSystem};
 use obs::json::Value;
 use proptest::prelude::*;
-use scout::{Example, Scout, ScoutBuildConfig, ScoutConfig};
-use serve::{Client, Engine, FleetConfig, ModelEntry, ModelRegistry, ServeConfig, Server};
+use scout::{Example, Prediction, Scout, ScoutBuildConfig, ScoutConfig};
+use serve::{
+    Answer, Client, Engine, FleetConfig, ModelEntry, ModelRegistry, ScoutError, ServeConfig,
+    Server, TeamOutcome,
+};
 use std::sync::{Arc, OnceLock};
 
 /// A small world: enough incidents to train on, fast enough for tests.
@@ -308,5 +313,228 @@ proptest! {
         let mut expected: Vec<&str> = entries.iter().map(|e| e.team.as_str()).collect();
         expected.sort_unstable();
         prop_assert_eq!(teams, expected);
+    }
+}
+
+fn entry(team: &str, version: u64, scout: Scout) -> Arc<ModelEntry> {
+    Arc::new(ModelEntry {
+        team: team.to_string(),
+        version,
+        source: "test".into(),
+        scout,
+        feat_cache: FeatCache::new(16 * 1024 * 1024),
+    })
+}
+
+/// The test Scout with another look-back window: a different
+/// featurization fingerprint, the same (still shape-compatible) models.
+fn scout_with_lookback(minutes: u64) -> Scout {
+    let text = trained_model_text();
+    assert!(text.contains("lookback_minutes 120\n"));
+    let text = text.replace(
+        "lookback_minutes 120\n",
+        &format!("lookback_minutes {minutes}\n"),
+    );
+    Scout::from_text(&text).expect("edited model text loads")
+}
+
+/// Six teams over three fingerprints, interleaved so no group is
+/// contiguous: 120 min ×3, 90 min ×2, and a 45 min singleton.
+fn mixed_fleet() -> &'static Vec<Arc<ModelEntry>> {
+    static ENTRIES: OnceLock<Vec<Arc<ModelEntry>>> = OnceLock::new();
+    ENTRIES.get_or_init(|| {
+        [
+            ("PhyNet", 120),
+            ("Atlantis", 90),
+            ("Storage", 120),
+            ("SLB", 45),
+            ("DNS", 90),
+            ("Database", 120),
+        ]
+        .iter()
+        .enumerate()
+        .map(|(i, &(team, minutes))| entry(team, i as u64 + 1, scout_with_lookback(minutes)))
+        .collect()
+    })
+}
+
+/// What the proptest draws inputs from: every incident of the small
+/// world, plus one the config excludes and one naming no component.
+fn input_pool() -> &'static Vec<(String, cloudsim::SimTime)> {
+    static POOL: OnceLock<Vec<(String, cloudsim::SimTime)>> = OnceLock::new();
+    POOL.get_or_init(|| {
+        let world = small_workload();
+        let mut pool: Vec<_> = world
+            .incidents
+            .iter()
+            .map(|i| (i.text(), i.created_at))
+            .collect();
+        let at = cloudsim::SimTime::from_days(10);
+        pool.push(("decommission of tor-0.c0.dc0\nplanned work".into(), at));
+        pool.push(("something vague happened somewhere".into(), at));
+        pool
+    })
+}
+
+/// The reference: each mixed-fleet Scout's own uncached
+/// `Scout::predict` of each pool input — no shared corpus, no cache, no
+/// batch. Indexed `[entry][input]`.
+fn private_predictions() -> &'static Vec<Vec<Prediction>> {
+    static TABLE: OnceLock<Vec<Vec<Prediction>>> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        let world = small_workload();
+        let mon =
+            MonitoringSystem::new(&world.topology, &world.faults, MonitoringConfig::default());
+        mixed_fleet()
+            .iter()
+            .map(|e| {
+                input_pool()
+                    .iter()
+                    .map(|(text, time)| e.scout.predict(text, *time, &mon))
+                    .collect()
+            })
+            .collect()
+    })
+}
+
+fn masked(mask: u32, entries: &[Arc<ModelEntry>]) -> Vec<String> {
+    entries
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| mask & (1 << i) != 0)
+        .map(|(_, e)| e.team.clone())
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// One prepare per fingerprint plus one classify per team is
+    /// byte-identical to every team predicting privately and uncached —
+    /// for any batch, shard count, breaker skip set and injected-failure
+    /// set, over a fleet of three fingerprints (one a singleton).
+    #[test]
+    fn grouped_dispatch_matches_private_predictions(
+        picks in proptest::collection::vec(any::<u16>(), 1..17),
+        shards in 1usize..9,
+        skip_mask in 0u32..(1 << 6),
+        fail_mask in 0u32..(1 << 6),
+    ) {
+        let world = small_workload();
+        let entries = mixed_fleet();
+        let pool = input_pool();
+        let picks: Vec<usize> = picks.iter().map(|&p| p as usize % pool.len()).collect();
+        let inputs: Vec<(&str, cloudsim::SimTime)> =
+            picks.iter().map(|&p| (pool[p].0.as_str(), pool[p].1)).collect();
+        let skip = masked(skip_mask, entries);
+        let fail_teams = masked(fail_mask, entries);
+
+        let got = serve::fleet::dispatch_batch(
+            entries,
+            &world,
+            &MonitoringConfig::default(),
+            &inputs,
+            None,
+            &FleetConfig { shards, suggestions: 3, fail_teams: fail_teams.clone() },
+            &skip,
+        );
+        prop_assert_eq!(got.len(), inputs.len());
+
+        for (outcomes, &pick) in got.iter().zip(&picks) {
+            let mut expected: Vec<TeamOutcome> = entries
+                .iter()
+                .enumerate()
+                .map(|(e, entry)| TeamOutcome {
+                    team: entry.team.clone(),
+                    result: if skip.contains(&entry.team) {
+                        Err(ScoutError::BreakerOpen)
+                    } else if fail_teams.contains(&entry.team) {
+                        Err(ScoutError::Injected)
+                    } else {
+                        Ok(Answer {
+                            team: entry.team.clone(),
+                            model_version: entry.version,
+                            prediction: private_predictions()[e][pick].clone(),
+                        })
+                    },
+                })
+                .collect();
+            expected.sort_by(|a, b| a.team.cmp(&b.team));
+            prop_assert_eq!(render_outcomes(outcomes), render_outcomes(&expected));
+        }
+    }
+}
+
+#[test]
+fn mixed_fleet_has_three_fingerprints_and_a_singleton() {
+    let mut sizes: Vec<usize> = Vec::new();
+    let mut seen: Vec<&str> = Vec::new();
+    for e in mixed_fleet() {
+        match seen.iter().position(|f| *f == e.scout.fingerprint()) {
+            Some(g) => sizes[g] += 1,
+            None => {
+                seen.push(e.scout.fingerprint());
+                sizes.push(1);
+            }
+        }
+    }
+    assert_eq!(sizes, [3, 2, 1]);
+}
+
+/// The test Scout with its selector's model swapped for the (much wider)
+/// main forest: featurization is untouched — same fingerprint, prepare
+/// works — but the selector's width check panics inside `classify`.
+fn scout_panicking_in_classify() -> Scout {
+    let text = trained_model_text();
+    let between = |from: &str, to: &str| {
+        let start = text.find(from).expect(from) + from.len();
+        start..start + text[start..].find(to).expect(to)
+    };
+    let main_forest = &text[between("[forest]\n", "[end]\n")];
+    let selector = between("[selector]\n", "[end]\n");
+    let model_line = selector.start
+        + text[selector.clone()]
+            .find("model ")
+            .expect("selector names its model");
+    let forged = format!(
+        "{}model rf\n{main_forest}{}",
+        &text[..model_line],
+        &text[selector.end..]
+    );
+    Scout::from_text(&forged).expect("forged model text loads")
+}
+
+#[test]
+fn a_panicking_classify_is_one_teams_problem() {
+    let world = small_workload();
+    let entries = vec![
+        entry("Atlantis", 1, test_scout()),
+        entry("Broken", 2, scout_panicking_in_classify()),
+        entry("Storage", 3, test_scout()),
+    ];
+    assert_eq!(
+        entries[0].scout.fingerprint(),
+        entries[1].scout.fingerprint(),
+        "the broken Scout shares its group-mates' corpus"
+    );
+    let text = "Switch agg-3 in c1.dc1 reporting CRC errors and packet loss";
+    let time = cloudsim::SimTime::from_days(10);
+    for shards in [1, 3] {
+        let outcomes = serve::fleet::dispatch(
+            &entries,
+            &world,
+            text,
+            time,
+            None,
+            &fleet_config(shards, &[]),
+        );
+        let teams: Vec<&str> = outcomes.iter().map(|o| o.team.as_str()).collect();
+        assert_eq!(teams, ["Atlantis", "Broken", "Storage"]);
+        assert!(outcomes[0].result.is_ok(), "{:?}", outcomes[0].result);
+        assert_eq!(
+            outcomes[1].result.as_ref().err(),
+            Some(&ScoutError::Panicked)
+        );
+        assert!(outcomes[2].result.is_ok(), "{:?}", outcomes[2].result);
     }
 }

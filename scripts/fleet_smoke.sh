@@ -3,7 +3,10 @@
 # `scoutctl serve` with 32 synthetic teams rendezvous-hashed over 4
 # shards, then drive a multi-team incident burst through `/v1/route`
 # with `scoutctl fleetgen`, enforcing an accuracy floor and zero
-# unmapped answers (the silent-drop regression gate).
+# unmapped answers (the silent-drop regression gate). The 32 teams share
+# one featurization fingerprint, so the burst must leave one warm feature
+# cache behind, not 32: chunk bytes summed over the registry stay under
+# a single cache's budget.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -42,6 +45,17 @@ echo "fleet server up on $addr (32 synthetic teams, 4 shards)"
 # floor guards against routing-plane regressions, not model quality.
 ./target/release/scoutctl fleetgen --addr "$addr" "${world_flags[@]}" \
   --requests 40 --concurrency 4 --min-accuracy 0.4 --max-unmapped 0
+
+# `serve` runs with the default --feat-cache-mb 64 per entry.
+budget=$((64 * 1024 * 1024))
+cached=$(./target/release/scoutctl probe --addr "$addr" --path /metrics |
+  awk '/^serve_featcache_bytes /{printf "%d", $2}')
+if [[ "${cached:-0}" -le 0 || "$cached" -gt "$budget" ]]; then
+  echo "fleet smoke: registry-wide featcache bytes ${cached:-missing}," \
+    "expected within (0, $budget] — one warm cache for the fleet" >&2
+  exit 1
+fi
+echo "fleet featcache: $cached bytes across 32 entries (one cache's budget: $budget)"
 
 kill "$serve_pid" 2>/dev/null || true
 trap - EXIT
