@@ -214,9 +214,6 @@ pub fn serve_cmd(args: &Args) -> Result<(), ArgError> {
     };
     let config = ServeConfig {
         batch_size: args.get_parsed("batch-size", 32usize)?,
-        batch_deadline: std::time::Duration::from_millis(
-            args.get_parsed("batch-deadline-ms", 2u64)?,
-        ),
         queue_cap: args.get_parsed("queue-cap", 64usize)?,
         max_connections: args.get_parsed("max-connections", 128usize)?,
         trace_sample: args.get_parsed("trace-sample", 64u64)?,

@@ -1,7 +1,7 @@
 //! Admission control: a hard bound on outstanding predict work.
 //!
-//! The bound covers the whole in-server lifetime of a request — queued,
-//! being collected into a batch, or executing — not just the queue, so
+//! The bound covers the whole in-server lifetime of a request — queued
+//! or executing — not just the queue, so
 //! "how much work is in flight" has one number and one knob
 //! (`queue_cap`). A request that cannot get a permit is **shed**
 //! immediately with `503 Service Unavailable` + `Retry-After` instead of

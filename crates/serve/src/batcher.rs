@@ -2,18 +2,19 @@
 //! [`Coalescer`].
 //!
 //! Predict requests from all connections land in one bounded job queue.
-//! The coalescer's worker thread collects jobs until either the batch is
-//! full or a short deadline lapses (default 32 requests / 2 ms — sized to
-//! the flattened forest's 32-row scoring tile, so a full batch feeds
-//! exactly one micro-batch through the node-major tables); this module
-//! groups each batch by team, resolves **one** model version per
-//! team-group, and runs one pooled [`Scout::predict_many`] pass per
-//! group. Because `prepare` is a pure per-example function (PR 2's
+//! The coalescer's worker thread takes whatever queued while its previous
+//! batch ran, up to `batch_size` (default 32 — the flattened forest's
+//! 32-row scoring tile, so a full batch feeds exactly one micro-batch
+//! through the node-major tables), and never holds a job back for
+//! company; this module groups each batch by team, resolves **one** model
+//! version per team-group, and runs one pooled [`Scout::predict_many`]
+//! pass per group. Because `prepare` is a pure per-example function (PR 2's
 //! determinism contract), the batched answers are bit-identical to what
 //! N sequential `predict` calls would have produced — batching changes
 //! throughput, never verdicts.
 //!
 //! Metrics: `serve.batch.occupancy` (histogram of jobs per batch),
+//! `serve.batch.queue_wait_ms` (submit → batch start, per job),
 //! `serve.deadline.expired` (requests that timed out in the queue).
 //!
 //! [`Scout::predict_many`]: scout::Scout::predict_many
@@ -83,8 +84,8 @@ pub(crate) fn start(
         thread: "serve-batcher",
         span: "serve.batch",
         occupancy: "serve.batch.occupancy",
+        queue_wait: "serve.batch.queue_wait_ms",
         batch_size: config.batch_size,
-        wait: config.batch_deadline,
     };
     Coalescer::start(window, move |jobs| run_batch(jobs, &engine))
 }
@@ -136,5 +137,118 @@ fn run_group(group: Vec<PredictJob>, entry: &ModelEntry, monitoring: &Monitoring
             model_version: entry.version,
             prediction,
         }));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::registry::ModelRegistry;
+    use cloudsim::{SimDuration, Team};
+    use incident::{Workload, WorkloadConfig};
+    use ml::forest::ForestConfig;
+    use monitoring::MonitoringConfig;
+    use scout::{Example, Scout, ScoutBuildConfig, ScoutConfig};
+    use std::sync::mpsc::Receiver;
+
+    /// A small world and one PhyNet Scout trained on it.
+    fn engine() -> Engine {
+        let mut config = WorkloadConfig {
+            seed: 7,
+            ..WorkloadConfig::default()
+        };
+        config.faults.faults_per_day = 2.0;
+        config.faults.horizon = SimDuration::days(20);
+        let world = Workload::generate(config);
+        let mon =
+            MonitoringSystem::new(&world.topology, &world.faults, MonitoringConfig::default());
+        let examples: Vec<Example> = world
+            .incidents
+            .iter()
+            .map(|i| Example::new(i.text(), i.created_at, i.owner == Team::PhyNet))
+            .collect();
+        let config = ScoutConfig::phynet();
+        let build = ScoutBuildConfig {
+            forest: ForestConfig {
+                n_trees: 8,
+                ..ForestConfig::default()
+            },
+            cluster_train_cap: 10,
+            ..ScoutBuildConfig::default()
+        };
+        let corpus = Scout::prepare(&config, &build, &examples, &mon);
+        let train = corpus.trainable_indices();
+        let scout = Scout::train_prepared(config, build, &corpus, &train, &mon);
+        let registry = ModelRegistry::new();
+        registry
+            .register("PhyNet", scout, "test")
+            .expect("register test model");
+        Engine::new(Arc::new(registry), Arc::new(world))
+    }
+
+    type Answered = Receiver<Result<Answer, PredictError>>;
+
+    fn jobs(requests: &[(&'static str, String, SimTime)]) -> (Vec<PredictJob>, Vec<Answered>) {
+        requests
+            .iter()
+            .map(|(team, text, time)| {
+                Job::new(
+                    PredictRequest {
+                        team: team.to_string(),
+                        text: text.clone(),
+                        time: *time,
+                    },
+                    None,
+                )
+            })
+            .unzip()
+    }
+
+    /// Every bit of an answer a response is rendered from.
+    fn bits(answered: &Answered) -> String {
+        match answered.recv().expect("job answered") {
+            Ok(a) => format!(
+                "{} v{} {:016x} {:?}",
+                a.team,
+                a.model_version,
+                a.prediction.confidence.to_bits(),
+                a.prediction
+            ),
+            Err(e) => format!("ERR {e}"),
+        }
+    }
+
+    /// Batching changes how many jobs share a `MonitoringSystem` build,
+    /// never an answer: whatever the coalescer happens to hand over as
+    /// one batch reads the same as the same jobs handed over one by one.
+    #[test]
+    fn one_batch_of_n_answers_exactly_as_n_batches_of_one() {
+        let engine = engine();
+        let requests: Vec<(&'static str, String, SimTime)> = engine
+            .workload
+            .incidents
+            .iter()
+            .take(12)
+            .enumerate()
+            .map(|(i, incident)| {
+                // Mixed spellings of the team (one group per spelling)
+                // and one team nobody registered.
+                let team = ["PhyNet", "phynet", "Atlantis"][i % 3];
+                (team, incident.text(), incident.created_at)
+            })
+            .collect();
+
+        let (batch, together) = jobs(&requests);
+        run_batch(batch, &engine);
+        let (singles, apart) = jobs(&requests);
+        for job in singles {
+            run_batch(vec![job], &engine);
+        }
+
+        let together: Vec<String> = together.iter().map(bits).collect();
+        let apart: Vec<String> = apart.iter().map(bits).collect();
+        assert_eq!(together, apart);
+        assert!(together.iter().any(|a| a.starts_with("PhyNet v1 ")));
+        assert!(together.iter().any(|a| a.starts_with("ERR ")));
     }
 }

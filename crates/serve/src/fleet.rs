@@ -50,7 +50,7 @@ use obs::hash::{fnv1a, splitmix64, FNV1A_OFFSET};
 use scout::scout::PreparedCorpus;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use storm::{BatchPolicy, Gate};
 
 /// Default shard count when `--fleet-shards` is not given.
@@ -394,12 +394,14 @@ pub(crate) fn pass(
 /// time.
 pub(crate) type RouteRequest = (String, SimTime);
 
-/// Stage 3 of storm control: start the Sev3 route coalescer. Queued
-/// incidents share one [`pass`] per batch — one `MonitoringSystem` build,
-/// one prepare per fingerprint and one classify per Scout, the same
-/// economics as the predict micro-batcher. Batching never changes bytes: outcome sets
-/// are bit-identical to the same incidents passed one at a time, so the
-/// handler thread renders exactly the response a direct fan-out gives.
+/// Stage 3 of storm control: start the Sev3 route coalescer. Incidents
+/// that queued while the previous pass ran (up to `max_batch`) share one
+/// [`pass`] — one `MonitoringSystem` build, one prepare per fingerprint
+/// and one classify per Scout; an idle worker passes a lone incident at
+/// once, exactly as the predict batcher does. Batching never changes
+/// bytes: outcome sets are bit-identical to the same incidents passed one
+/// at a time, so the handler thread renders exactly the response a direct
+/// fan-out gives.
 pub(crate) fn start_route_coalescer(
     engine: Arc<Engine>,
     policy: &BatchPolicy,
@@ -408,8 +410,8 @@ pub(crate) fn start_route_coalescer(
         thread: "serve-stormroute",
         span: "storm.route.batch",
         occupancy: "storm.batch.occupancy",
+        queue_wait: "storm.batch.queue_wait_ms",
         batch_size: policy.max_batch,
-        wait: Duration::from_millis(policy.max_wait_ms),
     };
     Coalescer::start(
         window,

@@ -14,8 +14,9 @@
 //!   load-shedding (`503` + `Retry-After`) and per-request deadlines
 //!   (`X-Deadline-Ms` → `504`), because a late routing decision is a
 //!   useless one;
-//! * `coalesce` — the one micro-batching queue: collect window, batch
-//!   span linking every coalesced request, expired-deadline split,
+//! * `coalesce` — the one micro-batching queue: a batch is what queued
+//!   while the previous one ran, under a batch span linking every
+//!   coalesced request, with the expired-deadline split and
 //!   drain-never-drop shutdown. It has exactly two handlers:
 //!   [`batcher`] (predict: group by team → one pinned model version →
 //!   one pooled `Scout::predict_many` pass, bit-identical to sequential

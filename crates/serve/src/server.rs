@@ -6,7 +6,9 @@
 //! on a rendezvous channel while the batcher answers; predict model
 //! execution happens in the batcher on the shared `pool`, and `/v1/route`
 //! fan-outs run as one [`fleet::pass`] — on the handler thread, or
-//! coalesced on the Sev3 worker.
+//! coalesced on the Sev3 worker. Neither worker holds a request back: a
+//! batch is what queued while the previous one ran, capped at
+//! `batch_size` (see `coalesce`).
 //!
 //! | Endpoint | Behaviour |
 //! |---|---|
@@ -164,8 +166,6 @@ impl Engine {
 pub struct ServeConfig {
     /// Maximum jobs per inference batch.
     pub batch_size: usize,
-    /// How long an open batch waits for more jobs.
-    pub batch_deadline: Duration,
     /// Maximum outstanding predict requests before shedding.
     pub queue_cap: usize,
     /// Maximum concurrently-served connections.
@@ -183,7 +183,6 @@ impl Default for ServeConfig {
     fn default() -> ServeConfig {
         ServeConfig {
             batch_size: 32,
-            batch_deadline: Duration::from_millis(2),
             queue_cap: 64,
             max_connections: 128,
             trace_sample: 64,
@@ -305,10 +304,9 @@ impl Server {
         if let Some(acceptor) = self.acceptor.take() {
             acceptor.join().ok();
         }
-        // Drain, don't drop: refuse new submits and close the open batch
-        // window immediately, so jobs already queued are answered now
-        // rather than after the full batch deadline — and never left
-        // unanswered.
+        // Drain, don't drop: new submits are refused, the batch in flight
+        // finishes, and jobs still queued behind it are shed with 503 —
+        // never left unanswered.
         self.shared.batcher.begin_shutdown();
         if let Some(rb) = &self.shared.route_batcher {
             rb.begin_shutdown();
@@ -396,7 +394,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
             Ok(Some(req)) => {
                 let keep_alive = req.keep_alive();
                 let started = Instant::now();
-                let endpoint = endpoint_label(&req.path);
+                let latency = latency_metric(&req.path);
                 // Adopt the caller's trace id (always sampled: an explicit
                 // id is a request to record) or mint one under the 1-in-N
                 // policy; the root span anchors everything downstream.
@@ -409,11 +407,11 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
                     let _root = obs::span!("serve.request");
                     dispatch(&req, shared)
                 };
-                obs::observe(
-                    &format!("serve.latency.{endpoint}"),
-                    started.elapsed().as_secs_f64() * 1e3,
-                );
-                obs::counter(&format!("serve.http.{}", response.status)).inc();
+                obs::observe(latency, started.elapsed().as_secs_f64() * 1e3);
+                match status_metric(response.status) {
+                    Some(name) => obs::counter(name).inc(),
+                    None => obs::counter(&format!("serve.http.{}", response.status)).inc(),
+                }
                 let response = response.with_header("X-Trace-Id", &obs::trace::hex(ctx.trace_id));
                 if response.write_to(&mut writer, keep_alive).is_err() || !keep_alive {
                     return;
@@ -423,22 +421,41 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
     }
 }
 
-/// A low-cardinality label for per-endpoint latency series.
-fn endpoint_label(path: &str) -> &'static str {
+/// The per-endpoint latency histogram a request lands in: one
+/// low-cardinality static name per endpoint, so the reply path formats
+/// nothing.
+fn latency_metric(path: &str) -> &'static str {
     match path {
-        "/healthz" => "healthz",
-        "/readyz" => "readyz",
-        "/metrics" | "/metrics.json" => "metrics",
-        "/v1/debug/flight" => "flight",
-        "/v1/route" => "route",
-        "/v1/models/reload" => "reload",
-        "/v1/models/rollback" => "rollback",
-        "/v1/feedback" => "feedback",
-        "/v1/wal/state" => "wal",
-        "/v1/monitoring/deprecate" => "deprecate",
-        p if p.starts_with("/v1/scouts/") && p.ends_with("/predict") => "predict",
-        _ => "other",
+        "/healthz" => "serve.latency.healthz",
+        "/readyz" => "serve.latency.readyz",
+        "/metrics" | "/metrics.json" => "serve.latency.metrics",
+        "/v1/debug/flight" => "serve.latency.flight",
+        "/v1/route" => "serve.latency.route",
+        "/v1/models/reload" => "serve.latency.reload",
+        "/v1/models/rollback" => "serve.latency.rollback",
+        "/v1/feedback" => "serve.latency.feedback",
+        "/v1/wal/state" => "serve.latency.wal",
+        "/v1/monitoring/deprecate" => "serve.latency.deprecate",
+        p if p.starts_with("/v1/scouts/") && p.ends_with("/predict") => "serve.latency.predict",
+        _ => "serve.latency.other",
     }
+}
+
+/// The `serve.http.<status>` counter of a status the endpoints produce
+/// (the availability SLO matches on that prefix); `None` for a stray one,
+/// which alone pays for a `format!`.
+fn status_metric(status: u16) -> Option<&'static str> {
+    Some(match status {
+        200 => "serve.http.200",
+        400 => "serve.http.400",
+        404 => "serve.http.404",
+        409 => "serve.http.409",
+        429 => "serve.http.429",
+        500 => "serve.http.500",
+        503 => "serve.http.503",
+        504 => "serve.http.504",
+        _ => return None,
+    })
 }
 
 /// What an endpoint produces: a response, or the error [`dispatch`]
@@ -1209,11 +1226,65 @@ mod tests {
     use super::*;
 
     #[test]
-    fn endpoint_labels_are_low_cardinality() {
-        assert_eq!(endpoint_label("/healthz"), "healthz");
-        assert_eq!(endpoint_label("/v1/scouts/PhyNet/predict"), "predict");
-        assert_eq!(endpoint_label("/v1/scouts/Storage/predict"), "predict");
-        assert_eq!(endpoint_label("/v1/route"), "route");
-        assert_eq!(endpoint_label("/anything/else"), "other");
+    fn latency_metrics_are_low_cardinality() {
+        assert_eq!(latency_metric("/healthz"), "serve.latency.healthz");
+        for team in ["PhyNet", "Storage"] {
+            assert_eq!(
+                latency_metric(&format!("/v1/scouts/{team}/predict")),
+                "serve.latency.predict"
+            );
+        }
+        assert_eq!(latency_metric("/v1/route"), "serve.latency.route");
+        assert_eq!(latency_metric("/anything/else"), "serve.latency.other");
+    }
+
+    #[test]
+    fn static_status_metrics_spell_what_the_fallback_formats() {
+        for status in [200, 400, 404, 409, 429, 500, 503, 504] {
+            let formatted = format!("serve.http.{status}");
+            assert_eq!(status_metric(status), Some(formatted.as_str()));
+        }
+        assert_eq!(status_metric(405), None);
+    }
+
+    #[test]
+    fn over_capacity_predict_is_shed_with_retry_after() {
+        // Both permits held by hand: the shed is a fact about admission,
+        // not about what happens to be sitting in a batch.
+        let mut world = incident::WorkloadConfig::default();
+        world.faults.horizon = cloudsim::SimDuration::days(1);
+        let engine = Engine::new(
+            Arc::new(ModelRegistry::new()),
+            Arc::new(Workload::generate(world)),
+        );
+        let config = ServeConfig {
+            queue_cap: 2,
+            ..ServeConfig::default()
+        };
+        let server = Server::start(engine, "127.0.0.1:0", config).expect("bind ephemeral port");
+        let shared = &server.shared;
+        let _held = [
+            shared.admission.try_admit().expect("first permit"),
+            shared.admission.try_admit().expect("second permit"),
+        ];
+        let req = Request {
+            method: "POST".into(),
+            path: "/v1/scouts/PhyNet/predict".into(),
+            headers: Vec::new(),
+            body: br#"{"text":"Switch agg-3 in c1.dc1 reporting CRC errors"}"#.to_vec(),
+        };
+        let shed = predict(&req, "PhyNet", shared).expect("a shed is a response, not an error");
+        assert_eq!(shed.status, 503);
+        // Retry-After adapts to queue depth: with every permit held the
+        // hint backs off beyond the idle baseline of 1 s, inside the clamp.
+        let retry: u64 = shed
+            .extra_headers
+            .iter()
+            .find(|(name, _)| name == "Retry-After")
+            .expect("shed response carries Retry-After")
+            .1
+            .parse()
+            .expect("Retry-After is integral seconds");
+        assert!((2..=8).contains(&retry), "saturated queue hint: {retry}");
     }
 }

@@ -457,14 +457,11 @@ fn mid_stream_monitoring_deprecation_degrades_without_errors() {
 
 #[test]
 fn sev3_requests_coalesce_through_the_route_batcher() {
-    // A generous batch window plus concurrent Sev3 submitters gives the
-    // coalescer a chance to batch; correctness (bytes) is covered by the
-    // on/off test, here we check the plumbing answers under concurrency.
+    // Concurrent Sev3 submitters queue behind whichever pass is running
+    // and share the next; correctness (bytes) is covered by the on/off
+    // test, here we check the plumbing answers under concurrency.
     let config = StormConfig {
-        batch: BatchPolicy {
-            max_batch: 8,
-            max_wait_ms: 20,
-        },
+        batch: BatchPolicy { max_batch: 8 },
         ..StormConfig::default()
     };
     let (storm, _clock) = manual_storm(config);

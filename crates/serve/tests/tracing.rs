@@ -200,36 +200,26 @@ static SINK_LOCK: Mutex<()> = Mutex::new(());
 fn no_span_orphaned_under_hot_swap_and_shutdown_drain() {
     let _guard = SINK_LOCK.lock().unwrap();
 
-    // Server whose models come from a directory, so reload works. Batch
-    // of 32 with a 300 ms window: waves of 3 never fill the batch, so
-    // every batch runs on the deadline — and shutdown mid-window
-    // catches an open partial batch (the drain path).
+    // Server whose models come from a directory, so reload works. Waves
+    // of 3 never fill a batch of 32; shutdown mid-stream may catch jobs
+    // queued behind the batch in flight (the drain path).
     let dir = std::env::temp_dir().join(format!("serve-tracing-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     std::fs::write(dir.join("PhyNet.scout"), trained_model_text()).unwrap();
     let registry = Arc::new(ModelRegistry::new());
     registry.load_dir(&dir).expect("initial load");
     let engine = Engine::new(registry, small_workload()).with_model_dir(dir.clone());
-    let server = Server::start(
-        engine,
-        "127.0.0.1:0",
-        ServeConfig {
-            batch_size: 32,
-            batch_deadline: Duration::from_millis(300),
-            ..ServeConfig::default()
-        },
-    )
-    .unwrap();
+    let server = Server::start(engine, "127.0.0.1:0", ServeConfig::default()).unwrap();
     let addr = server.addr().to_string();
 
     let (sink, lines) = obs::sink::MemorySink::new();
     obs::global().set_trace_sink(Some(Box::new(sink)));
 
-    // 3 clients × 4 predicts, each with its own client-supplied trace
-    // id (always sampled). Early waves land in deadline-run batches and
-    // race the reload; later ones are drained (503) or never reach the
-    // server once shutdown closes the listener. Each thread reports
-    // which of its requests were actually answered.
+    // 3 clients predicting back to back until shutdown closes their
+    // connection, each request under its own client-supplied trace id
+    // (always sampled). Some race the reload; the last are served,
+    // drained (503) or never reach the server. Each thread reports which
+    // of its requests were actually answered.
     let base: u64 = 0x7ab0_0000;
     let clients: Vec<_> = (0..3u64)
         .map(|c| {
@@ -237,8 +227,8 @@ fn no_span_orphaned_under_hot_swap_and_shutdown_drain() {
             std::thread::spawn(move || {
                 let mut client = Client::connect(&addr).unwrap();
                 let mut answered = Vec::new();
-                for r in 0..4u64 {
-                    let trace = base + c * 16 + r;
+                for r in 0..0x1_0000u64 {
+                    let trace = base + c * 0x1_0000 + r;
                     let id = obs::trace::hex(trace);
                     let Ok(resp) = client.request(
                         "POST",
@@ -261,8 +251,7 @@ fn no_span_orphaned_under_hot_swap_and_shutdown_drain() {
         })
         .collect();
 
-    // Race a hot-swap against the in-flight predicts, then shut down
-    // while a partially-filled batch window is still open.
+    // Race a hot-swap against the in-flight predicts, then shut down.
     std::thread::sleep(Duration::from_millis(150));
     let mut ctl = Client::connect(&addr).unwrap();
     assert_eq!(

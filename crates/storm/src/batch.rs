@@ -1,13 +1,14 @@
 //! Stage 3 policy: which incidents coalesce, and into how much.
 //!
 //! Low-severity incidents are the bulk of a storm and the least urgent
-//! work in it: a Sev3 ticket tolerates a few extra milliseconds of
-//! queueing if that buys the fleet one shared `MonitoringSystem` build
-//! for a whole batch of incidents (the same economics as the predict
-//! micro-batcher). This module is the *policy* half — severity
-//! classification and the coalescing knobs; the queue itself lives in
-//! `serve`, next to the fleet dispatcher it feeds, because a batch is
-//! executed as one multi-incident fan-out.
+//! work in it: a Sev3 ticket may queue behind the fan-out already
+//! running, and everything that queued meanwhile then shares one pass —
+//! one `MonitoringSystem` build, one prepare per featurization
+//! fingerprint. Nothing is held back to wait for company: with no pass
+//! running, a lone Sev3 fans out at once. This module is the *policy*
+//! half — severity classification and the batch cap; the queue itself
+//! lives in `serve`, next to the fleet dispatcher it feeds, because a
+//! batch is executed as one multi-incident fan-out.
 
 /// Incident severity as the storm layer sees it. Mirrors cloudsim's
 /// `Severity` (Sev1 page → Sev3 ticket) without depending on it: the
@@ -45,23 +46,18 @@ impl Severity {
     }
 }
 
-/// Coalescing knobs for low-severity routing.
+/// Coalescing policy for low-severity routing.
 #[derive(Debug, Clone)]
 pub struct BatchPolicy {
-    /// Maximum incidents per coalesced fan-out.
+    /// Maximum incidents per coalesced fan-out (`1` = never coalesce).
     pub max_batch: usize,
-    /// How long an open batch waits for company, in milliseconds.
-    pub max_wait_ms: u64,
 }
 
 impl Default for BatchPolicy {
-    /// Up to 16 Sev3 incidents share a fan-out; none waits more than
-    /// 5 ms — small against the 250 ms latency SLO.
+    /// Up to 16 Sev3 incidents that queued behind one fan-out share the
+    /// next.
     fn default() -> BatchPolicy {
-        BatchPolicy {
-            max_batch: 16,
-            max_wait_ms: 5,
-        }
+        BatchPolicy { max_batch: 16 }
     }
 }
 
@@ -91,10 +87,7 @@ mod tests {
         assert!(!policy.should_batch(Severity::Sev1));
         assert!(!policy.should_batch(Severity::Sev2));
         assert!(policy.should_batch(Severity::Sev3));
-        let off = BatchPolicy {
-            max_batch: 1,
-            ..BatchPolicy::default()
-        };
+        let off = BatchPolicy { max_batch: 1 };
         assert!(!off.should_batch(Severity::Sev3));
     }
 }

@@ -6,7 +6,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-for bench in pool serve featcache lifecycle obs forest wal fleet storm; do
+for bench in pool featcache lifecycle obs forest wal fleet storm; do
   echo "== bench smoke (BENCH_SMOKE=1 cargo bench -p bench --bench $bench) =="
   BENCH_SMOKE=1 cargo bench -p bench --bench "$bench"
 done
