@@ -76,7 +76,9 @@ fn change_point_detection(c: &mut Criterion) {
 
 criterion_group! {
     name = benches;
-    config = Criterion::default().sample_size(20);
+    // Three samples under BENCH_SMOKE=1: enough to keep every kernel here
+    // compiling and running in `scripts/bench_smoke.sh`.
+    config = Criterion::default().sample_size(if bench::smoke() { 3 } else { 20 });
     targets = online_path, regex_engine, change_point_detection
 }
 criterion_main!(benches);

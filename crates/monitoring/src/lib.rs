@@ -28,4 +28,6 @@ pub mod system;
 
 pub use dataset::{DataType, Dataset};
 pub use signature::{EffectTarget, TelemetryEffect};
-pub use system::{window_steps, Event, MonitoringConfig, MonitoringSystem, SAMPLE_INTERVAL};
+pub use system::{
+    window_steps, Event, MonitoringConfig, MonitoringSystem, PlaneIndex, SAMPLE_INTERVAL,
+};

@@ -11,6 +11,7 @@ use crate::signature::{signature, EffectTarget};
 use cloudsim::{ComponentId, ComponentKind, Fault, FaultScope, SimDuration, SimTime, Topology};
 use obs::hash::splitmix64;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Telemetry sampling interval: one sample every five minutes, so the
 /// paper's two-hour look-back window `[t-2h, t]` yields 25 samples per
@@ -54,6 +55,47 @@ pub struct MonitoringConfig {
     pub disabled: Vec<Dataset>,
 }
 
+/// What a plane derives from its topology, fault schedule and
+/// configuration: the per-cluster fault index and the epoch hash over
+/// all three. Worth keeping when many short-lived planes are opened over
+/// one world — a server opens one per batch — because only a
+/// configuration change can alter it: build it once per live
+/// configuration and open each plane with [`MonitoringSystem::over`].
+#[derive(Debug)]
+pub struct PlaneIndex {
+    config: MonitoringConfig,
+    /// Fault indices grouped by the cluster they manifest in.
+    by_cluster: HashMap<ComponentId, Vec<usize>>,
+    /// Content fingerprint of everything telemetry depends on (seed,
+    /// disabled data sets, fault schedule, topology shape). Two planes
+    /// with the same epoch generate identical telemetry, so the epoch is
+    /// the cache-invalidation key for `featcache` chunks.
+    epoch: u64,
+}
+
+impl PlaneIndex {
+    /// Index `faults` and fingerprint the plane `config` describes over
+    /// `topo`.
+    pub fn build(topo: &Topology, faults: &[Fault], config: MonitoringConfig) -> PlaneIndex {
+        let _span = obs::span!("monitoring.system.build");
+        let mut by_cluster: HashMap<ComponentId, Vec<usize>> = HashMap::new();
+        for (i, f) in faults.iter().enumerate() {
+            by_cluster.entry(f.scope.cluster()).or_default().push(i);
+        }
+        let epoch = fingerprint(topo, faults, &config);
+        PlaneIndex {
+            config,
+            by_cluster,
+            epoch,
+        }
+    }
+
+    /// The configuration this index was built for.
+    pub fn config(&self) -> &MonitoringConfig {
+        &self.config
+    }
+}
+
 /// The fleet's monitoring plane.
 ///
 /// Borrows the topology and the ground-truth fault schedule; generates
@@ -62,14 +104,10 @@ pub struct MonitoringConfig {
 pub struct MonitoringSystem<'a> {
     topo: &'a Topology,
     faults: &'a [Fault],
-    /// Fault indices grouped by the cluster they manifest in.
-    by_cluster: HashMap<ComponentId, Vec<usize>>,
-    config: MonitoringConfig,
-    /// Content fingerprint of everything telemetry depends on (seed,
-    /// disabled data sets, fault schedule, topology shape). Two planes
-    /// with the same epoch generate identical telemetry, so the epoch is
-    /// the cache-invalidation key for `featcache` chunks.
-    epoch: u64,
+    /// `index.config.seed`, copied out: the per-sample loops hash it into
+    /// every value and should not chase a pointer for it.
+    seed: u64,
+    index: Arc<PlaneIndex>,
 }
 
 impl<'a> MonitoringSystem<'a> {
@@ -79,18 +117,29 @@ impl<'a> MonitoringSystem<'a> {
         faults: &'a [Fault],
         config: MonitoringConfig,
     ) -> MonitoringSystem<'a> {
-        let _span = obs::span!("monitoring.system.build");
-        let mut by_cluster: HashMap<ComponentId, Vec<usize>> = HashMap::new();
-        for (i, f) in faults.iter().enumerate() {
-            by_cluster.entry(f.scope.cluster()).or_default().push(i);
-        }
-        let epoch = fingerprint(topo, faults, &config);
+        let index = PlaneIndex::build(topo, faults, config);
+        MonitoringSystem::over(topo, faults, Arc::new(index))
+    }
+
+    /// Open a plane on an index already built by [`PlaneIndex::build`]
+    /// from this same `topo` and `faults` (checked in debug builds).
+    /// Identical to [`MonitoringSystem::new`] with the index's
+    /// configuration, minus the work of deriving it.
+    pub fn over(
+        topo: &'a Topology,
+        faults: &'a [Fault],
+        index: Arc<PlaneIndex>,
+    ) -> MonitoringSystem<'a> {
+        debug_assert_eq!(
+            index.epoch,
+            fingerprint(topo, faults, &index.config),
+            "plane index built over another world"
+        );
         MonitoringSystem {
             topo,
             faults,
-            by_cluster,
-            config,
-            epoch,
+            seed: index.config.seed,
+            index,
         }
     }
 
@@ -103,12 +152,12 @@ impl<'a> MonitoringSystem<'a> {
     /// fault schedule, and topology shape. Any change that could alter a
     /// generated value changes the epoch.
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.index.epoch
     }
 
     /// Is `dataset` currently deployed (not deprecated)?
     pub fn is_enabled(&self, dataset: Dataset) -> bool {
-        !self.config.disabled.contains(&dataset)
+        !self.index.config.disabled.contains(&dataset)
     }
 
     /// Data sets currently deployed.
@@ -179,7 +228,7 @@ impl<'a> MonitoringSystem<'a> {
         let mut out = Vec::with_capacity((steps.end.saturating_sub(steps.start)) as usize);
         for step in steps {
             let t = SimTime(step * step_len);
-            let h = noise::coord_hash(self.config.seed, dataset.index(), device.0, step);
+            let h = noise::coord_hash(self.seed, dataset.index(), device.0, step);
             let mut v = mean + cluster_off + sd * noise::std_normal(h);
             // Mild diurnal swing on utilization-like series.
             if matches!(dataset, Dataset::CpuUsage | Dataset::Temperature) {
@@ -240,7 +289,7 @@ impl<'a> MonitoringSystem<'a> {
         for step in steps {
             let t = SimTime(step * step_len);
             // Background events: uniform over the vocabulary.
-            let h = noise::coord_hash(self.config.seed ^ 0xEE, dataset.index(), device.0, step);
+            let h = noise::coord_hash(self.seed ^ 0xEE, dataset.index(), device.0, step);
             let p_bg = dataset.background_event_rate() * per_step;
             if noise::uniform(h) < p_bg {
                 let kind = (splitmix64(h) % n_kinds) as u8;
@@ -258,7 +307,7 @@ impl<'a> MonitoringSystem<'a> {
                         && self.effect_applies(f, e.target, device)
                     {
                         let h2 = noise::coord_hash(
-                            self.config.seed ^ (0xF0 + ei as u64),
+                            self.seed ^ (0xF0 + ei as u64),
                             dataset.index(),
                             device.0,
                             step,
@@ -281,7 +330,7 @@ impl<'a> MonitoringSystem<'a> {
     fn cluster_offset(&self, dataset: Dataset, device: ComponentId) -> f64 {
         let c = self.topo.component(device);
         let anchor = c.cluster.unwrap_or(c.dc);
-        let h = noise::coord_hash(self.config.seed ^ 0xC1, dataset.index(), anchor.0, 0);
+        let h = noise::coord_hash(self.seed ^ 0xC1, dataset.index(), anchor.0, 0);
         noise::uniform(h) - 0.5
     }
 
@@ -306,7 +355,7 @@ impl<'a> MonitoringSystem<'a> {
         );
         let c = self.topo.component(device);
         let cluster = c.cluster.unwrap_or(c.dc);
-        let Some(indices) = self.by_cluster.get(&cluster) else {
+        let Some(indices) = self.index.by_cluster.get(&cluster) else {
             return Vec::new();
         };
         indices

@@ -87,6 +87,9 @@ pub struct Collector {
     /// Metrics registry (counters, gauges, histograms).
     pub metrics: Registry,
     trace: Mutex<Option<Box<dyn Sink>>>,
+    /// Is `trace` `Some`? Every span close asks; only
+    /// [`Collector::set_trace_sink`] writes it, under the `trace` lock.
+    has_trace: AtomicBool,
     audit: Mutex<Option<Box<dyn Sink>>>,
     audit_tail: Mutex<std::collections::VecDeque<AuditRecord>>,
 }
@@ -96,6 +99,7 @@ impl Collector {
         Collector {
             metrics: Registry::new(),
             trace: Mutex::new(None),
+            has_trace: AtomicBool::new(false),
             audit: Mutex::new(None),
             audit_tail: Mutex::new(std::collections::VecDeque::new()),
         }
@@ -103,7 +107,9 @@ impl Collector {
 
     /// Install (or remove) the span trace sink.
     pub fn set_trace_sink(&self, sink: Option<Box<dyn Sink>>) {
-        *self.trace.lock().unwrap() = sink;
+        let mut trace = self.trace.lock().unwrap();
+        self.has_trace.store(sink.is_some(), Ordering::SeqCst);
+        *trace = sink;
     }
 
     /// Install (or remove) the prediction audit sink.
@@ -113,7 +119,7 @@ impl Collector {
 
     /// Is a trace sink currently installed?
     pub fn has_trace_sink(&self) -> bool {
-        self.trace.lock().unwrap().is_some()
+        self.has_trace.load(Ordering::SeqCst)
     }
 
     /// Is an audit sink currently installed?

@@ -39,6 +39,9 @@ thread_local! {
     /// Small stable id for trace events (thread::ThreadId has no stable
     /// public integer form).
     static THREAD_ID: u64 = NEXT_THREAD_ID.fetch_add(1, Ordering::Relaxed);
+    /// `span.<name>`, spelled afresh at every close into the same
+    /// buffer: a close names its histogram without allocating.
+    static HISTOGRAM_NAME: RefCell<String> = const { RefCell::new(String::new()) };
 }
 
 /// Process start reference for `start_us` timestamps.
@@ -161,9 +164,13 @@ impl Drop for SpanGuard {
         }
         let collector = crate::global();
         let dur_ns = dur.as_nanos() as u64;
-        collector
-            .metrics
-            .observe(&format!("span.{}", span.name), dur_ns as f64);
+        HISTOGRAM_NAME.with(|name| {
+            let mut name = name.borrow_mut();
+            name.clear();
+            name.push_str("span.");
+            name.push_str(span.name);
+            collector.metrics.observe(&name, dur_ns as f64);
+        });
         let has_sink = collector.has_trace_sink();
         if has_sink || span.sampled {
             let start_us = span.start.duration_since(epoch()).as_micros() as u64;

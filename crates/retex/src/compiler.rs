@@ -63,6 +63,63 @@ pub enum Assertion {
 /// A compiled instruction sequence.
 pub type Program = Vec<Inst>;
 
+/// The bytes a match can begin with: what an unanchored search may skip
+/// to while no thread is alive. ASCII bytes are decided exactly from the
+/// program's first character predicates; every byte ≥ 0x80 counts as a
+/// candidate, so a skip only ever steps over whole one-byte characters
+/// and always lands on a char boundary.
+#[derive(Clone, PartialEq, Eq)]
+pub struct FirstBytes([bool; 256]);
+
+impl FirstBytes {
+    /// Can a match begin at a character whose first byte is `b`?
+    #[inline]
+    pub fn contains(&self, b: u8) -> bool {
+        self.0[b as usize]
+    }
+}
+
+impl std::fmt::Debug for FirstBytes {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let ascii: String = (0..128u8)
+            .filter(|&b| self.contains(b))
+            .map(char::from)
+            .collect();
+        write!(f, "FirstBytes({ascii:?} + non-ASCII)")
+    }
+}
+
+/// The first-byte set of `prog`: the epsilon closure of pc 0 — through
+/// `Jmp`, `Split`, `Save` and `Assert`, an assertion counted as passable
+/// wherever it stands — down to the first `Char` predicates, each asked
+/// about every ASCII character. A superset of what can really begin a
+/// match, which is all a skip needs. `None` when `Match` is reachable
+/// without consuming a character: such a program matches empty at
+/// positions no byte announces, so nothing may be skipped.
+pub fn first_bytes(prog: &Program) -> Option<FirstBytes> {
+    let mut set = [false; 256];
+    set[128..].fill(true);
+    let mut seen = vec![false; prog.len()];
+    let mut stack = vec![0];
+    while let Some(pc) = stack.pop() {
+        if std::mem::replace(&mut seen[pc], true) {
+            continue;
+        }
+        match &prog[pc] {
+            Inst::Char(pred) => {
+                for b in 0..128u8 {
+                    set[b as usize] |= pred.matches(char::from(b));
+                }
+            }
+            Inst::Match => return None,
+            Inst::Jmp(t) => stack.push(*t),
+            Inst::Split { primary, secondary } => stack.extend([*primary, *secondary]),
+            Inst::Save(_) | Inst::Assert(_) => stack.push(pc + 1),
+        }
+    }
+    Some(FirstBytes(set))
+}
+
 /// Compile `ast`; returns the program and the number of capture groups
 /// (including the implicit group 0).
 pub fn compile(ast: &Ast) -> (Program, usize) {
@@ -259,6 +316,39 @@ mod tests {
         assert_eq!(n, 4);
         let (_, n) = compile(&parse("abc").unwrap());
         assert_eq!(n, 1);
+    }
+
+    /// The ASCII members of a pattern's first-byte set, `None` when the
+    /// pattern has no set.
+    fn first(pat: &str) -> Option<String> {
+        let set = first_bytes(&prog(pat))?;
+        assert!((128..=255u8).all(|b| set.contains(b)));
+        Some(
+            (0..128u8)
+                .filter(|&b| set.contains(b))
+                .map(char::from)
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn first_bytes_follow_every_epsilon_to_the_first_predicates() {
+        assert_eq!(first("abc").as_deref(), Some("a"));
+        assert_eq!(first(r"\bvm-\d+").as_deref(), Some("v"));
+        assert_eq!(first(r"\b(tor|agg)-\d+|\bcore-\d+").as_deref(), Some("act"));
+        assert_eq!(first("^x?y").as_deref(), Some("xy"));
+        assert_eq!(first(r"(?:a|(b))+?c").as_deref(), Some("ab"));
+        assert_eq!(first(r"\d").as_deref(), Some("0123456789"));
+        // A negated class or `.` begins almost anywhere.
+        assert_eq!(first("[^a]").unwrap().len(), 127);
+        assert_eq!(first(".x").unwrap().len(), 127);
+    }
+
+    #[test]
+    fn no_first_bytes_when_the_pattern_can_match_empty() {
+        for pat in ["x*", "", "a?", "$", "^", r"\b", "a|", "(a*)*", "x{0,2}"] {
+            assert_eq!(first(pat), None, "{pat}");
+        }
     }
 
     #[test]

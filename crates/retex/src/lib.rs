@@ -33,13 +33,18 @@
 
 mod ast;
 mod compiler;
+#[cfg(test)]
+mod differential;
 mod parser;
+#[cfg(test)]
+mod reference;
 mod vm;
 
 pub use ast::{Ast, ClassItem};
 pub use parser::ParseError;
 
-use compiler::Program;
+use compiler::{FirstBytes, Program};
+use vm::{Scratch, Slot};
 
 /// A compiled regular expression.
 ///
@@ -49,6 +54,10 @@ pub struct Regex {
     pattern: String,
     program: Program,
     n_captures: usize,
+    /// The bytes a match can begin with, worked out once here so every
+    /// search can jump between them; `None` when the pattern can match
+    /// empty (see [`compiler::first_bytes`]).
+    first: Option<FirstBytes>,
 }
 
 /// A single match location within a haystack.
@@ -82,7 +91,7 @@ impl<'t> Match<'t> {
 #[derive(Debug, Clone)]
 pub struct Captures<'t> {
     haystack: &'t str,
-    slots: Vec<Option<usize>>,
+    slots: Vec<Slot>,
 }
 
 impl<'t> Captures<'t> {
@@ -119,6 +128,7 @@ impl Regex {
         let (program, n_captures) = compiler::compile(&ast);
         Ok(Regex {
             pattern: pattern.to_string(),
+            first: compiler::first_bytes(&program),
             program,
             n_captures,
         })
@@ -136,27 +146,17 @@ impl Regex {
 
     /// Does the pattern match anywhere in `haystack`?
     pub fn is_match(&self, haystack: &str) -> bool {
-        vm::search(&self.program, haystack, 0, self.n_captures).is_some()
+        self.search(haystack, 0, &mut self.scratch()).is_some()
     }
 
     /// Leftmost match, if any.
     pub fn find<'t>(&self, haystack: &'t str) -> Option<Match<'t>> {
-        let slots = vm::search(&self.program, haystack, 0, self.n_captures)?;
-        Some(Match {
-            haystack,
-            start: slots[0]?,
-            end: slots[1]?,
-        })
+        self.find_at(haystack, 0)
     }
 
     /// Leftmost match starting at or after byte offset `from`.
     pub fn find_at<'t>(&self, haystack: &'t str, from: usize) -> Option<Match<'t>> {
-        let slots = vm::search(&self.program, haystack, from, self.n_captures)?;
-        Some(Match {
-            haystack,
-            start: slots[0]?,
-            end: slots[1]?,
-        })
+        self.find_with(haystack, from, &mut self.scratch())
     }
 
     /// Iterator over all non-overlapping matches, left to right.
@@ -165,19 +165,46 @@ impl Regex {
             re: self,
             haystack,
             at: 0,
+            scratch: self.scratch(),
         }
     }
 
     /// Capture groups for the leftmost match.
     pub fn captures<'t>(&self, haystack: &'t str) -> Option<Captures<'t>> {
-        let slots = vm::search(&self.program, haystack, 0, self.n_captures)?;
-        Some(Captures { haystack, slots })
+        self.captures_at(haystack, 0)
     }
 
     /// Capture groups for the leftmost match at or after `from`.
     pub fn captures_at<'t>(&self, haystack: &'t str, from: usize) -> Option<Captures<'t>> {
-        let slots = vm::search(&self.program, haystack, from, self.n_captures)?;
+        let slots = self.search(haystack, from, &mut self.scratch())?.to_vec();
         Some(Captures { haystack, slots })
+    }
+
+    fn scratch(&self) -> Scratch {
+        Scratch::new(&self.program, self.n_captures)
+    }
+
+    fn search<'s>(
+        &self,
+        haystack: &str,
+        from: usize,
+        scratch: &'s mut Scratch,
+    ) -> Option<&'s [Slot]> {
+        vm::search(&self.program, self.first.as_ref(), haystack, from, scratch)
+    }
+
+    fn find_with<'t>(
+        &self,
+        haystack: &'t str,
+        from: usize,
+        scratch: &mut Scratch,
+    ) -> Option<Match<'t>> {
+        let slots = self.search(haystack, from, scratch)?;
+        Some(Match {
+            haystack,
+            start: slots[0]?,
+            end: slots[1]?,
+        })
     }
 }
 
@@ -186,6 +213,8 @@ pub struct FindIter<'r, 't> {
     re: &'r Regex,
     haystack: &'t str,
     at: usize,
+    /// One set of thread lists and slot rows for every match yielded.
+    scratch: Scratch,
 }
 
 impl<'r, 't> Iterator for FindIter<'r, 't> {
@@ -195,7 +224,9 @@ impl<'r, 't> Iterator for FindIter<'r, 't> {
         if self.at > self.haystack.len() {
             return None;
         }
-        let m = self.re.find_at(self.haystack, self.at)?;
+        let m = self
+            .re
+            .find_with(self.haystack, self.at, &mut self.scratch)?;
         // Never yield the same empty position twice: step past it.
         self.at = if m.end == m.start {
             next_char_boundary(self.haystack, m.end)

@@ -1,29 +1,58 @@
 //! Pike VM: executes a compiled [`Program`] over a haystack, tracking
 //! capture slots per thread. Runs in `O(len(program) * len(haystack))`.
+//!
+//! An unanchored search seeds a fresh thread at every position until a
+//! match is held. Seeding costs a slot row, an epsilon walk and — for a
+//! `\b` — two character decodes, and at almost every position of an
+//! incident text it comes to nothing: the byte there cannot begin a
+//! match. So while no thread is alive and no match is held the search
+//! jumps over bytes outside the program's [`FirstBytes`] and seeds only
+//! at candidates. At a skipped position the seeded thread list could
+//! only have held `Char` predicates that reject the byte, so the
+//! seed-everywhere loop reaches the candidate with a list that holds no
+//! thread and — having been cleared at the step before — no mark either.
+//! The skip has to arrive in that same state: the empty list it started
+//! from may still carry the marks of walks that died on an assertion
+//! there (`(?:\ba)*\b-` between the `a` and `b` of "ab a-"), and a mark
+//! made for one position would cut the seed walk short at another, so
+//! the list is cleared before seeding. Clearing an empty list never
+//! changes an answer: its marked instructions are closed under the
+//! epsilon steps that hold at that position and reached no `Char` or
+//! `Match`, so a walk that re-enters them adds nothing either. With that
+//! the answer is the seed-everywhere answer slot for slot
+//! (`crate::reference` keeps that loop as the test oracle). A program
+//! that can match empty has no set and is searched position by position.
 
-use crate::compiler::{Assertion, Inst, Program};
+use crate::compiler::{Assertion, FirstBytes, Inst, Program};
 
-type Slots = Vec<Option<usize>>;
+/// One capture slot: a byte offset once the `Save` ran.
+pub type Slot = Option<usize>;
 
+/// The threads alive at one haystack position, in priority order, each
+/// with its own row of capture slots.
 struct ThreadList {
-    /// Program counters, in priority order.
-    dense: Vec<(usize, Slots)>,
+    pcs: Vec<usize>,
+    /// Thread `i`'s slots are `slots[i * n_slots..][..n_slots]`: one
+    /// table per list, not one `Vec` per thread.
+    slots: Vec<Slot>,
     /// sparse[pc] == generation marks pc as already present.
     sparse: Vec<u64>,
     generation: u64,
 }
 
 impl ThreadList {
-    fn new(n: usize) -> ThreadList {
+    fn new(n_insts: usize, n_slots: usize) -> ThreadList {
         ThreadList {
-            dense: Vec::with_capacity(n),
-            sparse: vec![0; n],
+            pcs: Vec::with_capacity(n_insts),
+            slots: Vec::with_capacity(n_insts * n_slots),
+            sparse: vec![0; n_insts],
             generation: 0,
         }
     }
 
     fn clear(&mut self) {
-        self.dense.clear();
+        self.pcs.clear();
+        self.slots.clear();
         self.generation += 1;
     }
 
@@ -34,59 +63,109 @@ impl ThreadList {
     fn mark(&mut self, pc: usize) {
         self.sparse[pc] = self.generation;
     }
+
+    fn push(&mut self, pc: usize, slots: &[Slot]) {
+        self.pcs.push(pc);
+        self.slots.extend_from_slice(slots);
+    }
+}
+
+/// Everything a search allocates, sized for one program: a `find_iter`
+/// owns one and reuses it for every match it yields.
+pub struct Scratch {
+    clist: ThreadList,
+    nlist: ThreadList,
+    /// The slot row of the thread being seeded or advanced.
+    cur: Vec<Slot>,
+    /// The slot row of the best match so far.
+    best: Vec<Slot>,
+}
+
+impl Scratch {
+    /// Scratch for searching `prog` with `n_captures` groups.
+    pub fn new(prog: &Program, n_captures: usize) -> Scratch {
+        let n_slots = 2 * n_captures;
+        Scratch {
+            clist: ThreadList::new(prog.len(), n_slots),
+            nlist: ThreadList::new(prog.len(), n_slots),
+            cur: vec![None; n_slots],
+            best: vec![None; n_slots],
+        }
+    }
 }
 
 /// Search for the leftmost match of `prog` in `haystack` starting at byte
 /// offset `from`. Returns the capture slots (2 per group) on success.
-pub fn search(prog: &Program, haystack: &str, from: usize, n_captures: usize) -> Option<Slots> {
+/// `first` must be `prog`'s [`crate::compiler::first_bytes`] and
+/// `scratch` built for `prog`.
+pub fn search<'s>(
+    prog: &Program,
+    first: Option<&FirstBytes>,
+    haystack: &str,
+    from: usize,
+    scratch: &'s mut Scratch,
+) -> Option<&'s [Slot]> {
     debug_assert!(
         haystack.is_char_boundary(from),
         "search offset must be a char boundary"
     );
-    let n_slots = 2 * n_captures;
-    let mut clist = ThreadList::new(prog.len());
-    let mut nlist = ThreadList::new(prog.len());
-    let mut best: Option<Slots> = None;
+    let Scratch {
+        clist,
+        nlist,
+        cur,
+        best,
+    } = scratch;
+    let n_slots = cur.len();
+    let bytes = haystack.as_bytes();
+    let mut matched = false;
 
     // Iterate over char boundaries from `from` to len (inclusive: the final
     // position handles end-of-input assertions and empty matches).
     let mut pos = from;
-    let bytes = haystack.as_bytes();
     clist.clear();
     loop {
-        let ch = haystack[pos..].chars().next();
-        // Unanchored search: seed a new lowest-priority thread at this
-        // position unless a match has already been found (leftmost wins).
-        if best.is_none() {
-            let mut slots = vec![None; n_slots];
-            add_thread(prog, 0, pos, haystack, &mut clist, &mut slots);
-        }
-        if clist.dense.is_empty() && best.is_some() {
-            break;
+        if matched {
+            if clist.pcs.is_empty() {
+                break;
+            }
+        } else {
+            if let Some(first) = first.filter(|_| clist.pcs.is_empty()) {
+                // Nothing alive, nothing held: the next position that
+                // matters is the next byte a match can begin with. A
+                // program with a set consumes at least one character, so
+                // running out of haystack ends the search.
+                match bytes[pos..].iter().position(|&b| first.contains(b)) {
+                    Some(skipped) => pos += skipped,
+                    None => break,
+                }
+                // An empty list can still carry marks, left by epsilon
+                // walks that died on an assertion where the skip began.
+                // They say nothing about where it lands.
+                clist.clear();
+            }
+            // Unanchored search: seed a new lowest-priority thread at this
+            // position unless a match has already been found (leftmost wins).
+            cur.fill(None);
+            add_thread(prog, 0, pos, haystack, clist, cur);
         }
 
+        let ch = haystack[pos..].chars().next();
         nlist.clear();
-        let mut i = 0;
-        while i < clist.dense.len() {
-            let (pc, slots) = {
-                let (pc, ref slots) = clist.dense[i];
-                (pc, slots.clone())
-            };
+        for (i, &pc) in clist.pcs.iter().enumerate() {
+            let slots = &clist.slots[i * n_slots..][..n_slots];
             match &prog[pc] {
                 Inst::Char(pred) => {
-                    if let Some(c) = ch {
-                        if pred.matches(c) {
-                            let next_pos = pos + c.len_utf8();
-                            let mut s = slots;
-                            add_thread(prog, pc + 1, next_pos, haystack, &mut nlist, &mut s);
-                        }
+                    if let Some(c) = ch.filter(|&c| pred.matches(c)) {
+                        cur.copy_from_slice(slots);
+                        add_thread(prog, pc + 1, pos + c.len_utf8(), haystack, nlist, cur);
                     }
                 }
                 Inst::Match => {
                     // Highest-priority match at this step: record and cut all
                     // lower-priority threads (they cannot produce a better
                     // match under leftmost-greedy semantics).
-                    best = Some(slots);
+                    best.copy_from_slice(slots);
+                    matched = true;
                     break;
                 }
                 // Epsilon instructions were resolved in add_thread.
@@ -94,27 +173,27 @@ pub fn search(prog: &Program, haystack: &str, from: usize, n_captures: usize) ->
                     unreachable!("epsilon instruction in thread list")
                 }
             }
-            i += 1;
         }
 
-        std::mem::swap(&mut clist, &mut nlist);
+        std::mem::swap(clist, nlist);
         if pos >= bytes.len() {
             break;
         }
         pos += ch.map_or(1, char::len_utf8);
     }
-    best
+    matched.then_some(&best[..])
 }
 
 /// Follow epsilon transitions from `pc`, adding reachable Char/Match
-/// instructions to `list` in priority order.
+/// instructions to `list` in priority order, each with a copy of
+/// `slots` as the walk left them.
 fn add_thread(
     prog: &Program,
     pc: usize,
     pos: usize,
     haystack: &str,
     list: &mut ThreadList,
-    slots: &mut Slots,
+    slots: &mut [Slot],
 ) {
     if list.contains(pc) {
         return;
@@ -137,13 +216,11 @@ fn add_thread(
                 add_thread(prog, pc + 1, pos, haystack, list, slots);
             }
         }
-        Inst::Char(_) | Inst::Match => {
-            list.dense.push((pc, slots.clone()));
-        }
+        Inst::Char(_) | Inst::Match => list.push(pc, slots),
     }
 }
 
-fn assertion_holds(a: Assertion, haystack: &str, pos: usize) -> bool {
+pub(crate) fn assertion_holds(a: Assertion, haystack: &str, pos: usize) -> bool {
     match a {
         Assertion::Start => pos == 0,
         Assertion::End => pos == haystack.len(),

@@ -23,6 +23,7 @@ use monitoring::{DataType, Dataset, MonitoringSystem};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::borrow::Cow;
+use std::sync::OnceLock;
 
 /// CPD+ configuration.
 #[derive(Debug, Clone)]
@@ -316,20 +317,42 @@ impl CpdPlus {
         (1..=self.config.few_device_threshold).contains(&device_count)
     }
 
+    /// The cluster row for one incident — its only producer. Through
+    /// `memo` when the prepared item carries one: the first caller runs
+    /// [`CpdPlus::cluster_features`] and every later one, on any thread,
+    /// reads that row, so the teams of a fleet pass classifying one
+    /// shared corpus detect change points once between them. A producer
+    /// that panics leaves the memo unset for the next caller to fill.
+    /// Without a memo the row is computed for this caller alone.
+    pub fn cluster_row<'m>(
+        &self,
+        memo: Option<&'m OnceLock<Vec<f64>>>,
+        extracted: &ExtractedComponents,
+        t: SimTime,
+        monitoring: &MonitoringSystem<'_>,
+        lookback: SimDuration,
+    ) -> Cow<'m, [f64]> {
+        let produce = || self.cluster_features(extracted, t, monitoring, lookback);
+        match memo {
+            Some(memo) => Cow::Borrowed(memo.get_or_init(produce)),
+            None => Cow::Owned(produce()),
+        }
+    }
+
     /// The whole CPD+ verdict for one incident, and the branch that
     /// produced it: few named devices → [`CpdPlus::conservative_hits`],
-    /// otherwise the cluster row — `cluster_row` when the prepared corpus
-    /// already holds it, [`CpdPlus::cluster_features`] when not — and
-    /// either way [`CpdPlus::decide`]. Evidence is gathered here, on the
-    /// path that reads it, so an incident the selector hands to the
-    /// forest never pays for change-point detection.
+    /// otherwise [`CpdPlus::cluster_row`] through `memo`, and either way
+    /// [`CpdPlus::decide`]. Evidence is gathered here, on the path that
+    /// reads it and on no other: an incident the selector hands to the
+    /// forest pays for no change-point detection at all, neither the
+    /// conservative check's nor the cluster row's.
     pub fn assess(
         &self,
         extracted: &ExtractedComponents,
         t: SimTime,
         monitoring: &MonitoringSystem<'_>,
         lookback: SimDuration,
-        cluster_row: Option<&[f64]>,
+        memo: Option<&OnceLock<Vec<f64>>>,
     ) -> (CpdVerdict, ModelUsed) {
         let device_count = extracted.device_count();
         if self.few_devices(device_count) {
@@ -337,10 +360,7 @@ impl CpdPlus {
             let verdict = self.decide(device_count, &hits, &[]);
             return (verdict, ModelUsed::CpdConservative);
         }
-        let row = cluster_row.map_or_else(
-            || Cow::Owned(self.cluster_features(extracted, t, monitoring, lookback)),
-            Cow::Borrowed,
-        );
+        let row = self.cluster_row(memo, extracted, t, monitoring, lookback);
         let verdict = self.decide(device_count, &[], &row);
         (verdict, ModelUsed::CpdCluster)
     }

@@ -28,7 +28,7 @@ use ml::Classifier as _;
 use monitoring::{Dataset, MonitoringSystem};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Everything configurable about building a Scout.
 #[derive(Debug, Clone)]
@@ -158,21 +158,34 @@ pub struct PreparedExample {
     pub component_names: Vec<String>,
     /// Main feature vector; `None` when excluded or component-free.
     pub features: Option<Vec<f64>>,
-    /// CPD+ cluster-path features, computed for cluster-only incidents.
-    /// Eager because they are a label-independent *training* input:
-    /// [`Scout::train_prepared`] fits the CPD+ cluster forest on them, and
-    /// a fleet set-up shares one prepared pass across many
-    /// [`PreparedCorpus::relabeled`] corpora, so computing them at train
-    /// time would repeat the pipeline's most expensive computation once
-    /// per team. All other CPD+ evidence is gathered on the CPD+ path
-    /// ([`CpdPlus::assess`]), which also reuses this row when present.
-    pub cluster_features: Option<Vec<f64>>,
+    /// The CPD+ cluster-path row's memo: present for exactly the
+    /// cluster-only incidents (a cluster named, no device), unset until
+    /// somebody needs the row. [`CpdPlus::cluster_row`] is the one
+    /// producer behind it. Serving never fills it ahead of time: the
+    /// first [`Scout::classify`] whose selector sends the item down
+    /// CPD+'s cluster branch does, and every other team classifying the
+    /// same shared corpus reads that row — so the pipeline's most
+    /// expensive computation runs at most once per incident and not at
+    /// all for one the forest answers. Offline [`Scout::prepare`] forces
+    /// every memo before returning, because the row is also a
+    /// label-independent *training* input: [`Scout::train_prepared`]
+    /// fits the CPD+ cluster forest on these rows, and one prepared pass
+    /// is shared across many [`PreparedCorpus::relabeled`] corpora.
+    /// `None` (an incident naming devices): a CPD+ cluster decision
+    /// computes its row for itself.
+    pub cluster_features: Option<OnceLock<Vec<f64>>>,
 }
 
 impl PreparedExample {
     /// Is this example usable for supervised training?
     pub fn trainable(&self) -> bool {
         self.features.is_some()
+    }
+
+    /// The CPD+ cluster row, once produced (see
+    /// [`PreparedExample::cluster_features`]).
+    pub fn cluster_row(&self) -> Option<&[f64]> {
+        Some(self.cluster_features.as_ref()?.get()?)
     }
 }
 
@@ -307,13 +320,27 @@ impl Scout {
         let layout = Arc::new(FeatureLayout::build(config, &build.disabled_datasets));
         let cpd_layout = CpdFeatureLayout::build(config, &build.disabled_datasets);
         let cpd = CpdPlus::new(build.cpdplus.clone(), cpd_layout);
-        Preparer {
+        let corpus = Preparer {
             config,
             build,
             layout: &layout,
-            cpd: &cpd,
         }
-        .run(workers, examples, monitoring, cache, ctxs)
+        .run(workers, examples, monitoring, cache, ctxs);
+        // An offline corpus is what `train_prepared` fits the CPD+
+        // cluster forest on: produce every cluster-only item's row now.
+        workers.parallel_map(&corpus.items, |i, item| {
+            let _trace = enter_context(ctxs, i);
+            if let Some(memo) = &item.cluster_features {
+                cpd.cluster_row(
+                    Some(memo),
+                    &item.extracted,
+                    item.example.time,
+                    monitoring,
+                    build.lookback,
+                );
+            }
+        });
+        corpus
     }
 
     /// Stage 2: train on an index subset of a prepared corpus.
@@ -322,8 +349,8 @@ impl Scout {
         build: ScoutBuildConfig,
         corpus: &PreparedCorpus,
         train_idx: &[usize],
-        // Kept for API symmetry with prepare/predict; cluster features are
-        // cached in the corpus so training itself never touches telemetry.
+        // Kept for API symmetry with prepare/predict; an offline corpus
+        // holds its cluster rows so training itself never touches telemetry.
         _monitoring: &MonitoringSystem<'_>,
     ) -> Scout {
         let _span = obs::span!("scout.train");
@@ -384,13 +411,13 @@ impl Scout {
         let cluster_idx: Vec<usize> = usable
             .iter()
             .copied()
-            .filter(|&i| corpus.items[i].cluster_features.is_some())
+            .filter(|&i| corpus.items[i].cluster_row().is_some())
             .take(build.cluster_train_cap)
             .collect();
         if cluster_idx.len() >= 10 {
             let cx: Vec<Vec<f64>> = cluster_idx
                 .iter()
-                .map(|&i| corpus.items[i].cluster_features.clone().unwrap())
+                .filter_map(|&i| corpus.items[i].cluster_row().map(<[f64]>::to_vec))
                 .collect();
             let cy: Vec<usize> = cluster_idx
                 .iter()
@@ -429,12 +456,15 @@ impl Scout {
     }
 
     /// The featurization fingerprint: the canonical text of everything
-    /// [`Scout::prepare_inputs`] reads besides its inputs and the
-    /// monitoring plane — the config source, look-back, aggregation,
-    /// disabled data sets and CPD+ settings. Two Scouts with equal
-    /// fingerprints prepare bit-identical corpora from the same inputs,
-    /// so a fleet pass featurizes once per fingerprint and every such
-    /// Scout only [`classify`](Scout::classify)s. Compare by equality;
+    /// [`Scout::prepare_inputs`] and the cluster-row producer read
+    /// besides their inputs and the monitoring plane — the config
+    /// source, look-back, aggregation, disabled data sets and CPD+
+    /// settings. Two Scouts with equal fingerprints prepare
+    /// bit-identical corpora from the same inputs and produce
+    /// bit-identical cluster rows, so a fleet pass featurizes once per
+    /// fingerprint, every such Scout only
+    /// [`classify`](Scout::classify)s, and whichever of them first
+    /// needs an item's row fills the memo for all. Compare by equality;
     /// it is the text itself, not a hash, because a collision would
     /// silently feed one team another's features.
     pub fn fingerprint(&self) -> &str {
@@ -586,12 +616,14 @@ impl Scout {
     }
 
     /// The model-independent half of a serving predict: exclusion,
-    /// extraction, featurization and cluster features for `inputs`,
-    /// through `cache` when given. Reads only what
-    /// [`Scout::fingerprint`] names — the Scout's own layout and CPD+
-    /// detector are borrowed, nothing is rebuilt per call — so the
-    /// corpus is bit-identical to [`Scout::prepare`] on the same config
-    /// and can be classified by any Scout with an equal fingerprint.
+    /// extraction and featurization for `inputs`, through `cache` when
+    /// given, and an unset cluster-row memo on every cluster-only item
+    /// (see [`PreparedExample::cluster_features`]). Reads only what
+    /// [`Scout::fingerprint`] names — the Scout's own layout is
+    /// borrowed, nothing is rebuilt per call — so the corpus equals
+    /// [`Scout::prepare`]'s on the same config in everything but rows
+    /// not yet demanded, and can be classified by any Scout with an
+    /// equal fingerprint.
     pub fn prepare_inputs(
         &self,
         inputs: &[(&str, SimTime)],
@@ -607,7 +639,6 @@ impl Scout {
             config: &self.config,
             build: &self.build,
             layout: &self.layout,
-            cpd: &self.cpd,
         }
         .run(pool::Pool::global(), &examples, monitoring, cache, ctxs)
     }
@@ -651,11 +682,7 @@ impl Scout {
         // parallel_map preserves input order. The body mirrors
         // `predict_prepared` (span, verdict, exactly one audit record).
         pool::Pool::global().parallel_map(&corpus.items, |i, item| {
-            let _trace = ctxs
-                .and_then(|c| c.get(i))
-                .copied()
-                .filter(|c| c.trace_id != 0)
-                .map(obs::TraceContext::enter);
+            let _trace = enter_context(ctxs, i);
             let _span = obs::span!("scout.predict");
             let pred = if row_of[i] != usize::MAX {
                 self.predict_forest_with(item, scores.row(row_of[i]))
@@ -744,7 +771,7 @@ impl Scout {
             item.example.time,
             monitoring,
             self.build.lookback,
-            item.cluster_features.as_deref(),
+            item.cluster_features.as_ref(),
         );
         Prediction {
             verdict: if verdict.responsible {
@@ -792,14 +819,21 @@ impl Scout {
     }
 }
 
+/// Enter input `i`'s trace context, if the caller handed one over.
+fn enter_context(ctxs: Option<&[obs::TraceContext]>, i: usize) -> Option<obs::trace::ContextGuard> {
+    ctxs.and_then(|c| c.get(i))
+        .copied()
+        .filter(|c| c.trace_id != 0)
+        .map(obs::TraceContext::enter)
+}
+
 /// What featurization reads besides its inputs. Offline
-/// [`Scout::prepare`] builds the layout and detector from the config;
+/// [`Scout::prepare`] builds the layout from the config;
 /// [`Scout::prepare_inputs`] lends the trained Scout's own.
 struct Preparer<'a> {
     config: &'a ScoutConfig,
     build: &'a ScoutBuildConfig,
     layout: &'a Arc<FeatureLayout>,
-    cpd: &'a CpdPlus,
 }
 
 impl Preparer<'_> {
@@ -816,7 +850,6 @@ impl Preparer<'_> {
             config,
             build,
             layout,
-            cpd,
         } = *self;
         let topo = monitoring.topology();
         obs::gauge("scout.features.dim").set(layout.len() as f64);
@@ -826,11 +859,7 @@ impl Preparer<'_> {
             Featurizer::with_aggregation(layout, monitoring, build.lookback, build.aggregation);
         featurizer.cache = cache;
         let items = workers.parallel_map(examples, |ordinal, ex| {
-            let _trace = ctxs
-                .and_then(|c| c.get(ordinal))
-                .copied()
-                .filter(|c| c.trace_id != 0)
-                .map(obs::TraceContext::enter);
+            let _trace = enter_context(ctxs, ordinal);
             let _span = ctxs.is_some().then(|| obs::span!("scout.prepare.item"));
             let excluded = config.excludes_incident(&ex.text);
             let extracted = if excluded {
@@ -845,9 +874,10 @@ impl Preparer<'_> {
                 .collect();
             let features = (!excluded && !extracted.is_empty())
                 .then(|| featurizer.features(&extracted, ex.time));
+            // The memo only: whoever first needs the row produces it.
             let cluster_features =
                 (!excluded && extracted.device_count() == 0 && !extracted.clusters.is_empty())
-                    .then(|| cpd.cluster_features(&extracted, ex.time, monitoring, build.lookback));
+                    .then(OnceLock::new);
             PreparedExample {
                 ordinal,
                 example: ex.clone(),

@@ -98,12 +98,7 @@ fn run_batch(jobs: Vec<PredictJob>, engine: &Engine) {
         groups.entry(job.input.team.clone()).or_default().push(job);
     }
 
-    let workload = &engine.workload;
-    let monitoring = MonitoringSystem::new(
-        &workload.topology,
-        &workload.faults,
-        engine.monitoring_now(),
-    );
+    let monitoring = engine.monitoring_plane();
 
     for (team, group) in groups {
         match engine.registry.get(&team) {

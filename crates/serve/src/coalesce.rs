@@ -7,10 +7,11 @@
 //! An idle worker dispatches a lone job at once, so occupancy tracks load
 //! by itself — measured on 2 cores, closed loop: 1.05 jobs per batch at
 //! 2 callers, 5 at 8, 25 at 32.
-//! There is no linger, because there is nothing for it to buy: a batch's
-//! fixed cost is one ~17 µs `MonitoringSystem` build against ~290 µs of
-//! model work per item, so holding a job back to share that build costs
-//! it far more than the share is worth.
+//! There is no linger, because there is nothing for it to buy: a batch
+//! has no fixed cost left to share — its monitoring plane opens on the
+//! engine's kept index — against ~230 µs of model work per warm item
+//! (DESIGN.md §5d has the ledger), so holding a job back costs it far
+//! more than any share is worth.
 //!
 //! Two handlers exist: the predict batcher ([`crate::batcher`]) and the
 //! storm layer's Sev3 route coalescer

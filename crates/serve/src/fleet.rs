@@ -194,9 +194,10 @@ pub fn dispatch(
 /// its group's corpus. Returns one outcome set per input, each **sorted
 /// by team name**.
 ///
-/// `mon` is the monitoring plane configuration (the server threads its
-/// live config through here so mid-stream data-set deprecation takes
-/// effect on the very next dispatch). `skip` lists teams tripped out by
+/// `mon` is the monitoring plane configuration: this entry point, for
+/// callers that hold no plane (benchmarks, tests, [`dispatch`]), builds
+/// one from it; the server's [`pass`] hands `dispatch_over` the engine's
+/// kept plane instead. `skip` lists teams tripped out by
 /// an open circuit breaker: they answer [`ScoutError::BreakerOpen`]
 /// without running — no `catch_unwind`, no predict.
 ///
@@ -211,6 +212,24 @@ pub fn dispatch_batch(
     entries: &[Arc<ModelEntry>],
     workload: &Workload,
     mon: &MonitoringConfig,
+    inputs: &[(&str, SimTime)],
+    deadline: Option<Instant>,
+    config: &FleetConfig,
+    skip: &[String],
+) -> Vec<Vec<TeamOutcome>> {
+    // One monitoring plane for the whole fan-out, exactly like one
+    // batcher batch: it is read-only at predict time and shared by every
+    // shard.
+    let monitoring = MonitoringSystem::new(&workload.topology, &workload.faults, mon.clone());
+    dispatch_over(entries, &monitoring, inputs, deadline, config, skip)
+}
+
+/// [`dispatch_batch`] over a plane the caller already holds — the
+/// server's [`pass`] opens its own on the engine's kept
+/// [`monitoring::PlaneIndex`] instead of deriving one per fan-out.
+fn dispatch_over(
+    entries: &[Arc<ModelEntry>],
+    monitoring: &MonitoringSystem<'_>,
     inputs: &[(&str, SimTime)],
     deadline: Option<Instant>,
     config: &FleetConfig,
@@ -231,10 +250,6 @@ pub fn dispatch_batch(
     obs::observe("fleet.dispatch.teams", entries.len() as f64);
     obs::observe("fleet.dispatch.batch", inputs.len() as f64);
 
-    // One monitoring plane for the whole fan-out, exactly like one
-    // batcher batch: it is read-only at predict time and shared by every
-    // shard.
-    let monitoring = MonitoringSystem::new(&workload.topology, &workload.faults, mon.clone());
     // The pool re-enters the caller's trace context, but link the request
     // explicitly too: fleet spans must stay attributable even when
     // dispatch is driven outside a request (benches).
@@ -281,7 +296,7 @@ pub fn dispatch_batch(
             let lead = group.lead;
             catch_unwind(AssertUnwindSafe(|| {
                 lead.scout
-                    .prepare_inputs(inputs, &monitoring, Some(&lead.feat_cache), None)
+                    .prepare_inputs(inputs, monitoring, Some(&lead.feat_cache), None)
             }))
             .ok()
         });
@@ -303,7 +318,7 @@ pub fn dispatch_batch(
                         None => classify_isolated(
                             entry,
                             corpora[group_of[i]].as_ref(),
-                            &monitoring,
+                            monitoring,
                             inputs.len(),
                             deadline,
                         ),
@@ -362,10 +377,9 @@ pub(crate) fn pass(
     });
     let outcome_sets = {
         let _span = obs::span!("fleet.dispatch");
-        dispatch_batch(
+        dispatch_over(
             &entries,
-            &engine.workload,
-            &engine.monitoring_now(),
+            &engine.monitoring_plane(),
             inputs,
             deadline,
             &engine.fleet,

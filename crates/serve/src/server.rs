@@ -45,7 +45,7 @@ use crate::http::{read_request, HttpError, Request, Response};
 use crate::registry::ModelRegistry;
 use cloudsim::SimTime;
 use incident::Workload;
-use monitoring::{Dataset, MonitoringConfig};
+use monitoring::{Dataset, MonitoringConfig, MonitoringSystem, PlaneIndex};
 use obs::json::{Arr, Obj, Value};
 use obs::TraceContext;
 use scout::Prediction;
@@ -87,11 +87,14 @@ pub struct Engine {
     /// firing pays a full fan-out).
     pub storm: Option<Arc<StormControl>>,
     /// The live monitoring-plane configuration shared by the predict
-    /// batcher and the fleet dispatcher. `POST /v1/monitoring/deprecate`
-    /// mutates it mid-stream (the paper's §8 robustness experiment); the
-    /// monitoring epoch fingerprint covers the disabled set, so feature
-    /// caches invalidate on their own.
-    pub monitoring: Arc<RwLock<MonitoringConfig>>,
+    /// batcher and the fleet dispatcher, kept as the [`PlaneIndex`]
+    /// built from it and the workload: every batch and every fleet pass
+    /// opens a plane, and only a configuration change — never a request
+    /// — can alter what a plane derives (the per-cluster fault index,
+    /// the epoch hash over the whole fault schedule). Private so that
+    /// [`Engine::deprecate_dataset`], the one writer, is also the one
+    /// place the index is rebuilt.
+    monitoring: RwLock<Arc<PlaneIndex>>,
 }
 
 impl Engine {
@@ -100,7 +103,6 @@ impl Engine {
     pub fn new(registry: Arc<ModelRegistry>, workload: Arc<Workload>) -> Engine {
         Engine {
             registry,
-            workload,
             master: FleetMaster::default(),
             fleet: FleetConfig::default(),
             model_dir: None,
@@ -108,7 +110,12 @@ impl Engine {
             feedback: None,
             wal: None,
             storm: None,
-            monitoring: Arc::new(RwLock::new(MonitoringConfig::default())),
+            monitoring: RwLock::new(Arc::new(PlaneIndex::build(
+                &workload.topology,
+                &workload.faults,
+                MonitoringConfig::default(),
+            ))),
+            workload,
         }
     }
 
@@ -150,14 +157,47 @@ impl Engine {
         self
     }
 
-    /// The live monitoring-plane configuration, as of now: every batch
-    /// and every fleet pass reads it once, so a data set deprecated
-    /// mid-stream takes effect on the next one.
-    pub(crate) fn monitoring_now(&self) -> MonitoringConfig {
-        self.monitoring
+    /// The monitoring plane as of now: every batch and every fleet pass
+    /// opens one, so a data set deprecated mid-stream takes effect on
+    /// the next. Equal to `MonitoringSystem::new` over the workload with
+    /// the live configuration, without re-deriving the index: opening
+    /// one costs a reference count.
+    pub fn monitoring_plane(&self) -> MonitoringSystem<'_> {
+        let index = self
+            .monitoring
             .read()
-            .expect("monitoring config lock poisoned")
-            .clone()
+            .expect("monitoring plane lock poisoned");
+        MonitoringSystem::over(
+            &self.workload.topology,
+            &self.workload.faults,
+            Arc::clone(&index),
+        )
+    }
+
+    /// Deprecate `dataset` for every request from this point on (the
+    /// paper's §8 robustness experiment), or with `restore` bring it
+    /// back; returns the data sets disabled afterwards. The monitoring
+    /// epoch covers the disabled set, so feature caches invalidate on
+    /// their own.
+    pub fn deprecate_dataset(&self, dataset: Dataset, restore: bool) -> Vec<Dataset> {
+        let mut index = self
+            .monitoring
+            .write()
+            .expect("monitoring plane lock poisoned");
+        let mut config = index.config().clone();
+        if restore {
+            config.disabled.retain(|d| *d != dataset);
+        } else if !config.disabled.contains(&dataset) {
+            config.disabled.push(dataset);
+            config.disabled.sort();
+        }
+        let disabled = config.disabled.clone();
+        *index = Arc::new(PlaneIndex::build(
+            &self.workload.topology,
+            &self.workload.faults,
+            config,
+        ));
+        disabled
     }
 }
 
@@ -1067,16 +1107,12 @@ fn deprecate(req: &Request, shared: &Shared) -> Handled {
             format!("unknown dataset {name:?}; valid: {}", valid.join(", ")),
         ));
     };
-    let disabled: Vec<&'static str> = {
-        let mut mon = shared.engine.monitoring.write().unwrap();
-        if restore {
-            mon.disabled.retain(|d| *d != dataset);
-        } else if !mon.disabled.contains(&dataset) {
-            mon.disabled.push(dataset);
-            mon.disabled.sort();
-        }
-        mon.disabled.iter().map(|d| d.name()).collect()
-    };
+    let disabled: Vec<&'static str> = shared
+        .engine
+        .deprecate_dataset(dataset, restore)
+        .iter()
+        .map(|d| d.name())
+        .collect();
     obs::counter("serve.monitoring.deprecate").inc();
     obs::flight().alert(
         "monitoring-deprecate",
@@ -1245,6 +1281,73 @@ mod tests {
             assert_eq!(status_metric(status), Some(formatted.as_str()));
         }
         assert_eq!(status_metric(405), None);
+    }
+
+    /// The plane the engine opens from its kept index is the plane a
+    /// cold `MonitoringSystem::new` would build from the live
+    /// configuration — same epoch, same telemetry — before a mid-stream
+    /// deprecation, after it, and after the restore; a plane opened
+    /// before the write keeps the configuration it was opened with.
+    #[test]
+    fn the_kept_plane_index_follows_every_deprecation() {
+        let mut world = incident::WorkloadConfig::default();
+        world.faults.horizon = cloudsim::SimDuration::days(20);
+        let world = Arc::new(Workload::generate(world));
+        let engine = Engine::new(Arc::new(ModelRegistry::new()), Arc::clone(&world));
+        let cold = |disabled: &[Dataset]| {
+            MonitoringSystem::new(
+                &world.topology,
+                &world.faults,
+                MonitoringConfig {
+                    disabled: disabled.to_vec(),
+                    ..MonitoringConfig::default()
+                },
+            )
+        };
+        let device = world
+            .topology
+            .of_kind(cloudsim::ComponentKind::Server)
+            .next()
+            .expect("a server")
+            .id;
+        let window = (SimTime::from_hours(10), SimTime::from_hours(12));
+        let agrees = |disabled: &[Dataset]| {
+            let (kept, cold) = (engine.monitoring_plane(), cold(disabled));
+            assert_eq!(kept.epoch(), cold.epoch(), "disabled {disabled:?}");
+            for dataset in [Dataset::PingStats, Dataset::CpuUsage] {
+                assert_eq!(
+                    kept.series(dataset, device, window),
+                    cold.series(dataset, device, window),
+                    "{dataset} with {disabled:?} disabled"
+                );
+            }
+            kept.epoch()
+        };
+
+        let before = agrees(&[]);
+        let in_flight = engine.monitoring_plane();
+        assert_eq!(
+            engine.deprecate_dataset(Dataset::PingStats, false),
+            [Dataset::PingStats]
+        );
+        let after = agrees(&[Dataset::PingStats]);
+        assert_ne!(after, before, "the epoch covers the disabled set");
+        assert!(engine
+            .monitoring_plane()
+            .series(Dataset::PingStats, device, window)
+            .is_none());
+        assert_eq!(in_flight.epoch(), before);
+        assert!(in_flight
+            .series(Dataset::PingStats, device, window)
+            .is_some());
+        // Deprecating twice is idempotent; restoring brings the first
+        // epoch back.
+        engine.deprecate_dataset(Dataset::PingStats, false);
+        assert_eq!(agrees(&[Dataset::PingStats]), after);
+        assert!(engine
+            .deprecate_dataset(Dataset::PingStats, true)
+            .is_empty());
+        assert_eq!(agrees(&[]), before);
     }
 
     #[test]

@@ -1,17 +1,22 @@
-//! How much featurization one fleet pass spends, read off the
-//! process-wide `scout.prepare.examples` counter — which is why this is
-//! a test binary of its own with a single test: any other test preparing
-//! in the same process would move the counter under it.
+//! How much featurization and change-point detection one fleet pass
+//! spends, read off the process-wide `scout.prepare.examples` counter
+//! and `span.scout.cpd.cluster_features` histogram — which is why this
+//! is a test binary of its own whose tests take turns ([`SERIAL`]): any
+//! other test preparing or classifying in the same process would move
+//! the counts under them.
 
 use cloudsim::{SimDuration, SimTime, Team};
 use featcache::FeatCache;
 use incident::{Workload, WorkloadConfig};
 use ml::forest::ForestConfig;
 use monitoring::{MonitoringConfig, MonitoringSystem};
-use scout::{Example, Scout, ScoutBuildConfig, ScoutConfig};
+use scout::{Example, Extractor, ModelUsed, Prediction, Scout, ScoutBuildConfig, ScoutConfig};
 use serve::{FleetConfig, ModelEntry, ScoutError};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
+
+/// One test at a time: both read process-wide counts.
+static SERIAL: Mutex<()> = Mutex::new(());
 
 fn small_workload() -> Workload {
     let mut config = WorkloadConfig {
@@ -58,6 +63,7 @@ fn lookups(entry: &ModelEntry) -> u64 {
 
 #[test]
 fn a_pass_prepares_once_per_runnable_fingerprint() {
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let world = small_workload();
     let text = trained_model_text(&world);
     let short = text.replace("lookback_minutes 120\n", "lookback_minutes 90\n");
@@ -154,4 +160,95 @@ fn a_pass_prepares_once_per_runnable_fingerprint() {
         .iter()
         .flatten()
         .all(|o| o.result.as_ref().err() == Some(&ScoutError::DeadlineExpired)));
+}
+
+fn span_count(name: &str) -> u64 {
+    obs::global()
+        .metrics
+        .histogram_summary(&format!("span.{name}"))
+        .map_or(0, |s| s.count)
+}
+
+/// The CPD+ cluster row is nobody's until somebody needs it, and then
+/// everybody's: three teams of one fingerprint all send a cluster-only
+/// incident down CPD+'s cluster branch, the pass detects change points
+/// once, and each team's answer is the one its own uncached
+/// `Scout::predict` — which prepares privately and produces its own row
+/// — gives.
+#[test]
+fn a_pass_makes_a_cluster_row_once_for_all_the_teams_that_read_it() {
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let world = small_workload();
+    let text = trained_model_text(&world);
+    let mon = MonitoringSystem::new(&world.topology, &world.faults, MonitoringConfig::default());
+    let entries: Vec<Arc<ModelEntry>> = ["A1", "A2", "A3"]
+        .iter()
+        .enumerate()
+        .map(|(i, team)| {
+            Arc::new(ModelEntry {
+                team: team.to_string(),
+                version: i as u64 + 1,
+                source: "test".into(),
+                scout: Scout::from_text(&text).expect("model text loads"),
+                feat_cache: FeatCache::new(16 * 1024 * 1024),
+            })
+        })
+        .collect();
+
+    // The reference, and the incident: cluster-only, and handed to CPD+
+    // by the selector. Each team's own eager, uncached predict.
+    let config = ScoutConfig::phynet();
+    let extractor = Extractor::new(&config, &world.topology);
+    let (incident, expected): (_, Vec<Prediction>) = world
+        .incidents
+        .iter()
+        .filter(|i| {
+            let found = extractor.extract(&i.text());
+            found.device_count() == 0 && !found.clusters.is_empty()
+        })
+        .find_map(|i| {
+            let expected: Vec<Prediction> = entries
+                .iter()
+                .map(|e| e.scout.predict(&i.text(), i.created_at, &mon))
+                .collect();
+            (expected[0].model == ModelUsed::CpdCluster).then_some((i, expected))
+        })
+        .expect("the world holds a cluster-only incident its selector sends to CPD+");
+    assert!(expected.iter().all(|p| p.model == ModelUsed::CpdCluster));
+
+    obs::enable();
+    let (rows, cpd_calls) = (
+        span_count("scout.cpd.cluster_features"),
+        span_count("scout.predict.cpd"),
+    );
+    let incident_text = incident.text();
+    let outcomes = serve::fleet::dispatch_batch(
+        &entries,
+        &world,
+        &MonitoringConfig::default(),
+        &[(incident_text.as_str(), incident.created_at)],
+        None,
+        &FleetConfig {
+            shards: 2,
+            suggestions: 3,
+            fail_teams: Vec::new(),
+        },
+        &[],
+    );
+    assert_eq!(span_count("scout.predict.cpd") - cpd_calls, 3);
+    assert_eq!(
+        span_count("scout.cpd.cluster_features") - rows,
+        1,
+        "three teams read the row; one of them made it"
+    );
+    assert_eq!(outcomes.len(), 1);
+    for (outcome, want) in outcomes[0].iter().zip(&expected) {
+        let got = &outcome
+            .result
+            .as_ref()
+            .expect("every team answers")
+            .prediction;
+        assert_eq!(got.confidence.to_bits(), want.confidence.to_bits());
+        assert_eq!(format!("{got:?}"), format!("{want:?}"), "{}", outcome.team);
+    }
 }
