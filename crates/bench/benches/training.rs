@@ -73,7 +73,10 @@ fn corpus_preparation(c: &mut Criterion) {
 
 criterion_group! {
     name = benches;
-    config = Criterion::default().sample_size(10);
+    // Three samples under BENCH_SMOKE=1, as `pipeline`: enough to keep
+    // every offline path here compiling and running in
+    // `scripts/bench_smoke.sh`.
+    config = Criterion::default().sample_size(if bench::smoke() { 3 } else { 10 });
     targets = forest_training, nlp_training, corpus_preparation
 }
 criterion_main!(benches);

@@ -169,7 +169,8 @@ impl RandomForest {
     /// Reassemble a forest from trees (persistence). Zero-tree forests
     /// are rejected — an empty average would be all-`NaN` probabilities
     /// and a bogus argmax route, so a truncated persisted model must
-    /// fail loudly at load, not at predict.
+    /// fail loudly at load, not at predict. So are forests wider than
+    /// the flattened tables' `u16` feature index can address.
     pub fn from_trees(trees: Vec<DecisionTree>) -> Result<RandomForest, String> {
         let first = trees.first().ok_or("a forest needs at least one tree")?;
         let (n_classes, n_features) = (first.n_classes(), first.n_features());
@@ -178,6 +179,11 @@ impl RandomForest {
             .any(|t| t.n_classes() != n_classes || t.n_features() != n_features)
         {
             return Err("trees disagree on shape".into());
+        }
+        if n_features >= usize::from(u16::MAX) {
+            return Err(format!(
+                "{n_features} features is too wide: feature indices must fit in u16"
+            ));
         }
         let flat = FlatForest::from_trees(&trees);
         Ok(RandomForest {

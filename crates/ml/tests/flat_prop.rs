@@ -122,6 +122,20 @@ fn zero_tree_model_file_is_rejected() {
     assert!(msg.contains("at least one tree"), "unexpected error: {msg}");
 }
 
+/// A tree header claiming more features than the flattened tables' `u16`
+/// index can address is a format error at load, not a panic.
+#[test]
+fn too_wide_model_file_is_rejected() {
+    for width in [65_535, 70_000] {
+        let src = format!("forest 1\ntree 2 {width} 1\nL 0.5 0.5\n");
+        let err = forest_from_lines(&mut Lines::new(&src)).unwrap_err();
+        let msg = format!("{err:?}");
+        assert!(msg.contains("too wide"), "unexpected error: {msg}");
+    }
+    let widest = format!("forest 1\ntree 2 {} 1\nL 0.5 0.5\n", u16::MAX - 1);
+    assert!(forest_from_lines(&mut Lines::new(&widest)).is_ok());
+}
+
 /// Fitting with `n_trees: 0` is a configuration bug, caught eagerly.
 #[test]
 #[should_panic(expected = "a forest needs at least one tree")]

@@ -219,22 +219,9 @@ impl<'a> Featurizer<'a> {
     /// The feature vector for components extracted from an incident created
     /// at time `t`.
     pub fn features(&self, extracted: &ExtractedComponents, t: SimTime) -> Vec<f64> {
-        let mut out = vec![0.0; self.layout.len()];
-        self.features_into(extracted, t, &mut out);
-        out
-    }
-
-    /// [`Featurizer::features`], but writing into a caller-provided slice
-    /// of length [`FeatureLayout::len`] — typically one row of an
-    /// [`ml::FeatureMatrix`] — so batch featurization fills a single
-    /// contiguous arena instead of allocating a `Vec<f64>` per incident.
-    /// The slice is fully overwritten (zeroed first), so a reused row
-    /// never leaks stale features.
-    pub fn features_into(&self, extracted: &ExtractedComponents, t: SimTime, out: &mut [f64]) {
         let _span = obs::span!("scout.features.build");
         obs::counter("scout.features.vectors").inc();
-        assert_eq!(out.len(), self.layout.len(), "row sized by the layout");
-        out.fill(0.0);
+        let mut out = vec![0.0; self.layout.len()];
         let window = (t.saturating_sub(self.lookback), t);
         for block in &self.layout.blocks {
             let mentioned = extracted.of_type(block.ctype);
@@ -323,6 +310,7 @@ impl<'a> Featurizer<'a> {
         if let Some(cache) = self.cache {
             cache.publish();
         }
+        out
     }
 }
 

@@ -109,19 +109,6 @@ pub enum PathChoice {
     CpdOnly,
 }
 
-/// Where the pipeline sends one prepared item (§5.3), decided once.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Route {
-    /// An EXCLUDE rule matched.
-    Excluded,
-    /// Nothing extracted: legacy routing.
-    NoComponents,
-    /// The selector trusts the supervised forest.
-    Forest,
-    /// The selector flagged the incident new/rare.
-    Cpd,
-}
-
 /// A full prediction: verdict, confidence, provenance, explanation (§4).
 #[derive(Debug, Clone)]
 pub struct Prediction {
@@ -139,6 +126,34 @@ impl Prediction {
     /// Convenience: did the Scout say "responsible"?
     pub fn says_responsible(&self) -> bool {
         self.verdict == Verdict::Responsible
+    }
+
+    /// This prediction's audit record (§4, §8): who decided, how
+    /// confidently, on which features, and where the incident went, in
+    /// the vocabulary [`obs::AuditRecord`] documents. Both writers build
+    /// it here — the Scout's own record (corpus ordinal, `model_version`
+    /// 0) and the server's versioned one that feedback joins against.
+    pub fn audit_record(
+        &self,
+        incident: u64,
+        model_version: u64,
+        trace_id: u64,
+    ) -> obs::AuditRecord {
+        obs::AuditRecord {
+            incident,
+            model: format!("{:?}", self.model),
+            verdict: format!("{:?}", self.verdict),
+            confidence: self.confidence,
+            top_features: self.explanation.top_features.clone(),
+            outcome: match self.verdict {
+                Verdict::Responsible => "route-here",
+                Verdict::NotResponsible => "route-away",
+                Verdict::Fallback => "legacy-process",
+            }
+            .into(),
+            model_version,
+            trace_id,
+        }
     }
 }
 
@@ -502,35 +517,10 @@ impl Scout {
         monitoring: &MonitoringSystem<'_>,
     ) -> Prediction {
         let _span = obs::span!("scout.predict");
-        let pred = self.predict_routed(item, self.route(item), monitoring);
-        self.audit(item, &pred);
-        pred
-    }
-
-    /// Where the pipeline sends `item`. The selector (meta-feature
-    /// tokenization plus its forest) is consulted at most once per item,
-    /// and never for a rule verdict.
-    fn route(&self, item: &PreparedExample) -> Route {
-        if item.excluded {
-            Route::Excluded
-        } else if item.extracted.is_empty() {
-            Route::NoComponents
-        } else if self.selector.routes_to_cpd(&item.example.text) {
-            Route::Cpd
-        } else {
-            Route::Forest
-        }
-    }
-
-    /// The verdict for `item` on an already-decided route.
-    fn predict_routed(
-        &self,
-        item: &PreparedExample,
-        route: Route,
-        monitoring: &MonitoringSystem<'_>,
-    ) -> Prediction {
-        match route {
-            Route::Excluded => Prediction {
+        // The selector (meta-feature tokenization plus its forest) is
+        // consulted at most once per item, and never for a rule verdict.
+        let pred = if item.excluded {
+            Prediction {
                 verdict: Verdict::NotResponsible,
                 confidence: 1.0,
                 model: ModelUsed::Exclusion,
@@ -538,8 +528,9 @@ impl Scout {
                     evidence: vec!["An EXCLUDE rule matched this incident.".into()],
                     ..Default::default()
                 },
-            },
-            Route::NoComponents => Prediction {
+            }
+        } else if item.extracted.is_empty() {
+            Prediction {
                 verdict: Verdict::Fallback,
                 confidence: 0.0,
                 model: ModelUsed::Fallback,
@@ -549,10 +540,14 @@ impl Scout {
                         .into()],
                     ..Default::default()
                 },
-            },
-            Route::Cpd => self.predict_cpd(item, monitoring),
-            Route::Forest => self.predict_forest(item),
-        }
+            }
+        } else if self.selector.routes_to_cpd(&item.example.text) {
+            self.predict_cpd(item, monitoring)
+        } else {
+            self.predict_forest(item)
+        };
+        self.audit(item, &pred);
+        pred
     }
 
     /// Predict for raw incident text at time `t` (prepares on the fly).
@@ -563,12 +558,13 @@ impl Scout {
     }
 
     /// Predict for a batch of raw `(text, time)` inputs in one prepared
-    /// pass: the whole batch is featurized through a single
-    /// [`Scout::prepare`] call (which fans out per item on the workspace
-    /// thread pool), then each item is classified.
+    /// pass: the whole batch is featurized through one
+    /// [`Scout::prepare_inputs`] call, then [`Scout::classify`] runs
+    /// [`Scout::predict_prepared`] on each item; both fan out per item on
+    /// the workspace thread pool.
     ///
-    /// Every per-item computation in `prepare` is a pure function of the
-    /// item, so results are **identical to calling [`Scout::predict`]
+    /// Every per-item computation in either half is a pure function of
+    /// the item, so results are **identical to calling [`Scout::predict`]
     /// once per input** — batch size, batch composition, and worker count
     /// never leak into a prediction. This is what lets an online server
     /// micro-batch concurrent requests without giving up determinism.
@@ -643,103 +639,45 @@ impl Scout {
         .run(pool::Pool::global(), &examples, monitoring, cache, ctxs)
     }
 
-    /// The per-model half: selector → forest or CPD+ → explanation →
-    /// audit, for every item of a corpus prepared under this Scout's
-    /// [fingerprint](Scout::fingerprint). One prediction per item, in
-    /// item order; `ctxs` as in [`Scout::predict_many_traced`].
+    /// The per-model half: [`Scout::predict_prepared`] for every item of
+    /// a corpus prepared under this Scout's
+    /// [fingerprint](Scout::fingerprint), fanned out on the workspace
+    /// pool. One prediction per item, in item order; `ctxs` as in
+    /// [`Scout::predict_many_traced`]. Each item runs the single-item
+    /// body itself, so a batch answers exactly as its items would one at
+    /// a time.
     pub fn classify(
         &self,
         corpus: &PreparedCorpus,
         monitoring: &MonitoringSystem<'_>,
         ctxs: Option<&[obs::TraceContext]>,
     ) -> Vec<Prediction> {
-        // Columnar forest lane: decide routing per item (pure), gather
-        // every forest-routed feature row into one contiguous matrix,
-        // and score it in a single tiled pass over the flattened forest.
-        // Each row's probabilities are bit-identical to the per-item
-        // `predict_proba` the sequential path runs (crate `ml`'s flat
-        // determinism argument), so batched and one-at-a-time predicts
-        // still agree byte for byte.
-        let routes: Vec<Route> =
-            pool::Pool::global().parallel_map(&corpus.items, |_, item| self.route(item));
-        let rows: Vec<usize> = (0..corpus.items.len())
-            .filter(|&i| routes[i] == Route::Forest)
-            .collect();
-        let mut matrix = ml::FeatureMatrix::zeros(rows.len(), self.layout.len());
-        for (r, &i) in rows.iter().enumerate() {
-            let features = corpus.items[i]
-                .features
-                .as_ref()
-                .expect("forest-routed items have features");
-            matrix.row_mut(r).copy_from_slice(features);
-        }
-        let scores = self.forest.predict_proba_matrix(&matrix);
-        let mut row_of = vec![usize::MAX; corpus.items.len()];
-        for (r, &i) in rows.iter().enumerate() {
-            row_of[i] = r;
-        }
-        // Classification is also pure per item, so it fans out too;
-        // parallel_map preserves input order. The body mirrors
-        // `predict_prepared` (span, verdict, exactly one audit record).
         pool::Pool::global().parallel_map(&corpus.items, |i, item| {
             let _trace = enter_context(ctxs, i);
-            let _span = obs::span!("scout.predict");
-            let pred = if row_of[i] != usize::MAX {
-                self.predict_forest_with(item, scores.row(row_of[i]))
-            } else {
-                self.predict_routed(item, routes[i], monitoring)
-            };
-            self.audit(item, &pred);
-            pred
+            self.predict_prepared(item, monitoring)
         })
     }
 
-    /// One audit record per prediction: who decided, how confidently,
-    /// on which features, and where the incident went (§4, §8).
+    /// The Scout's own audit record for `pred`, keyed by corpus ordinal
+    /// (the server emits the versioned one, see
+    /// [`Prediction::audit_record`]).
     fn audit(&self, item: &PreparedExample, pred: &Prediction) {
         if !obs::enabled() {
             return;
         }
         obs::observe("scout.predict.confidence", pred.confidence);
-        obs::AuditRecord {
-            incident: item.ordinal as u64,
-            model: format!("{:?}", pred.model),
-            verdict: format!("{:?}", pred.verdict),
-            confidence: pred.confidence,
-            top_features: pred.explanation.top_features.clone(),
-            outcome: match pred.verdict {
-                Verdict::Responsible => "route-here",
-                Verdict::NotResponsible => "route-away",
-                Verdict::Fallback => "legacy-process",
-            }
-            .into(),
-            // Offline predictions are keyed by corpus ordinal, not a
-            // served incident id; the server emits the versioned record.
-            model_version: 0,
-            trace_id: obs::trace::current().map_or(0, |c| c.trace_id),
-        }
-        .emit();
+        let trace_id = obs::trace::current().map_or(0, |c| c.trace_id);
+        pred.audit_record(item.ordinal as u64, 0, trace_id).emit();
     }
 
     fn predict_forest(&self, item: &PreparedExample) -> Prediction {
+        let _span = obs::span!("scout.predict.forest");
         let features = item
             .features
             .as_ref()
             .expect("non-empty extraction has features");
         let mut proba = [0.0; 2];
         self.forest.predict_proba_into(features, &mut proba);
-        self.predict_forest_with(item, &proba)
-    }
-
-    /// [`Scout::predict_forest`] from already-computed forest
-    /// probabilities — the batch lane scores whole feature matrices at
-    /// once and hands each item its row.
-    fn predict_forest_with(&self, item: &PreparedExample, proba: &[f64]) -> Prediction {
-        let _span = obs::span!("scout.predict.forest");
-        let features = item
-            .features
-            .as_ref()
-            .expect("non-empty extraction has features");
         let responsible = proba[1] >= 0.5;
         let (_, contributions) = self.forest.feature_contributions(features, 1);
         let top_features = explain::strongest(&contributions, 5)

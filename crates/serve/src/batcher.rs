@@ -3,14 +3,14 @@
 //!
 //! Predict requests from all connections land in one bounded job queue.
 //! The coalescer's worker thread takes whatever queued while its previous
-//! batch ran, up to `batch_size` (default 32 — the flattened forest's
-//! 32-row scoring tile, so a full batch feeds exactly one micro-batch
-//! through the node-major tables), and never holds a job back for
-//! company; this module groups each batch by team, resolves **one** model
-//! version per team-group, and runs one pooled [`Scout::predict_many`]
-//! pass per group. Because `prepare` is a pure per-example function (PR 2's
-//! determinism contract), the batched answers are bit-identical to what
-//! N sequential `predict` calls would have produced — batching changes
+//! batch ran, up to `batch_size` (default 32; it bounds one batch's work,
+//! so a burst is answered in installments rather than one long pass), and
+//! never holds a job back for company; this module groups each batch by
+//! team, resolves **one** model version per team-group, and runs one
+//! pooled [`Scout::predict_many`] pass per group. Each item of that pass
+//! is featurized and then classified by the same per-item body a single
+//! `predict` runs, so the batched answers are bit-identical to what N
+//! sequential `predict` calls would have produced — batching changes
 //! throughput, never verdicts.
 //!
 //! Metrics: `serve.batch.occupancy` (histogram of jobs per batch),

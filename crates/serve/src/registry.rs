@@ -512,6 +512,26 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A forest too wide for the flattened tables is a load error naming
+    /// the file, not a panic that takes the reloading thread down.
+    #[test]
+    fn load_dir_on_too_wide_forest_names_the_path_and_keeps_registry() {
+        let dir = std::env::temp_dir().join(format!("serve-registry-wide-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let config = scout::ScoutConfig::phynet().to_source();
+        let model = format!(
+            "scout-model v1\n[config]\n{config}[end]\n[build]\n[end]\n\
+             [forest]\nforest 1\ntree 2 70000 1\nL 0.5 0.5\n[end]\n"
+        );
+        std::fs::write(dir.join("PhyNet.scout"), model).unwrap();
+        let r = ModelRegistry::new();
+        let e = r.load_dir(&dir).unwrap_err();
+        assert!(e.0.contains("PhyNet.scout"), "{e}");
+        assert!(e.0.contains("too wide"), "{e}");
+        assert!(r.is_empty(), "failed reload must not publish anything");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn rollback_without_history_is_an_error() {
         let r = ModelRegistry::new();

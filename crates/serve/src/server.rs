@@ -797,22 +797,9 @@ fn record_served(answer: &Answer, text: &str, time: SimTime, shared: &Shared) ->
             }
         },
     );
-    obs::AuditRecord {
-        incident,
-        model: model_name(p).to_string(),
-        verdict: verdict_name(p).to_string(),
-        confidence: p.confidence,
-        top_features: p.explanation.top_features.clone(),
-        outcome: match p.verdict {
-            scout::Verdict::Responsible => "route-here",
-            scout::Verdict::NotResponsible => "route-away",
-            scout::Verdict::Fallback => "legacy-process",
-        }
-        .into(),
-        model_version: answer.model_version,
-        trace_id: obs::trace::current().map_or(0, |c| c.trace_id),
-    }
-    .emit();
+    let trace_id = obs::trace::current().map_or(0, |c| c.trace_id);
+    p.audit_record(incident, answer.model_version, trace_id)
+        .emit();
     incident
 }
 
