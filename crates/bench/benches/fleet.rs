@@ -250,12 +250,14 @@ fn run_accuracy(
 
 fn main() {
     let smoke = smoke();
-    // (teams, http requests, accuracy sample) per fleet size.
-    let sizes: &[(usize, usize, usize)] = if smoke {
-        &[(8, 12, 12)]
+    // (teams, http requests) per fleet size. Every size scores the same
+    // strided incidents, so accuracy compares across sizes.
+    let sizes: &[(usize, usize)] = if smoke {
+        &[(8, 12)]
     } else {
-        &[(8, 64, 32), (32, 32, 32), (128, 16, 24)]
+        &[(8, 64), (32, 32), (128, 16)]
     };
+    let sample = if smoke { 12 } else { 32 };
 
     let world = Arc::new(dense_world(Some(if smoke { 20 } else { 40 })));
     eprintln!(
@@ -266,7 +268,7 @@ fn main() {
     let bases = base_models(&world);
 
     let mut results = Vec::new();
-    for &(n, requests, sample) in sizes {
+    for &(n, requests) in sizes {
         eprintln!("fleet size {n}: HTTP run ({requests} requests)…");
         let http = run_http(&bases, &world, n, requests);
         eprintln!("fleet size {n}: accuracy run ({sample} incidents)…");

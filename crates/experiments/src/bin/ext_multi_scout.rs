@@ -11,8 +11,8 @@
 use cloudsim::Team;
 use experiments::{banner, mean, Lab};
 use scout::{Example, Scout, ScoutBuildConfig, ScoutConfig, Verdict};
-use scoutmaster::{MasterDecision, MleMaster, ScoutAnswer, ScoutMaster};
-use std::collections::HashMap;
+use scoutmaster::{FleetAnswer, FleetMaster};
+use std::collections::{BTreeMap, HashMap};
 
 /// Starter configs for the two extra teams: only the generic device-health
 /// data sets they understand.
@@ -85,18 +85,18 @@ fn main() {
     }
 
     // Answers per incident: Some(yes/no, confidence) or None (fallback).
-    let answers_for = |i: usize| -> Vec<ScoutAnswer> {
+    let answers_for = |i: usize| -> Vec<FleetAnswer> {
         scouts
             .iter()
             .filter_map(|(team, scout, corpus)| {
                 let pred = scout.predict_prepared(&corpus.items[i], &mon);
                 match pred.verdict {
                     Verdict::Fallback => None,
-                    v => Some(ScoutAnswer {
-                        team: *team,
-                        responsible: v == Verdict::Responsible,
-                        confidence: pred.confidence,
-                    }),
+                    v => Some(FleetAnswer::new(
+                        team.name(),
+                        v == Verdict::Responsible,
+                        pred.confidence,
+                    )),
                 }
             })
             .collect()
@@ -104,16 +104,17 @@ fn main() {
 
     // Fit the MLE master on training history.
     let mut history = Vec::new();
-    let mut priors: HashMap<Team, f64> = HashMap::new();
+    let mut priors: BTreeMap<String, f64> = BTreeMap::new();
     for &i in &train_set {
-        let owner = lab.workload.incidents[i].owner;
-        *priors.entry(owner).or_insert(0.0) += 1.0;
+        let owner = lab.workload.incidents[i].owner.name();
+        *priors.entry(owner.to_string()).or_insert(0.0) += 1.0;
         for a in answers_for(i) {
-            history.push((a.team, a.responsible, owner == a.team));
+            let responsible = a.team == owner;
+            history.push((a.team, a.responsible, responsible));
         }
     }
-    let mle = MleMaster::fit(history.into_iter(), priors);
-    let strawman = ScoutMaster::new();
+    let mle = FleetMaster::fit_mle(history, priors);
+    let strawman = FleetMaster::new();
 
     // Evaluate routing on the test set.
     #[derive(Default)]
@@ -143,20 +144,20 @@ fn main() {
             ("mle", mle.route(&answers)),
         ] {
             let t = tallies.entry(name).or_default();
-            match decision {
-                MasterDecision::SendTo(team) if team == inc.owner => {
+            match decision.team() {
+                Some(team) if team == inc.owner.name() => {
                     t.direct_hits += 1;
                     if tr.misrouted() {
                         let total = tr.total_time().as_minutes() as f64;
                         let before = tr
-                            .time_before(team)
+                            .time_before(inc.owner)
                             .map(|d| d.as_minutes() as f64)
                             .unwrap_or(0.0);
                         t.reductions.push(before / total);
                     }
                 }
-                MasterDecision::SendTo(_) => t.wrong_sends += 1,
-                MasterDecision::Fallback => {
+                Some(_) => t.wrong_sends += 1,
+                None => {
                     t.fallbacks += 1;
                     if tr.teams()[0] == inc.owner {
                         t.fallback_baseline_hits += 1;

@@ -1,21 +1,23 @@
-//! The fleet Scout Master: string-keyed routing for dynamic team sets.
+//! The Scout Master: string-keyed routing for dynamic team sets.
 //!
-//! [`FleetMaster`] is the one implementation of the Appendix C policy.
-//! It runs over a [`DependencyGraph`], so the serving plane routes on
-//! registered team names end to end (Scouts register under arbitrary
-//! names and the fleet grows at runtime), and adds the DeepTriage-style
-//! [`suggestions`](FleetMaster::suggestions) ranking: top-k `(team,
-//! confidence)` candidates rather than a single winner.
-//! [`ScoutMaster`](crate::ScoutMaster) is its typed front for the closed
-//! [`Team`](cloudsim::Team) enum of the paper's eleven-team sims.
+//! [`FleetMaster`] is the one Scout Master, with the two policies of
+//! Appendix C: the strawman ([`FleetMaster::new`], what the serving plane
+//! routes with) and the MLE estimate ([`FleetMaster::mle`], see
+//! [`crate::mle`]). It keys teams by registered name end to end (Scouts
+//! register under arbitrary names and the fleet grows at runtime; the
+//! paper's sims lift [`Team`](cloudsim::Team) by `Team::name()`), and
+//! adds the DeepTriage-style [`suggestions`](FleetMaster::suggestions)
+//! ranking: top-k `(team, confidence)` candidates rather than a single
+//! winner, the same under either policy.
 //!
 //! # Total order
 //!
-//! [`FleetMaster::route`] is a pure function of the answer *set* —
-//! permuting the input never changes the decision:
+//! The strawman's [`FleetMaster::route`] runs over a [`DependencyGraph`]
+//! and is a pure function of the answer *set* — permuting the input never
+//! changes the decision:
 //!
-//! 1. answers count as "yes" iff `responsible && confidence >=
-//!    confidence_threshold` (NaN confidence is never a yes);
+//! 1. answers count as "yes" iff `responsible && confidence >= 0.8`
+//!    (§8's operator recommendation; NaN confidence is never a yes);
 //! 2. a yes-team that every other yes-team transitively depends on wins
 //!    (the dependency rule); among several such teams — possible with
 //!    graph cycles — the lexicographically smallest team name wins;
@@ -27,8 +29,16 @@
 //! they are deduplicated to the entry that wins under rule 3's order
 //! before routing, keeping the permutation invariant.
 
+use crate::mle::{fit_stats, Mle, ScoutStats};
 use cloudsim::DependencyGraph;
 use std::cmp::Ordering;
+use std::collections::BTreeMap;
+
+/// Minimum confidence for an answer to count as a strawman "yes".
+const CONFIDENCE_THRESHOLD: f64 = 0.8;
+/// The MLE policy routes only when the winning posterior reaches this
+/// bar; with no answers at all, a prior that does still routes.
+const MIN_POSTERIOR: f64 = 0.5;
 
 /// One Scout's answer, keyed by its registered team name.
 #[derive(Debug, Clone, PartialEq)]
@@ -82,12 +92,20 @@ pub struct Suggestion {
     pub confidence: f64,
 }
 
+/// How a [`FleetMaster`] turns answers into a decision.
+#[derive(Debug, Clone)]
+enum Policy {
+    /// Appendix C's strawman: the module docs' total order.
+    Strawman,
+    /// The MLE estimate over per-Scout accuracy ([`crate::mle`]).
+    Mle(Mle),
+}
+
 /// The Appendix C Scout Master over a dynamic, string-keyed team fleet.
 #[derive(Debug, Clone)]
 pub struct FleetMaster {
     graph: DependencyGraph,
-    /// Minimum confidence for an answer to count as a "yes".
-    pub confidence_threshold: f64,
+    policy: Policy,
 }
 
 impl Default for FleetMaster {
@@ -97,18 +115,40 @@ impl Default for FleetMaster {
 }
 
 impl FleetMaster {
-    /// A master over the built-in dependency graph with the paper's 0.8
-    /// confidence bar (§8's operator recommendation).
+    /// The strawman over the built-in dependency graph with the paper's
+    /// 0.8 confidence bar (§8's operator recommendation).
     pub fn new() -> FleetMaster {
         FleetMaster::with_graph(DependencyGraph::builtin())
     }
 
-    /// A master over an explicit dependency graph.
+    /// The strawman over an explicit dependency graph.
     pub fn with_graph(graph: DependencyGraph) -> FleetMaster {
         FleetMaster {
             graph,
-            confidence_threshold: 0.8,
+            policy: Policy::Strawman,
         }
+    }
+
+    /// The MLE master from per-Scout accuracy stats and per-team base
+    /// rates (`priors` need not be normalized; teams absent from it get a
+    /// small default mass). It routes to the most likely team when its
+    /// posterior reaches 0.5 — on the priors alone when no Scout answers.
+    /// [`graph`](FleetMaster::graph) is the built-in one; MLE does not
+    /// consult it.
+    pub fn mle(stats: BTreeMap<String, ScoutStats>, priors: BTreeMap<String, f64>) -> FleetMaster {
+        FleetMaster {
+            graph: DependencyGraph::builtin(),
+            policy: Policy::Mle(Mle { stats, priors }),
+        }
+    }
+
+    /// [`mle`](FleetMaster::mle) with Scout stats estimated from labeled
+    /// `(team, said_yes, was_responsible)` history.
+    pub fn fit_mle(
+        history: impl IntoIterator<Item = (String, bool, bool)>,
+        priors: BTreeMap<String, f64>,
+    ) -> FleetMaster {
+        FleetMaster::mle(fit_stats(history), priors)
     }
 
     /// The dependency graph this master consults.
@@ -116,23 +156,31 @@ impl FleetMaster {
         &self.graph
     }
 
-    /// Route one incident given the fleet's answers. See the module
-    /// docs for the total order; permutation-invariant by construction.
-    pub fn route(&self, answers: &[FleetAnswer]) -> FleetDecision {
-        self.route_at(self.confidence_threshold, answers)
+    /// The MLE posterior over candidate teams, best first, with equal
+    /// posteriors in name order; `None` under the strawman, which ranks
+    /// by rule rather than by probability.
+    pub fn posteriors(&self, answers: &[FleetAnswer]) -> Option<Vec<(String, f64)>> {
+        match &self.policy {
+            Policy::Strawman => None,
+            Policy::Mle(mle) => Some(mle.posteriors(answers)),
+        }
     }
 
-    /// [`route`](FleetMaster::route) at an explicit confidence bar.
-    pub(crate) fn route_at(&self, threshold: f64, answers: &[FleetAnswer]) -> FleetDecision {
-        let mut yes: Vec<&FleetAnswer> = answers
-            .iter()
-            .filter(|a| a.responsible && a.confidence >= threshold)
-            .collect();
-        // Canonical order: confidence desc, then team name asc. Dedup
-        // keeps the winning entry per team, and every later "first
-        // match" step is order-independent.
-        yes.sort_by(|a, b| cmp_confidence_desc_then_name(a, b));
-        yes.dedup_by(|a, b| a.team == b.team);
+    /// Route one incident given the fleet's answers: the module docs'
+    /// total order, or the MLE estimate. Either is permutation-invariant
+    /// by construction.
+    pub fn route(&self, answers: &[FleetAnswer]) -> FleetDecision {
+        if let Some(posteriors) = self.posteriors(answers) {
+            return match posteriors.into_iter().next() {
+                Some((team, p)) if p >= MIN_POSTERIOR => FleetDecision::SendTo(team),
+                _ => FleetDecision::Fallback,
+            };
+        }
+        let yes = canonical_answers(
+            answers
+                .iter()
+                .filter(|a| a.responsible && a.confidence >= CONFIDENCE_THRESHOLD),
+        );
         match yes.len() {
             0 => FleetDecision::Fallback,
             1 => FleetDecision::SendTo(yes[0].team.clone()),
@@ -195,13 +243,22 @@ impl FleetMaster {
     }
 }
 
-/// Confidence descending, NaN last, team name ascending. A total order
-/// over fleet answers.
-fn cmp_confidence_desc_then_name(a: &FleetAnswer, b: &FleetAnswer) -> Ordering {
-    b.confidence
-        .partial_cmp(&a.confidence)
-        .unwrap_or_else(|| a.confidence.is_nan().cmp(&b.confidence.is_nan()))
-        .then_with(|| a.team.cmp(&b.team))
+/// The canonical order — confidence desc (NaN last), then team name asc,
+/// then yes before no — deduplicated to the first entry per team. Every
+/// later "first match" step over it is order-independent.
+pub(crate) fn canonical_answers<'a>(
+    answers: impl Iterator<Item = &'a FleetAnswer>,
+) -> Vec<&'a FleetAnswer> {
+    let mut kept: Vec<&FleetAnswer> = answers.collect();
+    kept.sort_by(|a, b| {
+        b.confidence
+            .partial_cmp(&a.confidence)
+            .unwrap_or_else(|| a.confidence.is_nan().cmp(&b.confidence.is_nan()))
+            .then_with(|| a.team.cmp(&b.team))
+            .then_with(|| b.responsible.cmp(&a.responsible))
+    });
+    kept.dedup_by(|a, b| a.team == b.team);
+    kept
 }
 
 #[cfg(test)]
@@ -311,5 +368,63 @@ mod tests {
         assert_eq!(fwd.len(), 2);
         assert_eq!(fwd[0].team, "A");
         assert!((fwd[0].confidence - 0.8).abs() < 1e-12);
+    }
+
+    #[test]
+    fn low_confidence_yes_is_ignored() {
+        let m = FleetMaster::new();
+        assert_eq!(
+            m.route(&[ans("PhyNet", true, 0.6)]),
+            FleetDecision::Fallback
+        );
+    }
+
+    #[test]
+    fn unrelated_ties_go_to_confidence() {
+        // DNS and Firewall do not depend on each other.
+        let m = FleetMaster::new();
+        let d = m.route(&[ans("DNS", true, 0.9), ans("Firewall", true, 0.95)]);
+        assert_eq!(d, FleetDecision::SendTo("Firewall".into()));
+    }
+
+    #[test]
+    fn route_is_permutation_invariant() {
+        // Exhaustively permute a mixed answer set (three equally
+        // confident yeses that all depend on PhyNet + a no) — every
+        // ordering must agree.
+        let m = FleetMaster::new();
+        let base = [
+            ans("Database", true, 0.9),
+            ans("PhyNet", true, 0.9),
+            ans("DNS", true, 0.9),
+            ans("Storage", false, 0.99),
+        ];
+        let expected = m.route(&base);
+        assert_eq!(expected, FleetDecision::SendTo("PhyNet".into()));
+        let mut perm = base;
+        permute(&mut perm, 0, &mut |p| assert_eq!(m.route(p), expected));
+    }
+
+    #[test]
+    fn nan_confidence_never_outranks_a_real_one() {
+        let m = FleetMaster::new();
+        for answers in [
+            [ans("DNS", true, f64::NAN), ans("Firewall", true, 0.85)],
+            [ans("Firewall", true, 0.85), ans("DNS", true, f64::NAN)],
+        ] {
+            assert_eq!(m.route(&answers), FleetDecision::SendTo("Firewall".into()));
+        }
+    }
+
+    fn permute(items: &mut [FleetAnswer], k: usize, visit: &mut impl FnMut(&[FleetAnswer])) {
+        if k == items.len() {
+            visit(items);
+            return;
+        }
+        for i in k..items.len() {
+            items.swap(k, i);
+            permute(items, k + 1, visit);
+            items.swap(k, i);
+        }
     }
 }

@@ -8,25 +8,24 @@
 //!   defines them, including the paper's estimation trick for overhead-in
 //!   (sampling from the baseline distribution of mis-routings into the
 //!   team, Fig. 6).
-//! * [`master`] — the strawman Scout Master of Appendix C: one "yes" →
-//!   send it there; several "yes" → prefer the deeper dependency, then
-//!   confidence; all "no" → fall back to the legacy process.
-//! * [`fleet`] — the same policy over dynamic, string-keyed team fleets
-//!   (a [`cloudsim::DependencyGraph`] instead of the closed enum), plus
-//!   DeepTriage-style top-k suggestions. This is what the serving plane
-//!   routes with.
+//! * [`fleet`] — the one Scout Master, [`FleetMaster`], string-keyed over
+//!   a [`cloudsim::DependencyGraph`], plus DeepTriage-style top-k
+//!   suggestions. Its default policy is the strawman of Appendix C (one
+//!   "yes" → send it there; several → prefer the deeper dependency, then
+//!   confidence; all "no" → fall back to the legacy process), which the
+//!   serving plane routes with.
+//! * [`mle`] — the master's other policy: Appendix C's MLE estimate over
+//!   per-Scout historical accuracy and confidence.
 //! * [`sim`] — the Appendix D trace-driven simulations: N perfect Scouts
 //!   (Fig. 15) and imperfect Scouts over an (α, β) accuracy/confidence
 //!   sweep (Fig. 16).
 
 pub mod fleet;
 pub mod gain;
-pub mod master;
 pub mod mle;
 pub mod sim;
 
 pub use fleet::{FleetAnswer, FleetDecision, FleetMaster, Suggestion};
 pub use gain::{GainAccountant, GainReport, IncidentOutcome};
-pub use master::{MasterDecision, ScoutAnswer, ScoutMaster};
-pub use mle::{MleMaster, ScoutStats};
+pub use mle::ScoutStats;
 pub use sim::{ImperfectParams, ImperfectResult, PerfectScoutSim};

@@ -4,10 +4,60 @@ use cloudsim::{Severity, SimDuration, SimTime, Team};
 use incident::model::{Incident, IncidentId, IncidentSource};
 use incident::routing::{RoutingHop, RoutingTrace};
 use proptest::prelude::*;
-use scoutmaster::{GainAccountant, MasterDecision, ScoutAnswer, ScoutMaster};
+use rand::rngs::SmallRng;
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
+use scoutmaster::{FleetAnswer, FleetDecision, FleetMaster, GainAccountant, ScoutStats};
+use std::collections::BTreeMap;
 
 fn any_team() -> impl Strategy<Value = Team> {
     (0usize..Team::ALL.len()).prop_map(|i| Team::ALL[i])
+}
+
+/// Confidences biased toward ties and NaN.
+fn any_confidence() -> impl Strategy<Value = f64> {
+    (0u8..8, 0.0f64..1.0).prop_map(|(k, c)| match k {
+        0 => f64::NAN,
+        1 => 0.9,
+        2 => 0.5,
+        _ => c,
+    })
+}
+
+/// Up to eight answers over the paper's teams, duplicates allowed.
+fn any_answers() -> impl Strategy<Value = Vec<FleetAnswer>> {
+    proptest::collection::vec((any_team(), any::<bool>(), any_confidence()), 0..8).prop_map(
+        |answers| {
+            answers
+                .into_iter()
+                .map(|(team, yes, confidence)| FleetAnswer::new(team.name(), yes, confidence))
+                .collect()
+        },
+    )
+}
+
+/// An MLE master with stats for some teams and priors for some others.
+fn any_mle_master() -> impl Strategy<Value = FleetMaster> {
+    (
+        proptest::collection::vec((any_team(), 0.0f64..1.0, 0.0f64..1.0), 0..6),
+        proptest::collection::vec((any_team(), 0.0f64..5.0), 0..6),
+    )
+        .prop_map(|(stats, priors)| {
+            let stats: BTreeMap<String, ScoutStats> = stats
+                .into_iter()
+                .map(|(team, tpr, fpr)| (team.name().to_string(), ScoutStats { tpr, fpr }))
+                .collect();
+            let priors: BTreeMap<String, f64> = priors
+                .into_iter()
+                .map(|(team, p)| (team.name().to_string(), p))
+                .collect();
+            FleetMaster::mle(stats, priors)
+        })
+}
+
+fn posterior_bits(m: &FleetMaster, answers: &[FleetAnswer]) -> Vec<(String, u64)> {
+    let posts = m.posteriors(answers).expect("an MLE master has posteriors");
+    posts.into_iter().map(|(t, p)| (t, p.to_bits())).collect()
 }
 
 fn any_trace() -> impl Strategy<Value = RoutingTrace> {
@@ -82,20 +132,60 @@ proptest! {
         answers in proptest::collection::vec(
             (any_team(), any::<bool>(), 0.0f64..1.0), 0..6)
     ) {
-        let answers: Vec<ScoutAnswer> = answers
+        let answers: Vec<FleetAnswer> = answers
             .into_iter()
-            .map(|(team, responsible, confidence)| ScoutAnswer { team, responsible, confidence })
+            .map(|(team, responsible, confidence)| FleetAnswer::new(team.name(), responsible, confidence))
             .collect();
-        let m = ScoutMaster::new();
+        let m = FleetMaster::new();
         match m.route(&answers) {
-            MasterDecision::Fallback => {
+            FleetDecision::Fallback => {
                 // Nothing qualified — fine.
             }
-            MasterDecision::SendTo(team) => {
+            FleetDecision::SendTo(team) => {
                 prop_assert!(answers
                     .iter()
                     .any(|a| a.team == team && a.responsible && a.confidence >= 0.8));
             }
+        }
+    }
+
+    /// Any permutation of the answers — duplicates and ties included —
+    /// gives the MLE master bit-identical posteriors and the same decision.
+    #[test]
+    fn mle_is_permutation_invariant(
+        m in any_mle_master(),
+        answers in any_answers(),
+        seed in any::<u64>(),
+    ) {
+        let mut shuffled = answers.clone();
+        shuffled.shuffle(&mut SmallRng::seed_from_u64(seed));
+        prop_assert_eq!(posterior_bits(&m, &answers), posterior_bits(&m, &shuffled));
+        prop_assert_eq!(m.route(&answers), m.route(&shuffled));
+    }
+
+    /// NaN confidences carry no weight: every posterior stays finite and
+    /// they sum to one.
+    #[test]
+    fn mle_posteriors_are_finite_and_normalized(m in any_mle_master(), answers in any_answers()) {
+        let posts = m.posteriors(&answers).expect("an MLE master has posteriors");
+        prop_assert!(posts.iter().all(|(_, p)| p.is_finite()), "{posts:?}");
+        if !posts.is_empty() {
+            let total: f64 = posts.iter().map(|(_, p)| p).sum();
+            prop_assert!((total - 1.0).abs() <= 1e-9, "sum {total}");
+        }
+    }
+
+    /// The MLE master only ever sends to a candidate: a team with a prior
+    /// or an answer.
+    #[test]
+    fn mle_sends_only_to_a_candidate(m in any_mle_master(), answers in any_answers()) {
+        if let FleetDecision::SendTo(team) = m.route(&answers) {
+            // With no answers the candidates are exactly the prior keys.
+            let prior_keys = posterior_bits(&m, &[]);
+            prop_assert!(
+                answers.iter().any(|a| a.team == team) || prior_keys.iter().any(|(t, _)| *t == team),
+                "{team} is neither a prior key nor an answering team"
+            );
         }
     }
 }

@@ -445,18 +445,26 @@ impl Event {
     }
 }
 
-/// An integer field. `obs::json` parses all numbers as `f64`; every id
-/// the plane mints stays far under 2^53, so the conversion is exact —
+// The JSON field readers of the log's two record shapes: event lines and
+// projection snapshots.
+
+/// An integer. `obs::json` parses all numbers as `f64`; every id the
+/// plane mints stays far under 2^53, so the conversion is exact —
 /// anything negative, fractional, or outside that range is malformed.
-fn get_u64(v: &Value, key: &str) -> Option<u64> {
-    let n = v.get(key)?.as_f64()?;
+pub(crate) fn int_of(n: &Value) -> Option<u64> {
+    let n = n.as_f64()?;
     if n.fract() != 0.0 || !(0.0..9.0e15).contains(&n) {
         return None;
     }
     Some(n as u64)
 }
 
-fn get_f64(v: &Value, key: &str) -> Option<f64> {
+/// An integer field (see [`int_of`]).
+pub(crate) fn get_u64(v: &Value, key: &str) -> Option<u64> {
+    int_of(v.get(key)?)
+}
+
+pub(crate) fn get_f64(v: &Value, key: &str) -> Option<f64> {
     // `Obj::num` writes non-finite values as null; map them back to NaN
     // (MCC of an empty confusion, for instance).
     match v.get(key)? {
@@ -465,11 +473,11 @@ fn get_f64(v: &Value, key: &str) -> Option<f64> {
     }
 }
 
-fn get_str(v: &Value, key: &str) -> Option<String> {
+pub(crate) fn get_str(v: &Value, key: &str) -> Option<String> {
     v.get(key)?.as_str().map(str::to_string)
 }
 
-fn get_bool(v: &Value, key: &str) -> Option<bool> {
+pub(crate) fn get_bool(v: &Value, key: &str) -> Option<bool> {
     match v.get(key)? {
         Value::Bool(b) => Some(*b),
         _ => None,

@@ -16,7 +16,7 @@
 //! [`Projections::parse`] inverts it, so
 //! `render(parse(render(p))) == render(p)` byte-for-byte.
 
-use crate::event::{Event, SCHEMA};
+use crate::event::{get_bool, get_f64, get_str, get_u64, int_of, Event, SCHEMA};
 use cloudsim::SimTime;
 use obs::json::{Arr, Obj, Value};
 use std::collections::{BTreeMap, VecDeque};
@@ -570,36 +570,6 @@ impl Projections {
         }
 
         Some(p)
-    }
-}
-
-fn int_of(n: &Value) -> Option<u64> {
-    let n = n.as_f64()?;
-    if n.fract() != 0.0 || !(0.0..9.0e15).contains(&n) {
-        return None;
-    }
-    Some(n as u64)
-}
-
-fn get_u64(v: &Value, key: &str) -> Option<u64> {
-    int_of(v.get(key)?)
-}
-
-fn get_f64(v: &Value, key: &str) -> Option<f64> {
-    match v.get(key)? {
-        Value::Null => Some(f64::NAN),
-        other => other.as_f64(),
-    }
-}
-
-fn get_str(v: &Value, key: &str) -> Option<String> {
-    v.get(key)?.as_str().map(str::to_string)
-}
-
-fn get_bool(v: &Value, key: &str) -> Option<bool> {
-    match v.get(key)? {
-        Value::Bool(b) => Some(*b),
-        _ => None,
     }
 }
 

@@ -6,9 +6,8 @@
 //! cargo run --release --example scout_master_sim
 //! ```
 
-use cloudsim::Team;
 use incident::{Workload, WorkloadConfig};
-use scoutmaster::{MasterDecision, PerfectScoutSim, ScoutAnswer, ScoutMaster};
+use scoutmaster::{FleetAnswer, FleetDecision, FleetMaster, PerfectScoutSim};
 
 fn main() {
     let mut config = WorkloadConfig::default();
@@ -16,27 +15,19 @@ fn main() {
     let world = Workload::generate(config);
 
     // --- The strawman master on one concrete incident ---
-    let master = ScoutMaster::new();
+    let master = FleetMaster::new();
     let answers = [
-        ScoutAnswer {
-            team: Team::Database,
-            responsible: true,
-            confidence: 0.93,
-        },
-        ScoutAnswer {
-            team: Team::PhyNet,
-            responsible: true,
-            confidence: 0.88,
-        },
-        ScoutAnswer {
-            team: Team::Storage,
-            responsible: false,
-            confidence: 0.97,
-        },
+        FleetAnswer::new("Database", true, 0.93),
+        FleetAnswer::new("PhyNet", true, 0.88),
+        FleetAnswer::new("Storage", false, 0.97),
     ];
     let decision = master.route(&answers);
-    println!("two yes answers, Database depends on PhyNet → {decision:?}");
-    assert_eq!(decision, MasterDecision::SendTo(Team::PhyNet));
+    let shown = match decision.team() {
+        Some(team) => format!("SendTo({team})"),
+        None => "Fallback".to_string(),
+    };
+    println!("two yes answers, Database depends on PhyNet → {shown}");
+    assert_eq!(decision, FleetDecision::SendTo("PhyNet".into()));
 
     // --- Fleet-wide what-if: perfect Scouts, growing deployment ---
     println!();

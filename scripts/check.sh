@@ -3,6 +3,7 @@
 #
 #   scripts/check.sh                # fmt + clippy + tests (incl. scoutbench's,
 #                                   # which pin the API BENCHMARK.json builds on)
+#                                   # + release runs of the Scout Master programs
 #   scripts/check.sh --bench-smoke  # also run every report-writing bench
 #                                   # and `pipeline` on its tiny workload
 #                                   # (BENCH_SMOKE=1; reports go to
@@ -52,6 +53,14 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== cargo test =="
 cargo test -q
+
+# `cargo test` only compiles examples and binaries. Run the Scout Master
+# programs: the example asserts its decision, the misroute replay its
+# 28/48.
+echo "== Scout Master programs (release runs) =="
+cargo run --release -q --example scout_master_sim
+cargo run --release -q -p experiments --bin ext_multi_scout
+cargo run --release -q -p experiments --bin ext_fleet_misroutes
 
 # scoutbench is a package of its own (not a workspace member), so an API
 # break against it is invisible to the line above.
