@@ -5,10 +5,16 @@
 //! share almost all of that window, yet the serving layer used to replay
 //! window generation, sorting, and 11 statistics from scratch on every
 //! `predict`. This crate memoizes the expensive part: telemetry is carved
-//! into immutable per-`(epoch, dataset, device, aligned time-bucket)`
-//! **chunks** carrying `count / sum / sum-of-squares / min / max` plus the
-//! *sorted* sample slice, so merged percentiles stay exact rather than
-//! sketched. Chunks live behind a bounded, byte-budgeted LRU.
+//! into immutable per-`(epoch, dataset, mentioned component, aligned
+//! time-bucket)` **chunks**. A chunk holds the hour of every device the
+//! component covers ([`MonitoringSystem::covered_devices`] — a cluster
+//! mention is "all data with the same cluster tag"), in that order, in one
+//! allocation: per device its samples, the same samples *sorted*, and
+//! `sum / sum-of-squares / min / max` side by side, so merged percentiles
+//! stay exact rather than sketched. Chunks live behind a bounded,
+//! byte-budgeted LRU. A featurization makes one lookup per (feature block,
+//! mentioned component, bucket) — a few dozen per incident — however many
+//! devices those components cover.
 //!
 //! # Exactness
 //!
@@ -22,11 +28,14 @@
 //! contribute their precomputed aggregates; the window's ragged edges are
 //! sliced out of the bucket's time-ordered samples and folded in
 //! sample-by-sample. Which buckets are "full" depends only on the query
-//! window, never on cache state, so the floating-point operation order is
-//! the same in every mode.
+//! window, never on cache state, and the fold is device-major — each
+//! covered device in order, and within it each bucket in order — so the
+//! floating-point operation order is the same in every mode, and the same
+//! as folding one device at a time (a differential test against that
+//! per-device fold, kept as `reference`, enforces it).
 //!
 //! Percentiles cannot be merged from aggregates, so [`PoolStats`] keeps the
-//! contributing slices and pulls the quantile ranks out of their pooled
+//! contributing chunks and pulls the quantile ranks out of their pooled
 //! multiset by progressive selection at finalization — `O(n)` instead of
 //! the old `O(n log n)` re-sort, and exact: the element at a given rank
 //! under `total_cmp`'s total order is unique, whatever algorithm finds it.
@@ -52,120 +61,181 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use cloudsim::{ComponentId, SimTime};
-use monitoring::{window_steps, Dataset, Event, MonitoringSystem};
+use monitoring::{window_steps, DataType, Dataset, Event, MonitoringSystem};
 
+#[cfg(test)]
+mod differential;
+#[cfg(test)]
+mod reference;
 pub mod stats;
 
 use stats::{finalize_stats, ord_key, with_scratch, Moments};
 
 /// Samples per chunk: 12 steps × 5-minute [`monitoring::SAMPLE_INTERVAL`]
-/// = one hour. A two-hour look-back window spans at most four buckets
-/// (two full, two ragged), so the per-predict merge is a handful of
-/// aggregate folds plus two short slices.
+/// = one hour. A two-hour look-back window spans at most three buckets,
+/// all but the two ragged edges full, so a mention's merge is a handful
+/// of aggregate folds plus two short slices per covered device.
 pub const CHUNK_STEPS: u64 = 12;
+
+const STEPS: usize = CHUNK_STEPS as usize;
 
 /// Cache key: every field that can change a chunk's bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ChunkKey {
+struct ChunkKey {
     /// Monitoring-plane fingerprint (seed + topology + faults + config).
-    pub epoch: u64,
+    epoch: u64,
     /// `Dataset::index()`.
-    pub dataset: usize,
-    /// Device the telemetry belongs to.
-    pub device: u64,
+    dataset: usize,
+    /// The mentioned component; the chunk covers every device under it.
+    component: u64,
     /// Aligned bucket: covers steps `[bucket·CHUNK_STEPS, (bucket+1)·CHUNK_STEPS)`.
-    pub bucket: u64,
+    bucket: u64,
 }
 
-/// One hour of telemetry for one `(dataset, device)`, immutable once built.
-#[derive(Debug)]
-pub struct SeriesChunk {
+/// One device's hour inside a series chunk: the aggregates, then the
+/// samples and their sorted keys inline, so a fold reads one contiguous
+/// record per device.
+#[derive(Debug, Clone, Copy)]
+struct DeviceHour {
+    /// Sequential sum over `samples` in time order.
+    sum: f64,
+    /// Sequential sum of squares over `samples` in time order.
+    sumsq: f64,
+    /// Minimum sample.
+    min: f64,
+    /// Maximum sample.
+    max: f64,
     /// Time-ordered samples (baseline-normalized for class-tagged data
     /// sets, matching the featurizer's pooling convention).
-    pub samples: Vec<f64>,
+    samples: [f64; STEPS],
     /// The same samples as order-preserving u64 keys ([`ord_key`]), sorted
     /// ascending — i.e. the `total_cmp` sort, pre-transformed so pooled
     /// percentile selection works on plain integers.
-    pub sorted_keys: Vec<u64>,
-    /// Sequential sum over `samples` in time order.
-    pub sum: f64,
-    /// Sequential sum of squares over `samples` in time order.
-    pub sumsq: f64,
-    /// Minimum sample (`+inf` when empty).
-    pub min: f64,
-    /// Maximum sample (`-inf` when empty).
-    pub max: f64,
+    sorted_keys: [u64; STEPS],
 }
 
-/// One hour of events for one `(dataset, device)`.
-#[derive(Debug)]
-pub struct EventChunk {
-    /// Events ordered by time.
-    pub events: Vec<Event>,
+impl DeviceHour {
+    fn of(samples: &[f64]) -> DeviceHour {
+        let m = Moments::of(samples);
+        let mut hour = DeviceHour {
+            sum: m.sum,
+            sumsq: m.sumsq,
+            min: m.min,
+            max: m.max,
+            samples: [0.0; STEPS],
+            sorted_keys: [0; STEPS],
+        };
+        hour.samples.copy_from_slice(samples);
+        for (key, &v) in hour.sorted_keys.iter_mut().zip(samples) {
+            *key = ord_key(v);
+        }
+        hour.sorted_keys.sort_unstable();
+        hour
+    }
 }
 
-/// A cached unit: series- or event-typed.
+/// One hour of one mentioned component, immutable once built. Device `i`
+/// is the `i`-th device `covered_devices` returns that has data.
 #[derive(Debug)]
-pub enum Chunk {
-    /// Time-series bucket.
-    Series(SeriesChunk),
-    /// Event bucket.
-    Events(EventChunk),
+enum Chunk {
+    /// A time-series data set: one record per device.
+    Series(Box<[DeviceHour]>),
+    /// An event data set: every device's events in time order, devices
+    /// concatenated; device `i`'s end at `ends[i]`.
+    Events {
+        events: Box<[Event]>,
+        ends: Box<[usize]>,
+    },
 }
 
 impl Chunk {
-    /// Approximate heap footprint, for the byte budget.
+    /// Build `component`'s chunk for `bucket` — the *only* code path that
+    /// turns raw telemetry into pooled samples, shared by cached and
+    /// uncached featurization, and the only place featurization resolves
+    /// `covered_devices`. Class-tagged data sets are normalized to their
+    /// healthy baseline here so chunks mix safely across hardware
+    /// generations.
+    fn build(
+        mon: &MonitoringSystem,
+        dataset: Dataset,
+        component: ComponentId,
+        bucket: u64,
+    ) -> Chunk {
+        let steps = bucket * CHUNK_STEPS..(bucket + 1) * CHUNK_STEPS;
+        let devices = mon.covered_devices(dataset, component);
+        match dataset.data_type() {
+            DataType::TimeSeries => {
+                let baseline = dataset.class_tag().map(|_| {
+                    let (mean, sd) = dataset.baseline();
+                    (mean, if sd > 0.0 { sd } else { 1.0 })
+                });
+                let hours = devices
+                    .into_iter()
+                    .filter_map(|device| mon.series_steps(dataset, device, steps.clone()))
+                    .map(|mut samples| {
+                        if let Some((mean, sd)) = baseline {
+                            for v in &mut samples {
+                                *v = (*v - mean) / sd;
+                            }
+                        }
+                        DeviceHour::of(&samples)
+                    })
+                    .collect();
+                Chunk::Series(hours)
+            }
+            DataType::Event => {
+                let mut events = Vec::new();
+                let mut ends = Vec::with_capacity(devices.len());
+                for device in devices {
+                    events.extend(mon.events_steps(dataset, device, steps.clone()));
+                    ends.push(events.len());
+                }
+                Chunk::Events {
+                    events: events.into(),
+                    ends: ends.into(),
+                }
+            }
+        }
+    }
+
+    /// Devices in the chunk.
+    fn devices(&self) -> usize {
+        match self {
+            Chunk::Series(hours) => hours.len(),
+            Chunk::Events { ends, .. } => ends.len(),
+        }
+    }
+
+    fn hours(&self) -> &[DeviceHour] {
+        match self {
+            Chunk::Series(hours) => hours,
+            Chunk::Events { .. } => &[],
+        }
+    }
+
+    /// Device `i`'s events, in time order.
+    fn device_events(&self, i: usize) -> &[Event] {
+        match self {
+            Chunk::Events { events, ends } => {
+                &events[if i == 0 { 0 } else { ends[i - 1] }..ends[i]]
+            }
+            Chunk::Series(_) => &[],
+        }
+    }
+
+    /// Approximate heap footprint, for the byte budget: every device's
+    /// inline record counts, so a DC-wide chunk weighs what it holds.
     fn bytes(&self) -> usize {
         const OVERHEAD: usize = 96; // key + Arc + LRU bookkeeping
-        match self {
-            Chunk::Series(s) => OVERHEAD + (s.samples.len() + s.sorted_keys.len()) * 8,
-            Chunk::Events(e) => OVERHEAD + e.events.len() * std::mem::size_of::<Event>(),
-        }
+        OVERHEAD
+            + match self {
+                Chunk::Series(hours) => std::mem::size_of_val::<[DeviceHour]>(hours),
+                Chunk::Events { events, ends } => {
+                    std::mem::size_of_val::<[Event]>(events)
+                        + std::mem::size_of_val::<[usize]>(ends)
+                }
+            }
     }
-}
-
-/// Build the series chunk for `key`'s bucket — the *only* code path that
-/// turns raw telemetry into pooled samples, shared by cached and uncached
-/// featurization. Class-tagged data sets are normalized to their healthy
-/// baseline here so chunks mix safely across hardware generations.
-fn build_series_chunk(
-    mon: &MonitoringSystem,
-    dataset: Dataset,
-    device: ComponentId,
-    bucket: u64,
-) -> Chunk {
-    let steps = bucket * CHUNK_STEPS..(bucket + 1) * CHUNK_STEPS;
-    let mut samples = mon.series_steps(dataset, device, steps).unwrap_or_default();
-    if dataset.class_tag().is_some() {
-        let (mean, sd) = dataset.baseline();
-        let sd = if sd > 0.0 { sd } else { 1.0 };
-        for v in &mut samples {
-            *v = (*v - mean) / sd;
-        }
-    }
-    let mut sorted_keys: Vec<u64> = samples.iter().map(|&v| ord_key(v)).collect();
-    sorted_keys.sort_unstable();
-    let m = Moments::of(&samples);
-    Chunk::Series(SeriesChunk {
-        samples,
-        sorted_keys,
-        sum: m.sum,
-        sumsq: m.sumsq,
-        min: m.min,
-        max: m.max,
-    })
-}
-
-fn build_event_chunk(
-    mon: &MonitoringSystem,
-    dataset: Dataset,
-    device: ComponentId,
-    bucket: u64,
-) -> Chunk {
-    let steps = bucket * CHUNK_STEPS..(bucket + 1) * CHUNK_STEPS;
-    Chunk::Events(EventChunk {
-        events: mon.events_steps(dataset, device, steps),
-    })
 }
 
 #[derive(Debug)]
@@ -176,10 +246,10 @@ struct Entry {
     bytes: usize,
 }
 
-/// `ChunkKey` lookups are the per-predict hot path (hundreds per call),
-/// where SipHash's setup cost dominates the probe. The key is four plain
-/// words, so a multiply-xor mixer (splitmix64's finalizer) gives full
-/// avalanche at a fraction of the cost.
+/// `ChunkKey` lookups are the per-predict hot path (a few dozen per
+/// call), where SipHash's setup cost dominates the probe. The key is four
+/// plain words, so a multiply-xor mixer (splitmix64's finalizer) gives
+/// full avalanche at a fraction of the cost.
 #[derive(Default)]
 struct KeyHasher(u64);
 
@@ -369,7 +439,8 @@ impl FeatCache {
     /// Fetch `key`'s chunk, building it with `build` on a miss. The build
     /// runs outside the lock — two racing threads may both build, but the
     /// chunk is a pure function of the key, so whichever insert wins stores
-    /// identical bytes.
+    /// identical bytes. A chunk larger than the whole budget is returned
+    /// but not kept: inserting it would only evict everything else first.
     fn get_or_build(&self, key: ChunkKey, build: impl FnOnce() -> Chunk) -> Arc<Chunk> {
         if self.capacity_bytes > 0 {
             let mut inner = self.inner.lock().unwrap();
@@ -385,10 +456,10 @@ impl FeatCache {
             let _span = obs::span!("featcache.build");
             Arc::new(build())
         };
-        if self.capacity_bytes == 0 {
+        let bytes = chunk.bytes();
+        if bytes > self.capacity_bytes {
             return chunk;
         }
-        let bytes = chunk.bytes();
         let mut inner = self.inner.lock().unwrap();
         if let Some(e) = inner.map.get(&key) {
             // Lost the build race; keep the incumbent.
@@ -412,20 +483,23 @@ impl FeatCache {
     }
 }
 
-fn series_chunk(
+/// `component`'s chunk of `dataset` for `bucket`, through `cache` when
+/// given. Event and series chunks never collide: a dataset is one or the
+/// other, and `dataset` is part of the key.
+fn chunk(
     cache: Option<&FeatCache>,
     mon: &MonitoringSystem,
     dataset: Dataset,
-    device: ComponentId,
+    component: ComponentId,
     bucket: u64,
 ) -> Arc<Chunk> {
-    let build = || build_series_chunk(mon, dataset, device, bucket);
+    let build = || Chunk::build(mon, dataset, component, bucket);
     match cache {
         Some(c) => c.get_or_build(
             ChunkKey {
                 epoch: mon.epoch(),
                 dataset: dataset.index(),
-                device: u64::from(device.0),
+                component: u64::from(component.0),
                 bucket,
             },
             build,
@@ -434,128 +508,132 @@ fn series_chunk(
     }
 }
 
-fn event_chunk(
-    cache: Option<&FeatCache>,
-    mon: &MonitoringSystem,
-    dataset: Dataset,
-    device: ComponentId,
-    bucket: u64,
-) -> Arc<Chunk> {
-    let build = || build_event_chunk(mon, dataset, device, bucket);
-    match cache {
-        Some(c) => c.get_or_build(
-            ChunkKey {
-                epoch: mon.epoch(),
-                // Event and series chunks never collide: a dataset is one
-                // or the other, and `dataset` is part of the key.
-                dataset: dataset.index(),
-                device: u64::from(device.0),
-                bucket,
-            },
-            build,
-        ),
-        None => Arc::new(build()),
-    }
-}
-
-/// Samples contributing to a pool's percentiles: either a whole chunk
-/// (its pre-transformed `sorted_keys` memcpy straight into the selection
-/// buffer) or a ragged-edge range of a chunk's time-ordered samples,
-/// transformed through [`ord_key`] at finalization. Both borrow the
-/// chunk via `Arc` — no per-part allocation on the hot path.
+/// One bucket of a window: the chunk and the in-bucket steps `lo..hi`
+/// the window covers. A pool keeps its parts for percentile finalization
+/// — whole buckets' pre-sorted keys memcpy straight into the selection
+/// buffer, ragged edges go through [`ord_key`] — borrowing the chunk via
+/// `Arc`, with no per-device allocation on the hot path.
 #[derive(Debug)]
-enum SortedPart {
-    Whole(Arc<Chunk>),
-    Range(Arc<Chunk>, usize, usize),
+struct Part {
+    chunk: Arc<Chunk>,
+    lo: usize,
+    hi: usize,
 }
 
-impl SortedPart {
+impl Part {
+    fn whole(&self) -> bool {
+        self.lo == 0 && self.hi == STEPS
+    }
+
     fn extend_keys(&self, buf: &mut Vec<u64>) {
-        match self {
-            SortedPart::Whole(c) => {
-                if let Chunk::Series(s) = &**c {
-                    buf.extend_from_slice(&s.sorted_keys);
-                }
+        for hour in self.chunk.hours() {
+            if self.whole() {
+                buf.extend_from_slice(&hour.sorted_keys);
+            } else {
+                buf.extend(hour.samples[self.lo..self.hi].iter().map(|&v| ord_key(v)));
             }
-            SortedPart::Range(c, lo, hi) => {
-                if let Chunk::Series(s) = &**c {
-                    buf.extend(s.samples[*lo..*hi].iter().map(|&v| ord_key(v)));
-                }
+        }
+    }
+}
+
+/// One [`Part`] per aligned bucket `window` touches, in time order.
+fn parts<'m>(
+    cache: Option<&'m FeatCache>,
+    mon: &'m MonitoringSystem<'m>,
+    dataset: Dataset,
+    component: ComponentId,
+    window: (SimTime, SimTime),
+) -> impl Iterator<Item = Part> + 'm {
+    let steps = window_steps(window);
+    let buckets = if steps.is_empty() {
+        0..0
+    } else {
+        steps.start / CHUNK_STEPS..(steps.end - 1) / CHUNK_STEPS + 1
+    };
+    buckets.map(move |bucket| {
+        let b_start = bucket * CHUNK_STEPS;
+        Part {
+            chunk: chunk(cache, mon, dataset, component, bucket),
+            lo: (steps.start.max(b_start) - b_start) as usize,
+            hi: (steps.end.min(b_start + CHUNK_STEPS) - b_start) as usize,
+        }
+    })
+}
+
+/// Devices in a window's parts (every bucket of a component covers the
+/// same devices).
+fn devices(parts: &[Part]) -> usize {
+    parts.first().map_or(0, |p| p.chunk.devices())
+}
+
+/// Can `dataset` hold series data on this plane at all?
+fn series_enabled(mon: &MonitoringSystem, dataset: Dataset) -> bool {
+    mon.is_enabled(dataset) && dataset.data_type() == DataType::TimeSeries
+}
+
+/// Fold device `i` of each part into `m`, bucket after bucket: whole
+/// buckets as their aggregates, ragged edges sample by sample. Callers
+/// go device by device, so the sums see exactly the operation order of
+/// folding one device's window at a time.
+fn fold_device(m: &mut Moments, parts: &[Part], i: usize) {
+    for part in parts {
+        let hour = &part.chunk.hours()[i];
+        if part.whole() {
+            m.count += CHUNK_STEPS;
+            m.sum += hour.sum;
+            m.sumsq += hour.sumsq;
+            m.min = m.min.min(hour.min);
+            m.max = m.max.max(hour.max);
+        } else {
+            let samples = &hour.samples[part.lo..part.hi];
+            m.count += samples.len() as u64;
+            let mut sum = 0.0;
+            let mut sumsq = 0.0;
+            for &v in samples {
+                sum += v;
+                sumsq += v * v;
+                m.min = m.min.min(v);
+                m.max = m.max.max(v);
             }
+            m.sum += sum;
+            m.sumsq += sumsq;
         }
     }
 }
 
 /// Mergeable pool statistics: the cache-aware replacement for collecting
 /// every raw sample and re-sorting. Mean/std/min/max merge from chunk
-/// aggregates; percentiles merge the contributing slices at finalization,
+/// aggregates; percentiles merge the contributing chunks at finalization,
 /// so they are *exact* over the pooled multiset.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct PoolStats {
-    count: u64,
-    sum: f64,
-    sumsq: f64,
-    min: f64,
-    max: f64,
-    parts: Vec<SortedPart>,
+    m: Moments,
+    parts: Vec<Part>,
+}
+
+impl Default for PoolStats {
+    fn default() -> PoolStats {
+        PoolStats::new()
+    }
 }
 
 impl PoolStats {
     /// An empty pool.
     pub fn new() -> PoolStats {
         PoolStats {
-            count: 0,
-            sum: 0.0,
-            sumsq: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
+            m: Moments::default(),
             parts: Vec::new(),
         }
     }
 
     /// Samples accumulated so far.
     pub fn count(&self) -> u64 {
-        self.count
+        self.m.count
     }
 
-    /// Pool mean, `None` when empty. (The `DeviceMeans` ablation reduces
-    /// each device's window to this before pooling.)
+    /// Pool mean, `None` when empty.
     pub fn mean(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.sum / self.count as f64)
-    }
-
-    fn add_chunk(&mut self, chunk: Arc<Chunk>) {
-        let Chunk::Series(s) = &*chunk else { return };
-        if s.samples.is_empty() {
-            return;
-        }
-        self.count += s.samples.len() as u64;
-        self.sum += s.sum;
-        self.sumsq += s.sumsq;
-        self.min = self.min.min(s.min);
-        self.max = self.max.max(s.max);
-        self.parts.push(SortedPart::Whole(chunk));
-    }
-
-    /// Fold in `chunk.samples[lo..hi]` — a window's ragged edge.
-    fn add_range(&mut self, chunk: Arc<Chunk>, lo: usize, hi: usize) {
-        let Chunk::Series(s) = &*chunk else { return };
-        let samples = &s.samples[lo..hi];
-        if samples.is_empty() {
-            return;
-        }
-        self.count += samples.len() as u64;
-        let mut sum = 0.0;
-        let mut sumsq = 0.0;
-        for &v in samples {
-            sum += v;
-            sumsq += v * v;
-            self.min = self.min.min(v);
-            self.max = self.max.max(v);
-        }
-        self.sum += sum;
-        self.sumsq += sumsq;
-        self.parts.push(SortedPart::Range(chunk, lo, hi));
+        (self.m.count > 0).then(|| self.m.sum / self.m.count as f64)
     }
 
     /// Write the 11 §5.2.1 statistics (mean, std, min, max,
@@ -563,96 +641,97 @@ impl PoolStats {
     ///
     /// Finalization goes through the shared fused kernel
     /// ([`stats::finalize_stats`]): the merged `sum`/`sumsq`/`min`/`max`
-    /// aggregates become a [`Moments`], the contributing slices pool
-    /// their [`ord_key`]s into the thread-local scratch, and the one
+    /// aggregates are a [`Moments`], the contributing chunks pool their
+    /// [`ord_key`]s into the thread-local scratch, and the one
     /// variance-clamp + percentile-selection site produces the bytes —
     /// the same site the uncached path (`stats::fill_ts_stats`) uses, so
     /// cached and uncached stats are bit-identical by construction.
     pub fn write_stats(&self, out: &mut [f64]) {
-        let m = Moments {
-            count: self.count,
-            sum: self.sum,
-            sumsq: self.sumsq,
-            min: self.min,
-            max: self.max,
-        };
-        with_scratch(self.count as usize, |buf| {
+        with_scratch(self.m.count as usize, |buf| {
             for part in &self.parts {
                 part.extend_keys(buf);
             }
-            finalize_stats(&m, buf, out);
+            finalize_stats(&self.m, buf, out);
         });
     }
 }
 
-/// Accumulate the samples of `window` on `(dataset, device)` into `pool`,
-/// through `cache` when given. Buckets fully inside the window fold in as
-/// aggregates; the ragged edges are sliced from the bucket's time-ordered
-/// samples. The resulting pool is bit-identical with or without a cache.
+/// Accumulate the samples of `window` on every device `component` covers
+/// for `dataset` (a covered device covers just itself) into `pool`,
+/// through `cache` when given: one chunk lookup per bucket, then each
+/// device in `covered_devices` order. Buckets fully inside the window fold
+/// in as aggregates; the ragged edges are sliced from the bucket's
+/// time-ordered samples. The resulting pool is bit-identical with or
+/// without a cache.
 pub fn accumulate_series(
     cache: Option<&FeatCache>,
     mon: &MonitoringSystem,
     dataset: Dataset,
-    device: ComponentId,
+    component: ComponentId,
     window: (SimTime, SimTime),
     pool: &mut PoolStats,
 ) {
-    if !mon.series_available(dataset, device) {
+    if !series_enabled(mon, dataset) {
         return;
     }
-    let steps = window_steps(window);
-    if steps.is_empty() {
-        return;
-    }
-    let first_bucket = steps.start / CHUNK_STEPS;
-    let last_bucket = (steps.end - 1) / CHUNK_STEPS;
-    for bucket in first_bucket..=last_bucket {
-        let b_start = bucket * CHUNK_STEPS;
-        let b_end = b_start + CHUNK_STEPS;
-        let lo = steps.start.max(b_start);
-        let hi = steps.end.min(b_end);
-        let chunk = series_chunk(cache, mon, dataset, device, bucket);
-        if lo == b_start && hi == b_end {
-            pool.add_chunk(chunk);
-        } else {
-            pool.add_range(chunk, (lo - b_start) as usize, (hi - b_start) as usize);
-        }
+    let first = pool.parts.len();
+    pool.parts
+        .extend(parts(cache, mon, dataset, component, window));
+    let parts = &pool.parts[first..];
+    for i in 0..devices(parts) {
+        fold_device(&mut pool.m, parts, i);
     }
 }
 
-/// Visit every event of `window` on `(dataset, device)` in time order,
-/// through `cache` when given.
+/// The `DeviceMeans` ablation's reduction: append the window mean of
+/// every device `component` covers for `dataset`, in `covered_devices`
+/// order, to `means` — the mean [`accumulate_series`] gives for that
+/// device alone.
+pub fn device_means(
+    cache: Option<&FeatCache>,
+    mon: &MonitoringSystem,
+    dataset: Dataset,
+    component: ComponentId,
+    window: (SimTime, SimTime),
+    means: &mut Vec<f64>,
+) {
+    if !series_enabled(mon, dataset) {
+        return;
+    }
+    let parts: Vec<Part> = parts(cache, mon, dataset, component, window).collect();
+    for i in 0..devices(&parts) {
+        let mut device = PoolStats::new();
+        fold_device(&mut device.m, &parts, i);
+        means.extend(device.mean());
+    }
+}
+
+/// Visit every event of `window` on every device `component` covers for
+/// `dataset`, device by device in `covered_devices` order and each
+/// device's in time order, through `cache` when given.
 pub fn for_each_event(
     cache: Option<&FeatCache>,
     mon: &MonitoringSystem,
     dataset: Dataset,
-    device: ComponentId,
+    component: ComponentId,
     window: (SimTime, SimTime),
     mut f: impl FnMut(&Event),
 ) {
-    let steps = window_steps(window);
-    if steps.is_empty() {
-        return;
-    }
     let step_len = monitoring::SAMPLE_INTERVAL.as_minutes();
-    let first_bucket = steps.start / CHUNK_STEPS;
-    let last_bucket = (steps.end - 1) / CHUNK_STEPS;
-    for bucket in first_bucket..=last_bucket {
-        let b_start = bucket * CHUNK_STEPS;
-        let b_end = b_start + CHUNK_STEPS;
-        let lo = steps.start.max(b_start);
-        let hi = steps.end.min(b_end);
-        let chunk = event_chunk(cache, mon, dataset, device, bucket);
-        let Chunk::Events(e) = &*chunk else { continue };
-        if lo == b_start && hi == b_end {
-            e.events.iter().for_each(&mut f);
-        } else {
-            // Events fire only at sampled instants, so a step-range filter
-            // is exact.
-            for ev in &e.events {
-                let s = ev.time.minutes() / step_len;
-                if s >= lo && s < hi {
-                    f(ev);
+    let parts: Vec<Part> = parts(cache, mon, dataset, component, window).collect();
+    for i in 0..devices(&parts) {
+        for part in &parts {
+            let events = part.chunk.device_events(i);
+            if part.whole() {
+                events.iter().for_each(&mut f);
+            } else {
+                // Events fire only at sampled instants, so a step-range
+                // filter is exact.
+                for ev in events {
+                    let s = (ev.time.minutes() / step_len % CHUNK_STEPS) as usize;
+                    if (part.lo..part.hi).contains(&s) {
+                        f(ev);
+                    }
                 }
             }
         }
@@ -720,7 +799,7 @@ mod tests {
         let mon = MonitoringSystem::new(&topo, &faults, MonitoringConfig::default());
         let srv = topo.by_name("srv-0.c0.dc0").unwrap().id;
         let cache = FeatCache::new(1 << 20);
-        let tiny = FeatCache::new(1); // evicts everything immediately
+        let tiny = FeatCache::new(1); // keeps nothing
         for start_min in [0u64, 3, 5, 599, 6000, 6003] {
             let w = (
                 SimTime(start_min),
@@ -807,20 +886,86 @@ mod tests {
         let topo = topo();
         let mon = MonitoringSystem::new(&topo, &[], MonitoringConfig::default());
         let srv = topo.by_name("srv-0.c0.dc0").unwrap().id;
-        // Room for roughly two series chunks (12 samples ≈ 96+192 bytes).
+        // Room for one one-device series chunk but not two: 96 bytes of
+        // bookkeeping + one `DeviceHour` (4 aggregates, 12 samples and 12
+        // keys inline: 224 bytes) = 320.
         let cache = FeatCache::new(600);
         for bucket in 0..4 {
-            let _ = series_chunk(Some(&cache), &mon, Dataset::PingStats, srv, bucket);
+            let _ = chunk(Some(&cache), &mon, Dataset::PingStats, srv, bucket);
         }
         let s = cache.stats();
         assert_eq!(s.misses, 4);
         assert!(s.evictions >= 2, "evictions {}", s.evictions);
         assert!(s.bytes <= 600, "bytes {}", s.bytes);
         // Most-recent bucket is still resident (hit); oldest is not.
-        let _ = series_chunk(Some(&cache), &mon, Dataset::PingStats, srv, 3);
+        let _ = chunk(Some(&cache), &mon, Dataset::PingStats, srv, 3);
         assert_eq!(cache.stats().hits, 1);
-        let _ = series_chunk(Some(&cache), &mon, Dataset::PingStats, srv, 0);
+        let _ = chunk(Some(&cache), &mon, Dataset::PingStats, srv, 0);
         assert_eq!(cache.stats().misses, 5);
+    }
+
+    #[test]
+    fn a_chunk_weighs_every_device_it_covers() {
+        let topo = topo();
+        let mon = MonitoringSystem::new(&topo, &[], MonitoringConfig::default());
+        let dc = topo.by_name("dc0").unwrap().id;
+        let cache = FeatCache::new(1 << 20);
+        let group = chunk(Some(&cache), &mon, Dataset::PingStats, dc, 0);
+        assert_eq!(group.devices(), 4, "the DC's four servers");
+        assert_eq!(std::mem::size_of::<DeviceHour>(), 4 * 8 + 12 * 16);
+        assert_eq!(
+            cache.stats().bytes,
+            96 + 4 * std::mem::size_of::<DeviceHour>()
+        );
+    }
+
+    #[test]
+    fn a_cold_flood_of_dc_mentions_stays_within_budget() {
+        let topo = topo();
+        let mon = MonitoringSystem::new(&topo, &[], MonitoringConfig::default());
+        let dc = topo.by_name("dc0").unwrap().id;
+        // Room for two of the DC's chunks at most (992 bytes for
+        // ping-statistics' 4 servers, 1888 for cpu-usage's 8 devices).
+        let budget = 2500;
+        let cache = FeatCache::new(budget);
+        for hour in 0..48u64 {
+            let w = (
+                SimTime::from_hours(hour) + SimDuration(7),
+                SimTime::from_hours(hour + 2) + SimDuration(7),
+            );
+            let mut pool = PoolStats::new();
+            accumulate_series(Some(&cache), &mon, Dataset::PingStats, dc, w, &mut pool);
+            assert!(cache.stats().bytes <= budget, "{:?}", cache.stats());
+            accumulate_series(Some(&cache), &mon, Dataset::CpuUsage, dc, w, &mut pool);
+            assert!(cache.stats().bytes <= budget, "{:?}", cache.stats());
+            for_each_event(Some(&cache), &mon, Dataset::SnmpSyslog, dc, w, |_| {});
+            assert!(cache.stats().bytes <= budget, "{:?}", cache.stats());
+        }
+        let s = cache.stats();
+        assert!(s.evictions > 0 && s.chunks > 0, "{s:?}");
+    }
+
+    #[test]
+    fn a_chunk_larger_than_the_budget_is_returned_but_not_kept() {
+        let topo = topo();
+        let mon = MonitoringSystem::new(&topo, &[], MonitoringConfig::default());
+        let srv = topo.by_name("srv-0.c0.dc0").unwrap().id;
+        let dc = topo.by_name("dc0").unwrap().id;
+        // A one-device chunk (320 bytes) fits; the DC's four (992) do not.
+        let cache = FeatCache::new(600);
+        let _ = chunk(Some(&cache), &mon, Dataset::PingStats, srv, 5);
+        let big = chunk(Some(&cache), &mon, Dataset::PingStats, dc, 5);
+        let fresh = chunk(None, &mon, Dataset::PingStats, dc, 5);
+        assert_eq!(big.devices(), 4);
+        for (a, b) in big.hours().iter().zip(fresh.hours()) {
+            assert_eq!(a.samples.map(f64::to_bits), b.samples.map(f64::to_bits));
+        }
+        let s = cache.stats();
+        assert_eq!((s.misses, s.evictions, s.chunks), (2, 0, 1), "{s:?}");
+        assert!(s.bytes <= 600, "bytes {}", s.bytes);
+        // The resident chunk survived the oversized one.
+        let _ = chunk(Some(&cache), &mon, Dataset::PingStats, srv, 5);
+        assert_eq!(cache.stats().hits, 1);
     }
 
     #[test]
@@ -840,7 +985,7 @@ mod tests {
         let cache = FeatCache::new(600);
         let before = mirrored();
         for bucket in [0, 1, 2, 3, 3, 3] {
-            let _ = series_chunk(Some(&cache), &mon, Dataset::PingStats, srv, bucket);
+            let _ = chunk(Some(&cache), &mon, Dataset::PingStats, srv, bucket);
         }
         assert_eq!(mirrored(), before, "lookups never touch the registry");
         let s = cache.stats();
@@ -869,7 +1014,7 @@ mod tests {
         let srv = topo.by_name("srv-0.c0.dc0").unwrap().id;
         let cache = FeatCache::new(0);
         for _ in 0..3 {
-            let _ = series_chunk(Some(&cache), &mon, Dataset::PingStats, srv, 7);
+            let _ = chunk(Some(&cache), &mon, Dataset::PingStats, srv, 7);
         }
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.chunks, s.bytes), (0, 3, 0, 0));
@@ -915,6 +1060,9 @@ mod tests {
             }
             let m = pool.mean().unwrap();
             assert!((m - sum / flat.len() as f64).abs() < 1e-12);
+            let mut means = Vec::new();
+            device_means(None, &mon, Dataset::CpuUsage, c.id, w, &mut means);
+            assert_eq!(means, vec![m]);
         }
     }
 }

@@ -19,11 +19,12 @@
 //! count feature is exactly that).
 //!
 //! Aggregation goes through [`featcache`]: telemetry is fetched as
-//! immutable per-`(device, dataset, hour-bucket)` chunks and merged, with
-//! or without a [`featcache::FeatCache`] behind the fetch. Cached and
-//! uncached featurization run the *same* merge code over the *same* chunk
-//! values, so the resulting vectors are bit-identical (property-tested in
-//! `tests/featcache_prop.rs`).
+//! immutable per-`(mentioned component, dataset, hour-bucket)` chunks —
+//! each holding every device the mention covers — and merged device by
+//! device, with or without a [`featcache::FeatCache`] behind the fetch.
+//! Cached and uncached featurization run the *same* merge code over the
+//! *same* chunk values, so the resulting vectors are bit-identical
+//! (property-tested in `tests/featcache_prop.rs`).
 
 use crate::config::{ComponentType, ScoutConfig};
 use crate::extract::ExtractedComponents;
@@ -233,36 +234,28 @@ impl<'a> Featurizer<'a> {
                     Aggregation::PooledSamples => {
                         let mut pool = featcache::PoolStats::new();
                         for &c in mentioned {
-                            for device in self.monitoring.covered_devices(block.dataset, c) {
-                                featcache::accumulate_series(
-                                    self.cache,
-                                    self.monitoring,
-                                    block.dataset,
-                                    device,
-                                    window,
-                                    &mut pool,
-                                );
-                            }
+                            featcache::accumulate_series(
+                                self.cache,
+                                self.monitoring,
+                                block.dataset,
+                                c,
+                                window,
+                                &mut pool,
+                            );
                         }
                         pool.write_stats(&mut out[block.offset..block.offset + block.len]);
                     }
                     Aggregation::DeviceMeans => {
                         let mut means = Vec::new();
                         for &c in mentioned {
-                            for device in self.monitoring.covered_devices(block.dataset, c) {
-                                let mut dev = featcache::PoolStats::new();
-                                featcache::accumulate_series(
-                                    self.cache,
-                                    self.monitoring,
-                                    block.dataset,
-                                    device,
-                                    window,
-                                    &mut dev,
-                                );
-                                if let Some(m) = dev.mean() {
-                                    means.push(m);
-                                }
-                            }
+                            featcache::device_means(
+                                self.cache,
+                                self.monitoring,
+                                block.dataset,
+                                c,
+                                window,
+                                &mut means,
+                            );
                         }
                         write_ts_stats(&means, &mut out[block.offset..block.offset + block.len]);
                     }
@@ -270,35 +263,33 @@ impl<'a> Featurizer<'a> {
                 DataType::Event => {
                     let counts = &mut out[block.offset..block.offset + block.len];
                     for &c in mentioned {
-                        for device in self.monitoring.covered_devices(block.dataset, c) {
-                            featcache::for_each_event(
-                                self.cache,
-                                self.monitoring,
-                                block.dataset,
-                                device,
-                                window,
-                                |e| {
-                                    let k = e.kind as usize;
-                                    if k < counts.len() {
-                                        counts[k] += 1.0;
-                                    } else {
-                                        // An event kind outside the layout's
-                                        // block means the layout and the
-                                        // monitoring plane have drifted apart;
-                                        // dropping it silently would quietly
-                                        // starve the forest of a feature.
-                                        debug_assert!(
-                                            k < counts.len(),
-                                            "event kind {k} out of range for {}/{} (block len {})",
-                                            block.ctype,
-                                            block.dataset,
-                                            counts.len()
-                                        );
-                                        obs::counter("scout.features.dropped_event_kinds").inc();
-                                    }
-                                },
-                            );
-                        }
+                        featcache::for_each_event(
+                            self.cache,
+                            self.monitoring,
+                            block.dataset,
+                            c,
+                            window,
+                            |e| {
+                                let k = e.kind as usize;
+                                if k < counts.len() {
+                                    counts[k] += 1.0;
+                                } else {
+                                    // An event kind outside the layout's
+                                    // block means the layout and the
+                                    // monitoring plane have drifted apart;
+                                    // dropping it silently would quietly
+                                    // starve the forest of a feature.
+                                    debug_assert!(
+                                        k < counts.len(),
+                                        "event kind {k} out of range for {}/{} (block len {})",
+                                        block.ctype,
+                                        block.dataset,
+                                        counts.len()
+                                    );
+                                    obs::counter("scout.features.dropped_event_kinds").inc();
+                                }
+                            },
+                        );
                     }
                 }
             }

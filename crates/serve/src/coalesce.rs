@@ -9,7 +9,7 @@
 //! 2 callers, 5 at 8, 25 at 32.
 //! There is no linger, because there is nothing for it to buy: a batch
 //! has no fixed cost left to share — its monitoring plane opens on the
-//! engine's kept index — against ~230 µs of model work per warm item
+//! engine's kept index — against ~170 µs of model work per warm item
 //! (DESIGN.md §5d has the ledger), so holding a job back costs it far
 //! more than any share is worth.
 //!

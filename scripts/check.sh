@@ -62,6 +62,10 @@ cargo run --release -q --example scout_master_sim
 cargo run --release -q -p experiments --bin ext_multi_scout
 cargo run --release -q -p experiments --bin ext_fleet_misroutes
 
+# The only caller of the `DeviceMeans` aggregation (~4 s).
+echo "== aggregation ablation (release run) =="
+cargo run --release -q -p experiments --bin ablation_agg
+
 # scoutbench is a package of its own (not a workspace member), so an API
 # break against it is invisible to the line above.
 echo "== scoutbench tests (cargo test --release --manifest-path scoutbench/Cargo.toml) =="
