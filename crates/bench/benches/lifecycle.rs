@@ -55,6 +55,7 @@ fn feedback_stream(n: usize) -> Vec<Feedback> {
             let skew = if i % 4 == 0 { 120 } else { 0 };
             Feedback {
                 incident: i as u64 + 1,
+                team: "PhyNet".into(),
                 text: format!("incident {i} on tor-{}.c1.dc1", i % 6),
                 time: SimTime(minute.saturating_sub(skew)),
                 predicted: i % 3 == 0,

@@ -35,6 +35,7 @@ use scout::retrain::RetrainConfig;
 use scout::{Scout, ScoutBuildConfig, ScoutConfig, WindowPolicy};
 use serve::ModelRegistry;
 use std::sync::Arc;
+use wal::{FeedbackState, PhaseState, TeamLifecycle};
 
 /// Controller tuning. Defaults follow the paper's Fig. 10 sliding-window
 /// regime, scaled to the feedback volumes of one serving team.
@@ -242,27 +243,15 @@ impl std::fmt::Display for LifecycleEvent {
     }
 }
 
-/// Where the controller is in the loop.
-#[derive(Debug, Clone, PartialEq)]
-enum Phase {
-    /// Watching for drift.
-    Monitoring,
-    /// Watching a fresh promotion.
-    Probation {
-        version: u64,
-        started: SimTime,
-        baseline_mcc: f64,
-    },
-}
-
 /// The continual-learning controller for one team.
 pub struct LifecycleController {
     cfg: LifecycleConfig,
     registry: Arc<ModelRegistry>,
     store: FeedbackStore,
     monitor: DriftMonitor,
-    phase: Phase,
-    last_action: SimTime,
+    /// Phase and cooldown anchor; `ignore_before` mirrors the monitor's
+    /// reset point.
+    state: TeamLifecycle,
     feat_cache: FeatCache,
     workers: Option<Arc<pool::Pool>>,
     expected_version: Option<u64>,
@@ -281,8 +270,7 @@ impl LifecycleController {
             registry,
             store,
             monitor,
-            phase: Phase::Monitoring,
-            last_action: SimTime::EPOCH,
+            state: TeamLifecycle::default(),
             feat_cache,
             workers: None,
             expected_version: None,
@@ -324,42 +312,23 @@ impl LifecycleController {
     /// as an external promotion — which an unvetted post-crash reload
     /// genuinely is.
     pub fn restore_from(&mut self, proj: &wal::Projections) {
-        let items: Vec<Feedback> = proj
+        let mut stream = FeedbackState::new(self.cfg.store_cap);
+        for f in proj
             .feedback
             .items
             .iter()
             .filter(|f| f.team == self.cfg.team)
-            .map(|f| Feedback {
-                incident: f.incident,
-                text: f.text.clone(),
-                time: f.time,
-                predicted: f.predicted,
-                label: f.label,
-                model_version: f.model_version,
-            })
-            .collect();
+        {
+            stream.insert(f.clone());
+        }
         // The projection's total is stream-global; it only transfers
         // exactly when this team owns the whole stream.
-        let total = if items.len() == proj.feedback.items.len() {
-            proj.feedback.total
-        } else {
-            items.len() as u64
-        };
-        self.store = FeedbackStore::restore(self.cfg.store_cap, total, items);
+        if stream.total == proj.feedback.items.len() as u64 {
+            stream.total = proj.feedback.total;
+        }
+        self.store = FeedbackStore::from(stream);
         if let Some(lc) = proj.lifecycle.get(&self.cfg.team) {
-            self.phase = match &lc.phase {
-                wal::PhaseState::Monitoring => Phase::Monitoring,
-                wal::PhaseState::Probation {
-                    version,
-                    started,
-                    baseline_mcc,
-                } => Phase::Probation {
-                    version: *version,
-                    started: *started,
-                    baseline_mcc: *baseline_mcc,
-                },
-            };
-            self.last_action = lc.last_action;
+            self.state = lc.clone();
             self.monitor.reset(lc.ignore_before);
         }
         self.expected_version = self.registry.version_of(&self.cfg.team);
@@ -368,6 +337,12 @@ impl LifecycleController {
     /// The labeled stream accumulated so far.
     pub fn store(&self) -> &FeedbackStore {
         &self.store
+    }
+
+    /// Phase, cooldown anchor and drift-monitor reset point — the state
+    /// `restore_from` recovers.
+    pub fn lifecycle(&self) -> &TeamLifecycle {
+        &self.state
     }
 
     /// Every event the controller has emitted, in order.
@@ -381,8 +356,15 @@ impl LifecycleController {
         self.events.iter().map(|e| e.to_string()).collect()
     }
 
-    /// Append one labeled example to the stream.
+    /// Append one labeled example to the stream. Another team's label
+    /// answers "was *that* team responsible", so it is dropped (counted
+    /// in `lifecycle.feedback.foreign`) — the same filter
+    /// [`LifecycleController::restore_from`] applies.
     pub fn ingest(&mut self, fb: Feedback) {
+        if fb.team != self.cfg.team {
+            obs::counter("lifecycle.feedback.foreign").inc();
+            return;
+        }
         obs::counter("lifecycle.feedback.ingested").inc();
         self.store.push(fb);
     }
@@ -399,7 +381,7 @@ impl LifecycleController {
         let current = self.registry.version_of(&self.cfg.team);
         if let (Some(cur), Some(expected)) = (current, self.expected_version) {
             if cur != expected
-                && !matches!(self.phase, Phase::Probation { version, .. } if version == cur)
+                && !matches!(self.state.phase, PhaseState::Probation { version, .. } if version == cur)
             {
                 let baseline = self
                     .store
@@ -410,14 +392,13 @@ impl LifecycleController {
                     version: cur,
                 });
                 self.start_probation(now, cur, baseline, true);
-                self.last_action = now;
             }
         }
         self.expected_version = current;
 
-        match self.phase.clone() {
-            Phase::Monitoring => self.tick_monitoring(now, monitoring, &mut out),
-            Phase::Probation {
+        match self.state.phase.clone() {
+            PhaseState::Monitoring => self.tick_monitoring(now, monitoring, &mut out),
+            PhaseState::Probation {
                 version,
                 started,
                 baseline_mcc,
@@ -438,7 +419,9 @@ impl LifecycleController {
         if !verdict.armed {
             return;
         }
-        if self.last_action > SimTime::EPOCH && now.since(self.last_action) < self.cfg.cooldown {
+        if self.state.last_action > SimTime::EPOCH
+            && now.since(self.state.last_action) < self.cfg.cooldown
+        {
             obs::counter("lifecycle.drift.cooldown_suppressed").inc();
             return;
         }
@@ -485,7 +468,7 @@ impl LifecycleController {
                 at: now,
                 outcome: "skipped_thin".into(),
             });
-            self.last_action = now;
+            self.state.last_action = now;
             return;
         }
         obs::counter("lifecycle.retrains").inc();
@@ -536,7 +519,7 @@ impl LifecycleController {
                 at: now,
                 outcome: "rejected".into(),
             });
-            self.last_action = now;
+            self.state.last_action = now;
             return;
         }
         self.promote(now, candidate, Some(&report), out);
@@ -589,7 +572,7 @@ impl LifecycleController {
                 }
             }
         }
-        self.last_action = now;
+        self.state.last_action = now;
     }
 
     /// Put `version` on probation against `baseline_mcc` (`external`: an
@@ -602,11 +585,7 @@ impl LifecycleController {
             external,
             at: now,
         });
-        self.phase = Phase::Probation {
-            version,
-            started: now,
-            baseline_mcc,
-        };
+        self.state.start_probation(version, baseline_mcc, now);
         self.monitor.reset(now);
     }
 
@@ -682,8 +661,41 @@ impl LifecycleController {
                 at: now,
             });
         }
-        self.phase = Phase::Monitoring;
+        self.state.end_probation(now);
         self.monitor.reset(now);
-        self.last_action = now;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use serve::FeedbackEvent;
+
+    fn labeled(team: &str) -> Feedback {
+        Feedback::from(FeedbackEvent {
+            incident: 1,
+            team: team.into(),
+            text: "disk latency on sto-1".into(),
+            model_version: 1,
+            predicted: false,
+            label: true,
+            time: SimTime(10),
+            trace_id: 0,
+        })
+    }
+
+    #[test]
+    fn ingest_drops_other_teams_labels() {
+        let cfg =
+            LifecycleConfig::new("PhyNet", ScoutConfig::phynet(), ScoutBuildConfig::default());
+        let mut controller = LifecycleController::new(cfg, Arc::new(ModelRegistry::new()));
+        controller.ingest(labeled("Storage"));
+        assert!(
+            controller.store().is_empty(),
+            "a Storage label is not PhyNet's"
+        );
+        assert_eq!(controller.store().total_ingested(), 0);
+        controller.ingest(labeled("PhyNet"));
+        assert_eq!(controller.store().len(), 1);
     }
 }

@@ -186,6 +186,7 @@ mod tests {
                 let mistaken = day >= error_from;
                 s.push(Feedback {
                     incident: id,
+                    team: "PhyNet".into(),
                     text: format!("i{id}"),
                     time: SimTime(day * 1440 + k as u64),
                     predicted: !mistaken,

@@ -7,127 +7,62 @@
 //! incidents out of order), because everything downstream — drift
 //! bucketing, retrain windows, shadow splits — is defined over
 //! prediction time, not arrival time.
+//!
+//! The example and the stream are the WAL's own types (`wal::Feedback`,
+//! `wal::FeedbackState`): the store adds only queries, so a controller's
+//! stream and the replayed one obey the same insertion and eviction
+//! rule.
 
 use cloudsim::SimTime;
 use ml::metrics::Confusion;
 use scout::Example;
-use std::collections::VecDeque;
+use wal::FeedbackState;
 
-/// Default bound on retained labeled examples.
-pub const DEFAULT_STORE_CAP: usize = 16 * 1024;
-
-/// One labeled example: a served prediction plus its ground truth.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Feedback {
-    /// Server-assigned incident id.
-    pub incident: u64,
-    /// The incident text that was classified.
-    pub text: String,
-    /// Simulation time of the prediction.
-    pub time: SimTime,
-    /// What the model said: "my team is responsible".
-    pub predicted: bool,
-    /// Ground truth: the team actually was responsible.
-    pub label: bool,
-    /// Registry version of the model that predicted.
-    pub model_version: u64,
-}
-
-impl From<serve::FeedbackEvent> for Feedback {
-    fn from(e: serve::FeedbackEvent) -> Feedback {
-        Feedback {
-            incident: e.incident,
-            text: e.text,
-            time: e.time,
-            predicted: e.predicted,
-            label: e.label,
-            model_version: e.model_version,
-        }
-    }
-}
-
-impl Feedback {
-    /// Did the model get this one wrong?
-    pub fn mistaken(&self) -> bool {
-        self.predicted != self.label
-    }
-}
+pub use wal::{Feedback, DEFAULT_FEEDBACK_CAP as DEFAULT_STORE_CAP};
 
 /// Bounded, simulation-time-ordered stream of labeled feedback.
 #[derive(Debug)]
 pub struct FeedbackStore {
-    items: VecDeque<Feedback>,
-    cap: usize,
-    total: u64,
+    state: FeedbackState,
 }
 
 impl FeedbackStore {
     /// A store retaining at most `cap` examples (oldest evicted first).
     pub fn new(cap: usize) -> FeedbackStore {
-        FeedbackStore {
-            items: VecDeque::new(),
-            cap: cap.max(1),
-            total: 0,
-        }
-    }
-
-    /// Rebuild a store from recovered state: `items` arrive already
-    /// time-ordered, `total` continues the pre-crash ingestion count,
-    /// and the stream is re-capped to the current bound (oldest evicted
-    /// if the process restarted with a smaller one).
-    pub fn restore(cap: usize, total: u64, items: Vec<Feedback>) -> FeedbackStore {
-        let cap = cap.max(1);
-        let mut queue: VecDeque<Feedback> = items.into();
-        while queue.len() > cap {
-            queue.pop_front();
-        }
-        FeedbackStore {
-            items: queue,
-            cap,
-            total,
-        }
+        FeedbackStore::from(FeedbackState::new(cap))
     }
 
     /// Insert one labeled example, keeping the store time-ordered
     /// (stable for equal times: later arrivals go after earlier ones).
     /// Evicts the oldest example when full.
     pub fn push(&mut self, fb: Feedback) {
-        let pos = self
-            .items
-            .iter()
-            .rposition(|f| f.time <= fb.time)
-            .map(|i| i + 1)
-            .unwrap_or(0);
-        self.items.insert(pos, fb);
-        if self.items.len() > self.cap {
-            self.items.pop_front();
-        }
-        self.total += 1;
+        self.state.insert(fb);
     }
 
     /// Number of retained examples.
     pub fn len(&self) -> usize {
-        self.items.len()
+        self.state.items.len()
     }
 
     /// Is the store empty?
     pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
+        self.state.items.is_empty()
     }
 
     /// Total ever ingested (including evicted).
     pub fn total_ingested(&self) -> u64 {
-        self.total
+        self.state.total
     }
 
     /// Time-ordered view of the retained stream.
     pub fn iter(&self) -> impl Iterator<Item = &Feedback> {
-        self.items.iter()
+        self.state.items.iter()
     }
 
     /// The retained feedback with `from <= time < to`, time-ordered.
     pub fn slice(&self, from: SimTime, to: SimTime) -> Vec<&Feedback> {
-        self.items
+        self.state
+            .items
             .iter()
             .filter(|f| f.time >= from && f.time < to)
             .collect()
@@ -168,6 +103,12 @@ impl FeedbackStore {
     }
 }
 
+impl From<FeedbackState> for FeedbackStore {
+    fn from(state: FeedbackState) -> FeedbackStore {
+        FeedbackStore { state }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,6 +117,7 @@ mod tests {
         Feedback {
             incident,
             text: format!("incident {incident}"),
+            team: "PhyNet".into(),
             time: SimTime(minute),
             predicted,
             label,

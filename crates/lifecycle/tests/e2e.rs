@@ -156,6 +156,7 @@ fn drift_replay(workers: Option<Arc<pool::Pool>>) -> Replay {
             ordinal += 1;
             controller.ingest(Feedback {
                 incident: ordinal,
+                team: "PhyNet".into(),
                 text,
                 time: incident.created_at,
                 predicted: pred.says_responsible(),
@@ -292,6 +293,7 @@ fn feed_span(
         *ordinal += 1;
         controller.ingest(Feedback {
             incident: *ordinal,
+            team: "PhyNet".into(),
             text: incident.text(),
             time: incident.created_at,
             predicted: predicted(incident),

@@ -686,6 +686,7 @@ fn lifecycle_cmd(args: &Args) -> Result<(), ArgError> {
             ordinal += 1;
             controller.ingest(Feedback {
                 incident: ordinal,
+                team: team.name().to_string(),
                 text,
                 time: incident.created_at,
                 predicted: pred.says_responsible(),

@@ -1,16 +1,17 @@
-//! Serving-plane ↔ WAL glue: the registry journal adapter and the
-//! engine recovery path.
+//! Serving-plane ↔ WAL glue: the served-log and registry producers
+//! and the engine recovery path.
 //!
 //! Producers are **log-first**: the event is appended (one buffered-free
 //! `write(2)`; see `wal::log`) before the mutation is acknowledged to
 //! the caller, and the append happens while the mutated structure's own
 //! lock is still held, so the durable event order always matches the
-//! in-memory mutation order. On recovery the log is the authority — the
-//! runtime structures are rebuilt *from* the projections, so
+//! in-memory mutation order. The runtime structures hold the WAL's own
+//! state types (the served log *is* a `wal::ServedState` behind a
+//! lock), so on recovery the engine takes the replayed state as is:
 //! post-restart state equals the deterministic replay of the log by
 //! construction.
 
-use crate::feedback::{ServedLog, ServedRecord};
+use crate::feedback::{FeedbackEvent, ResolveError, ServedLog};
 use crate::registry::{RegistryChange, RegistryJournal};
 use crate::server::Engine;
 use cloudsim::SimTime;
@@ -82,26 +83,7 @@ impl Engine {
     /// (superseding `with_served_cap`) with the recovered one.
     pub fn with_wal(mut self, wal: Arc<Wal>) -> Engine {
         let proj = wal.projections();
-        let records: Vec<ServedRecord> = proj
-            .served
-            .records
-            .iter()
-            .map(|r| ServedRecord {
-                incident: r.incident,
-                team: r.team.clone(),
-                text: r.text.clone(),
-                model_version: r.model_version,
-                predicted_responsible: r.predicted,
-                confidence: r.confidence,
-                time: r.time,
-                resolved: r.resolved,
-            })
-            .collect();
-        self.served = Arc::new(ServedLog::restore(
-            proj.served.cap,
-            proj.served.next_incident,
-            records,
-        ));
+        self.served = Arc::new(ServedLog::from(proj.served));
         self.registry
             .resume_versions_from(proj.registry.next_version);
         self.registry.resume_epoch_from(proj.registry.epoch);
@@ -114,5 +96,80 @@ impl Engine {
             .set_journal(Arc::new(WalJournal(Arc::clone(&wal))));
         self.wal = Some(wal);
         self
+    }
+
+    /// Remember a served answer under a fresh incident id and, with a
+    /// WAL attached, log it while the served log's lock pins the order.
+    pub fn record_served(
+        &self,
+        team: &str,
+        text: &str,
+        model_version: u64,
+        predicted_responsible: bool,
+        confidence: f64,
+        time: SimTime,
+    ) -> u64 {
+        self.served.record_logged(
+            team,
+            text,
+            model_version,
+            predicted_responsible,
+            confidence,
+            time,
+            |rec| {
+                if let Some(wal) = self.wal.as_deref() {
+                    append_or_count(
+                        wal,
+                        &Event::PredictionServed {
+                            incident: rec.incident,
+                            team: rec.team.clone(),
+                            text: rec.text.clone(),
+                            model_version: rec.model_version,
+                            predicted: rec.predicted_responsible,
+                            confidence: rec.confidence,
+                            time: rec.time,
+                        },
+                    );
+                }
+            },
+        )
+    }
+
+    /// Join `resolving_team`'s ground truth to served prediction
+    /// `incident` (exactly once) and, with a WAL attached, log the
+    /// labeled example under the served log's lock. The returned event
+    /// carries the current trace id.
+    pub fn resolve_served(
+        &self,
+        incident: u64,
+        resolving_team: &str,
+    ) -> Result<FeedbackEvent, ResolveError> {
+        let label = |team: &str| resolving_team.eq_ignore_ascii_case(team);
+        let rec = self.served.resolve_logged(incident, |rec| {
+            if let Some(wal) = self.wal.as_deref() {
+                append_or_count(
+                    wal,
+                    &Event::FeedbackAccepted {
+                        incident: rec.incident,
+                        team: rec.team.clone(),
+                        text: rec.text.clone(),
+                        model_version: rec.model_version,
+                        predicted: rec.predicted_responsible,
+                        label: label(&rec.team),
+                        time: rec.time,
+                    },
+                );
+            }
+        })?;
+        Ok(FeedbackEvent {
+            incident: rec.incident,
+            label: label(&rec.team),
+            team: rec.team,
+            text: rec.text,
+            model_version: rec.model_version,
+            predicted: rec.predicted_responsible,
+            time: rec.time,
+            trace_id: obs::trace::current().map_or(0, |c| c.trace_id),
+        })
     }
 }

@@ -10,119 +10,46 @@
 //! [`FeedbackHook`]. Each incident accepts feedback once — a second
 //! report is a `409`, so downstream labeled streams see each example
 //! exactly once.
+//!
+//! The log is a lock around the WAL's own [`wal::ServedState`]: the
+//! capped insert, the id counter and the exactly-once resolve are the
+//! ones replay folds, and recovery hands the replayed state straight
+//! back (see [`crate::durability`]).
 
 use cloudsim::SimTime;
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
+use wal::ServedState;
 
-/// Default bound on remembered served predictions.
-pub const DEFAULT_SERVED_CAP: usize = 8192;
-
-/// One served prediction, awaiting (or past) its ground truth.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServedRecord {
-    /// Server-assigned incident id (process-unique, starts at 1).
-    pub incident: u64,
-    /// Team whose Scout answered (registry key as served).
-    pub team: String,
-    /// The incident text that was classified (retained so resolved
-    /// incidents become training examples downstream).
-    pub text: String,
-    /// Registry version of the model that answered.
-    pub model_version: u64,
-    /// Did the Scout say "responsible"?
-    pub predicted_responsible: bool,
-    /// Prediction confidence.
-    pub confidence: f64,
-    /// Simulation time the prediction was made for.
-    pub time: SimTime,
-    /// Has ground truth already been recorded?
-    pub resolved: bool,
-}
-
-/// Why a feedback report was rejected.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ResolveError {
-    /// No served prediction with that incident id (never existed, or
-    /// evicted from the bounded log).
-    Unknown(u64),
-    /// Ground truth was already recorded for this incident.
-    AlreadyResolved(u64),
-}
-
-impl std::fmt::Display for ResolveError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ResolveError::Unknown(id) => write!(f, "unknown incident {id}"),
-            ResolveError::AlreadyResolved(id) => {
-                write!(f, "feedback already recorded for incident {id}")
-            }
-        }
-    }
-}
+pub use wal::{ResolveError, ServedRecord, DEFAULT_SERVED_CAP};
 
 /// Bounded FIFO of served predictions, keyed by assigned incident id.
+/// Ids are assigned inside the lock, so they rise in log order.
 #[derive(Debug)]
 pub struct ServedLog {
-    records: Mutex<VecDeque<ServedRecord>>,
-    next_id: AtomicU64,
-    cap: usize,
+    state: Mutex<ServedState>,
+}
+
+impl From<ServedState> for ServedLog {
+    /// Serve on from recovered state: ids continue the recovered
+    /// sequence under the recovered bound.
+    fn from(state: ServedState) -> ServedLog {
+        ServedLog {
+            state: Mutex::new(state),
+        }
+    }
 }
 
 impl ServedLog {
     /// A log remembering at most `cap` served predictions (oldest
     /// evicted first). `cap` is clamped to at least 1.
     pub fn new(cap: usize) -> ServedLog {
-        ServedLog {
-            records: Mutex::new(VecDeque::new()),
-            next_id: AtomicU64::new(1),
-            cap: cap.max(1),
-        }
-    }
-
-    /// Rebuild a log from recovered state: `next_id` continues the
-    /// pre-crash id sequence, `records` arrive oldest-first and are
-    /// re-capped (so a recovered log obeys the *current* `cap` even if
-    /// the process was restarted with a smaller one).
-    pub fn restore(cap: usize, next_id: u64, records: Vec<ServedRecord>) -> ServedLog {
-        let cap = cap.max(1);
-        let mut queue: VecDeque<ServedRecord> = records.into();
-        while queue.len() > cap {
-            queue.pop_front();
-        }
-        ServedLog {
-            records: Mutex::new(queue),
-            next_id: AtomicU64::new(next_id.max(1)),
-            cap,
-        }
+        ServedLog::from(ServedState::new(cap))
     }
 
     /// Remember one served prediction, returning its assigned incident
-    /// id.
-    pub fn record(
-        &self,
-        team: &str,
-        text: &str,
-        model_version: u64,
-        predicted_responsible: bool,
-        confidence: f64,
-        time: SimTime,
-    ) -> u64 {
-        self.record_logged(
-            team,
-            text,
-            model_version,
-            predicted_responsible,
-            confidence,
-            time,
-            |_| {},
-        )
-    }
-
-    /// [`ServedLog::record`], invoking `log` with the new record while
-    /// the log's lock is still held — the WAL producer hook, guaranteeing
-    /// the durable event order matches the in-memory insertion order.
+    /// id. `log` sees the new record while the log's lock is still held
+    /// — the WAL producer hook, guaranteeing the durable event order
+    /// matches the in-memory insertion order.
     #[allow(clippy::too_many_arguments)]
     pub fn record_logged(
         &self,
@@ -134,62 +61,47 @@ impl ServedLog {
         time: SimTime,
         log: impl FnOnce(&ServedRecord),
     ) -> u64 {
-        let incident = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let mut records = self.records.lock().unwrap();
-        if records.len() >= self.cap {
-            records.pop_front();
-        }
-        records.push_back(ServedRecord {
-            incident,
-            team: team.to_string(),
-            text: text.to_string(),
+        let mut state = self.state.lock().unwrap();
+        let rec = state.record(
+            team,
+            text,
             model_version,
             predicted_responsible,
             confidence,
             time,
-            resolved: false,
-        });
-        log(records.back().unwrap());
-        incident
+        );
+        log(rec);
+        rec.incident
     }
 
     /// Mark `incident` resolved, returning its served record (as it was
     /// before resolution). Errs when unknown/evicted or already
-    /// resolved.
-    pub fn resolve(&self, incident: u64) -> Result<ServedRecord, ResolveError> {
-        self.resolve_logged(incident, |_| {})
-    }
-
-    /// [`ServedLog::resolve`], invoking `log` with the pre-resolution
-    /// record while the lock is held (WAL producer hook; see
-    /// [`ServedLog::record_logged`]).
+    /// resolved. `log` sees the returned record while the lock is held
+    /// (WAL producer hook; see [`ServedLog::record_logged`]).
     pub fn resolve_logged(
         &self,
         incident: u64,
         log: impl FnOnce(&ServedRecord),
     ) -> Result<ServedRecord, ResolveError> {
-        let mut records = self.records.lock().unwrap();
-        let rec = records
-            .iter_mut()
-            .find(|r| r.incident == incident)
-            .ok_or(ResolveError::Unknown(incident))?;
-        if rec.resolved {
-            return Err(ResolveError::AlreadyResolved(incident));
-        }
-        let snapshot = rec.clone();
-        rec.resolved = true;
-        log(&snapshot);
-        Ok(snapshot)
+        let mut state = self.state.lock().unwrap();
+        let rec = state.resolve(incident)?;
+        log(&rec);
+        Ok(rec)
     }
 
     /// Number of remembered predictions (resolved or not).
     pub fn len(&self) -> usize {
-        self.records.lock().unwrap().len()
+        self.state.lock().unwrap().records.len()
     }
 
     /// Is the log empty?
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// A copy of the whole log: records, bound and id counter.
+    pub fn state(&self) -> ServedState {
+        self.state.lock().unwrap().clone()
     }
 }
 
@@ -216,6 +128,20 @@ pub struct FeedbackEvent {
     pub trace_id: u64,
 }
 
+impl From<FeedbackEvent> for wal::Feedback {
+    fn from(e: FeedbackEvent) -> wal::Feedback {
+        wal::Feedback {
+            incident: e.incident,
+            team: e.team,
+            text: e.text,
+            model_version: e.model_version,
+            predicted: e.predicted,
+            label: e.label,
+            time: e.time,
+        }
+    }
+}
+
 /// Receiver for labeled feedback (the lifecycle controller). Called on
 /// the HTTP handler thread — implementations must hand off quickly.
 pub trait FeedbackHook: Send + Sync {
@@ -227,54 +153,37 @@ pub trait FeedbackHook: Send + Sync {
 mod tests {
     use super::*;
 
-    #[test]
-    fn ids_are_unique_and_start_at_one() {
-        let log = ServedLog::new(16);
-        let a = log.record("PhyNet", "text a", 1, true, 0.9, SimTime(5));
-        let b = log.record("PhyNet", "text b", 1, false, 0.6, SimTime(6));
-        assert_eq!(a, 1);
-        assert_eq!(b, 2);
+    fn record(log: &ServedLog, text: &str) -> u64 {
+        log.record_logged("PhyNet", text, 1, true, 0.9, SimTime(1), |_| {})
     }
 
     #[test]
-    fn resolve_is_exactly_once() {
-        let log = ServedLog::new(16);
-        let id = log.record("Storage", "disk latency", 3, true, 0.8, SimTime(9));
-        let rec = log.resolve(id).unwrap();
-        assert_eq!(rec.team, "Storage");
-        assert_eq!(rec.model_version, 3);
+    fn hooks_see_each_record_under_the_lock() {
+        let log = ServedLog::new(4);
+        let mut logged = None;
+        let id = log.record_logged("Storage", "disk latency", 3, true, 0.8, SimTime(9), |r| {
+            logged = Some(r.clone())
+        });
+        assert_eq!(logged.map(|r| (r.incident, r.resolved)), Some((id, false)));
+        let mut seen = None;
+        let rec = log.resolve_logged(id, |r| seen = Some(r.clone())).unwrap();
+        assert_eq!(seen, Some(rec.clone()));
         assert!(!rec.resolved, "returned snapshot is pre-resolution");
-        assert_eq!(log.resolve(id), Err(ResolveError::AlreadyResolved(id)));
-        assert_eq!(log.resolve(999), Err(ResolveError::Unknown(999)));
+        let dup = log.resolve_logged(id, |_| panic!("a rejected resolve is not logged"));
+        assert_eq!(dup, Err(ResolveError::AlreadyResolved(id)));
     }
 
     #[test]
-    fn restore_continues_id_sequence_and_recaps() {
-        let mk = |incident: u64| ServedRecord {
-            incident,
-            team: "PhyNet".into(),
-            text: format!("t{incident}"),
-            model_version: 1,
-            predicted_responsible: true,
-            confidence: 0.9,
-            time: SimTime(incident),
-            resolved: false,
-        };
-        let log = ServedLog::restore(2, 5, vec![mk(2), mk(3), mk(4)]);
-        assert_eq!(log.len(), 2, "restore re-caps, evicting oldest");
-        assert_eq!(log.resolve(2), Err(ResolveError::Unknown(2)));
-        assert!(log.resolve(3).is_ok());
-        let next = log.record("PhyNet", "t5", 1, true, 0.9, SimTime(5));
-        assert_eq!(next, 5, "ids continue the pre-crash sequence");
-    }
-
-    #[test]
-    fn capacity_evicts_oldest() {
-        let log = ServedLog::new(2);
-        let a = log.record("PhyNet", "t1", 1, true, 0.9, SimTime(1));
-        let _b = log.record("PhyNet", "t2", 1, true, 0.9, SimTime(2));
-        let _c = log.record("PhyNet", "t3", 1, true, 0.9, SimTime(3));
-        assert_eq!(log.len(), 2);
-        assert_eq!(log.resolve(a), Err(ResolveError::Unknown(a)));
+    fn recovered_state_continues_id_sequence() {
+        let mut state = ServedState::new(2);
+        state.next_incident = 3;
+        for t in ["t3", "t4", "t5"] {
+            state.record("PhyNet", t, 1, true, 0.9, SimTime(1));
+        }
+        let log = ServedLog::from(state);
+        assert_eq!(log.len(), 2, "the recovered bound still holds");
+        assert_eq!(log.resolve_logged(3, |_| {}), Err(ResolveError::Unknown(3)));
+        assert!(log.resolve_logged(4, |_| {}).is_ok());
+        assert_eq!(record(&log, "t6"), 6, "ids continue the pre-crash sequence");
     }
 }

@@ -40,7 +40,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
-use wal::HISTORY_CAP;
+use wal::{Timeline, Versioned};
 
 /// Default per-model feature-chunk cache budget (bytes).
 pub const DEFAULT_FEAT_CACHE_BYTES: usize = 64 * 1024 * 1024;
@@ -109,23 +109,15 @@ pub trait RegistryJournal: Send + Sync {
     fn on_change(&self, change: &RegistryChange);
 }
 
-/// One team's slot: the serving model plus the rollback stack.
-#[derive(Debug)]
-struct Slot {
-    current: Arc<ModelEntry>,
-    /// Superseded entries, oldest first, at most [`HISTORY_CAP`].
-    history: Vec<Arc<ModelEntry>>,
-}
-
-impl Slot {
-    fn supersede(&mut self, entry: Arc<ModelEntry>) {
-        let prior = std::mem::replace(&mut self.current, entry);
-        self.history.push(prior);
-        if self.history.len() > HISTORY_CAP {
-            self.history.remove(0);
-        }
+impl Versioned for ModelEntry {
+    fn version(&self) -> u64 {
+        self.version
     }
 }
+
+/// One team's slot: the serving model plus the rollback stack — the
+/// same promotion stack the WAL's registry projection folds.
+type Slot = Timeline<Arc<ModelEntry>>;
 
 /// A reload, registration, or rollback failure, with enough context to
 /// act on.
@@ -238,18 +230,7 @@ impl ModelRegistry {
             scout,
             feat_cache: FeatCache::new(self.feat_cache_bytes),
         });
-        match models.get_mut(team) {
-            Some(slot) => slot.supersede(entry),
-            None => {
-                models.insert(
-                    team.to_string(),
-                    Slot {
-                        current: entry,
-                        history: Vec::new(),
-                    },
-                );
-            }
-        }
+        models.entry(team.to_string()).or_default().supersede(entry);
         self.journal(RegistryChange::Promoted {
             team: team.to_string(),
             version,
@@ -292,7 +273,7 @@ impl ModelRegistry {
     /// Roll `team` back to `version` (or one step with `None`),
     /// discarding every entry newer than the target. Errs when the team
     /// is unknown, the timeline is empty, or `version` is no longer in
-    /// the retained timeline (older than the last [`HISTORY_CAP`]
+    /// the retained timeline (older than the last [`wal::HISTORY_CAP`]
     /// promotions — the full history lives in the journal, but only
     /// retained entries still hold a loaded model).
     pub fn rollback_to(&self, team: &str, version: Option<u64>) -> Result<u64, RegistryError> {
@@ -305,23 +286,15 @@ impl ModelRegistry {
                 "no previous version for team {team}"
             )));
         }
-        let pos = match version {
-            None => slot.history.len() - 1,
-            Some(v) => slot
-                .history
-                .iter()
-                .rposition(|e| e.version == v)
-                .ok_or_else(|| {
-                    let held: Vec<u64> = slot.history.iter().map(|e| e.version).collect();
-                    RegistryError(format!(
-                        "version {v} is not in team {team}'s retained timeline {held:?}"
-                    ))
-                })?,
+        let Some(demoted) = slot.roll_back_to(version) else {
+            let held: Vec<u64> = slot.history.iter().map(|e| e.version).collect();
+            return Err(RegistryError(format!(
+                "version {} is not in team {team}'s retained timeline {held:?}",
+                version.unwrap_or_default()
+            )));
         };
-        let restored = slot.history[pos].clone();
-        slot.history.truncate(pos);
-        let from = std::mem::replace(&mut slot.current, restored).version;
-        let to = slot.current.version;
+        let from = demoted.version;
+        let to = slot.current.as_ref().map_or(0, |e| e.version);
         self.journal(RegistryChange::RolledBack {
             team: team.to_string(),
             from,
@@ -379,13 +352,11 @@ impl ModelRegistry {
     /// case-insensitive).
     pub fn get(&self, team: &str) -> Option<Arc<ModelEntry>> {
         let models = self.models.read().unwrap();
-        if let Some(slot) = models.get(team) {
-            return Some(Arc::clone(&slot.current));
-        }
-        models
-            .iter()
-            .find(|(k, _)| k.eq_ignore_ascii_case(team))
-            .map(|(_, slot)| Arc::clone(&slot.current))
+        let slot = match models.get(team) {
+            Some(slot) => slot,
+            None => models.iter().find(|(k, _)| k.eq_ignore_ascii_case(team))?.1,
+        };
+        slot.current.clone()
     }
 
     /// The current version number for `team`, if registered.
@@ -404,7 +375,7 @@ impl ModelRegistry {
             .read()
             .unwrap()
             .values()
-            .map(|slot| Arc::clone(&slot.current))
+            .filter_map(|slot| slot.current.clone())
             .collect()
     }
 

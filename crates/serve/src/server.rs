@@ -38,8 +38,7 @@
 use crate::admission::{Admission, Permit};
 use crate::batcher::{self, Answer, PredictError, PredictRequest};
 use crate::coalesce::{Coalescer, Job, Reply};
-use crate::durability::append_or_count;
-use crate::feedback::{FeedbackEvent, FeedbackHook, ResolveError, ServedLog, DEFAULT_SERVED_CAP};
+use crate::feedback::{FeedbackHook, ResolveError, ServedLog, DEFAULT_SERVED_CAP};
 use crate::fleet::{self, FleetConfig, RouteRequest, ScoutError, TeamOutcome};
 use crate::http::{read_request, HttpError, Request, Response};
 use crate::registry::ModelRegistry;
@@ -773,29 +772,13 @@ fn await_reply<O>(reply: Receiver<Reply<O>>, dropped: &str) -> Result<O, HttpErr
 /// against.
 fn record_served(answer: &Answer, text: &str, time: SimTime, shared: &Shared) -> u64 {
     let p: &Prediction = &answer.prediction;
-    let incident = shared.engine.served.record_logged(
+    let incident = shared.engine.record_served(
         &answer.team,
         text,
         answer.model_version,
         p.says_responsible(),
         p.confidence,
         time,
-        |rec| {
-            if let Some(wal) = shared.engine.wal.as_deref() {
-                append_or_count(
-                    wal,
-                    &wal::Event::PredictionServed {
-                        incident: rec.incident,
-                        team: rec.team.clone(),
-                        text: rec.text.clone(),
-                        model_version: rec.model_version,
-                        predicted: rec.predicted_responsible,
-                        confidence: rec.confidence,
-                        time: rec.time,
-                    },
-                );
-            }
-        },
     );
     let trace_id = obs::trace::current().map_or(0, |c| c.trace_id);
     p.audit_record(incident, answer.model_version, trace_id)
@@ -820,23 +803,11 @@ fn feedback(req: &Request, shared: &Shared) -> Handled {
             "missing required string field \"team\" (the resolving team)",
         )
     })?;
-    let served = match shared.engine.served.resolve_logged(incident as u64, |rec| {
-        if let Some(wal) = shared.engine.wal.as_deref() {
-            append_or_count(
-                wal,
-                &wal::Event::FeedbackAccepted {
-                    incident: rec.incident,
-                    team: rec.team.clone(),
-                    text: rec.text.clone(),
-                    model_version: rec.model_version,
-                    predicted: rec.predicted_responsible,
-                    label: resolving_team.eq_ignore_ascii_case(&rec.team),
-                    time: rec.time,
-                },
-            );
-        }
-    }) {
-        Ok(rec) => rec,
+    let event = match shared
+        .engine
+        .resolve_served(incident as u64, resolving_team)
+    {
+        Ok(event) => event,
         Err(e @ ResolveError::Unknown(_)) => {
             obs::counter("serve.feedback.unknown").inc();
             return Err(HttpError::new(404, e.to_string()));
@@ -848,23 +819,11 @@ fn feedback(req: &Request, shared: &Shared) -> Handled {
     };
     // Join against the versioned audit tail: presence means the full
     // explanation for this prediction is still on hand.
-    if obs::audit_lookup(served.incident).is_some() {
+    if obs::audit_lookup(event.incident).is_some() {
         obs::counter("serve.feedback.audit_joined").inc();
     } else {
         obs::counter("serve.feedback.audit_miss").inc();
     }
-    let event = FeedbackEvent {
-        incident: served.incident,
-        team: served.team.clone(),
-        text: served.text.clone(),
-        model_version: served.model_version,
-        predicted: served.predicted_responsible,
-        label: resolving_team.eq_ignore_ascii_case(&served.team),
-        time: served.time,
-        // The feedback request's own trace follows the labeled example
-        // into the lifecycle worker.
-        trace_id: obs::trace::current().map_or(0, |c| c.trace_id),
-    };
     obs::counter("serve.feedback.accepted").inc();
     let response = Obj::new()
         .str("status", "recorded")

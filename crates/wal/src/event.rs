@@ -2,8 +2,9 @@
 //! mutates state, as one flat JSON record per event.
 //!
 //! Events are the *source of truth* — the in-memory `ServedLog`,
-//! `FeedbackStore`, registry timeline, and lifecycle phase are all
-//! projections of this stream (see [`crate::projection`]). Each record
+//! `FeedbackStore`, registry timeline, and lifecycle phase hold
+//! [`crate::projection`]'s state types, and each event is folded in
+//! through the same method the live mutation called. Each record
 //! carries the schema version (`"v"`), its log sequence number
 //! (`"seq"`, contiguous from 1), a `"kind"` discriminant, and the
 //! event's own fields. Times are `cloudsim` simulation minutes encoded

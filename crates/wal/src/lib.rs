@@ -3,12 +3,14 @@
 //! Everything stateful the online components hold — the serve
 //! `ServedLog`, the lifecycle `FeedbackStore` and controller phase, the
 //! registry's promotion timeline — is reconstructible from an
-//! append-only log of [`Event`]s. Producers append **log-first**: the
-//! event is written (and CRC-framed) before the state change is
-//! acknowledged, so a killed process recovers to exactly the state it
-//! died with by replaying the log, and `scoutctl wal replay --until`
-//! answers "why did we promote that model?" forensically from the log
-//! alone.
+//! append-only log of [`Event`]s, and is held in this crate's own
+//! state types ([`ServedState`], [`FeedbackState`], [`Timeline`],
+//! [`TeamLifecycle`]), so replay and the live path share every rule.
+//! Producers append **log-first**: the event is written (and
+//! CRC-framed) before the state change is acknowledged, so a killed
+//! process recovers to exactly the state it died with by replaying the
+//! log, and `scoutctl wal replay --until` answers "why did we promote
+//! that model?" forensically from the log alone.
 //!
 //! Module map:
 //!
@@ -17,8 +19,8 @@
 //!   format, with a total scanner that classifies torn/corrupt tails;
 //! * [`event`] — the versioned event schema and its canonical JSON
 //!   codec;
-//! * [`projection`] — deterministic fold of the event stream into the
-//!   serving plane's recoverable state, with a canonical byte-stable
+//! * [`projection`] — the recoverable state types and the deterministic
+//!   fold of the event stream into them, with a canonical byte-stable
 //!   rendering (also the snapshot format);
 //! * [`log`] — the segmented write-ahead log: group-commit fsync,
 //!   rotation, snapshots, crash recovery, and read-only replay.
@@ -31,4 +33,7 @@ pub mod projection;
 
 pub use event::{Event, SCHEMA};
 pub use log::{replay_dir, SyncPolicy, Wal, WalConfig};
-pub use projection::{PhaseState, Projections, HISTORY_CAP};
+pub use projection::{
+    Feedback, FeedbackState, PhaseState, Projections, ResolveError, ServedRecord, ServedState,
+    TeamLifecycle, Timeline, Versioned, DEFAULT_FEEDBACK_CAP, DEFAULT_SERVED_CAP, HISTORY_CAP,
+};

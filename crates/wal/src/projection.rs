@@ -1,13 +1,18 @@
 //! Deterministic projections: the serving plane's state as a pure fold
 //! over the event stream.
 //!
-//! [`Projections::apply`] must mirror the runtime semantics of the
-//! structures it shadows *exactly* — the bounded-FIFO eviction of the
-//! serve `ServedLog`, the time-ordered insertion and cap of the
-//! lifecycle `FeedbackStore`, the registry's promotion stack — because
-//! crash recovery hands these projections back to the runtime as its
-//! starting state, and the acceptance bar is bit-identity between
-//! "state the process died with" and "state replayed from the log".
+//! The projection types are the runtime's own state types: the serve
+//! `ServedLog` is a lock around a [`ServedState`], the lifecycle
+//! `FeedbackStore` wraps a [`FeedbackState`], a registry slot is a
+//! [`Timeline`], and a lifecycle controller holds a [`TeamLifecycle`].
+//! [`Projections::apply`] folds each event through the methods the live
+//! path calls — [`ServedState::record`]'s capped insert and
+//! [`ServedState::resolve`], [`FeedbackState::insert`],
+//! [`Timeline::supersede`] and [`Timeline::roll_back_to`],
+//! [`TeamLifecycle::start_probation`] and
+//! [`TeamLifecycle::end_probation`] — so each eviction, ordering and
+//! promotion rule is written once, and the state crash recovery hands
+//! back is one the runtime could have built itself.
 //!
 //! [`Projections::render`] is the canonical form: a single JSON
 //! document with fully deterministic field and element order (BTreeMap
@@ -20,70 +25,161 @@ use crate::event::{get_bool, get_f64, get_str, get_u64, int_of, Event, SCHEMA};
 use cloudsim::SimTime;
 use obs::json::{Arr, Obj, Value};
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 /// How many superseded versions a registry slot retains for rollback.
-/// Shared by the runtime registry and this projection so both evict the
-/// same entry at the same time.
 pub const HISTORY_CAP: usize = 16;
 
-/// Default `ServedLog` bound used before an `Init` event is seen.
-pub const DEFAULT_SERVED_CAP: u64 = 8192;
-/// Default `FeedbackStore` bound used before an `Init` event is seen.
-pub const DEFAULT_FEEDBACK_CAP: u64 = 16 * 1024;
+/// Default bound on remembered served predictions.
+pub const DEFAULT_SERVED_CAP: usize = 8192;
+/// Default bound on retained labeled feedback.
+pub const DEFAULT_FEEDBACK_CAP: usize = 16 * 1024;
 
-/// One served prediction (mirror of `serve::ServedRecord`).
+/// One served prediction, awaiting (or past) its ground truth.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ServedRec {
-    /// Server-assigned incident id.
+pub struct ServedRecord {
+    /// Server-assigned incident id (process-unique, starts at 1).
     pub incident: u64,
-    /// Team whose Scout answered.
+    /// Team whose Scout answered (registry key as served).
     pub team: String,
-    /// The classified incident text.
+    /// The incident text that was classified (retained so resolved
+    /// incidents become training examples downstream).
     pub text: String,
-    /// Registry version that answered.
+    /// Registry version of the model that answered.
     pub model_version: u64,
-    /// Did the Scout say "responsible"?
-    pub predicted: bool,
+    /// Did the Scout say "responsible"? (`"predicted"` when rendered.)
+    pub predicted_responsible: bool,
     /// Prediction confidence.
     pub confidence: f64,
-    /// Simulation time of the prediction.
+    /// Simulation time the prediction was made for.
     pub time: SimTime,
-    /// Has ground truth been recorded?
+    /// Has ground truth already been recorded?
     pub resolved: bool,
 }
 
-/// The served-prediction log projection (bounded FIFO + id counter).
+/// Why a feedback report was rejected.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ResolveError {
+    /// No served prediction with that incident id (never existed, or
+    /// evicted from the bounded log).
+    Unknown(u64),
+    /// Ground truth was already recorded for this incident.
+    AlreadyResolved(u64),
+}
+
+impl std::fmt::Display for ResolveError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ResolveError::Unknown(id) => write!(f, "unknown incident {id}"),
+            ResolveError::AlreadyResolved(id) => {
+                write!(f, "feedback already recorded for incident {id}")
+            }
+        }
+    }
+}
+
+/// The served-prediction log: a bounded FIFO plus the id counter.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServedState {
-    /// Next incident id the runtime log will assign.
+    /// Next incident id [`ServedState::record`] will assign.
     pub next_incident: u64,
     /// Retention bound.
     pub cap: usize,
     /// Retained predictions, oldest first.
-    pub records: VecDeque<ServedRec>,
+    pub records: VecDeque<ServedRecord>,
 }
 
-/// One labeled example (mirror of `lifecycle::Feedback`, plus the team
-/// so multi-team recovery can split the stream).
+impl ServedState {
+    /// An empty log remembering at most `cap` predictions (clamped to at
+    /// least 1), assigning ids from 1.
+    pub fn new(cap: usize) -> ServedState {
+        ServedState {
+            next_incident: 1,
+            cap: cap.max(1),
+            records: VecDeque::new(),
+        }
+    }
+
+    /// Remember one served prediction under the next incident id,
+    /// evicting the oldest when full.
+    pub fn record(
+        &mut self,
+        team: &str,
+        text: &str,
+        model_version: u64,
+        predicted_responsible: bool,
+        confidence: f64,
+        time: SimTime,
+    ) -> &ServedRecord {
+        self.insert(ServedRecord {
+            incident: self.next_incident,
+            team: team.to_string(),
+            text: text.to_string(),
+            model_version,
+            predicted_responsible,
+            confidence,
+            time,
+            resolved: false,
+        })
+    }
+
+    /// The retention rule behind [`ServedState::record`]: evict the
+    /// oldest at the cap, keep `rec`, and keep the counter above its id
+    /// (a replayed record carries the id it was logged with).
+    fn insert(&mut self, rec: ServedRecord) -> &ServedRecord {
+        if self.records.len() >= self.cap {
+            self.records.pop_front();
+        }
+        self.next_incident = self.next_incident.max(rec.incident + 1);
+        self.records.push_back(rec);
+        self.records.back().expect("just pushed")
+    }
+
+    /// Mark `incident` resolved, returning its record as it was before
+    /// resolution. Errs when unknown/evicted or already resolved.
+    pub fn resolve(&mut self, incident: u64) -> Result<ServedRecord, ResolveError> {
+        let rec = self
+            .records
+            .iter_mut()
+            .find(|r| r.incident == incident)
+            .ok_or(ResolveError::Unknown(incident))?;
+        if rec.resolved {
+            return Err(ResolveError::AlreadyResolved(incident));
+        }
+        let before = rec.clone();
+        rec.resolved = true;
+        Ok(before)
+    }
+}
+
+/// One labeled example: a served prediction joined with its ground
+/// truth.
 #[derive(Debug, Clone, PartialEq)]
-pub struct FeedbackRec {
+pub struct Feedback {
     /// Server-assigned incident id.
     pub incident: u64,
     /// Team whose Scout answered.
     pub team: String,
-    /// The classified incident text.
+    /// The incident text that was classified.
     pub text: String,
-    /// Registry version that predicted.
+    /// Registry version of the model that predicted.
     pub model_version: u64,
-    /// What the Scout said.
+    /// What the model said: "my team is responsible".
     pub predicted: bool,
-    /// Ground truth.
+    /// Ground truth: `team` actually was responsible.
     pub label: bool,
     /// Simulation time of the prediction.
     pub time: SimTime,
 }
 
-/// The labeled feedback stream projection (bounded, time-ordered).
+impl Feedback {
+    /// Did the model get this one wrong?
+    pub fn mistaken(&self) -> bool {
+        self.predicted != self.label
+    }
+}
+
+/// The labeled feedback stream: bounded and time-ordered.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FeedbackState {
     /// Retention bound.
@@ -91,18 +187,109 @@ pub struct FeedbackState {
     /// Total ever ingested (including evicted).
     pub total: u64,
     /// Retained examples in simulation-time order.
-    pub items: VecDeque<FeedbackRec>,
+    pub items: VecDeque<Feedback>,
 }
 
-/// One registry slot: current version plus the rollback stack.
+impl FeedbackState {
+    /// An empty stream retaining at most `cap` examples (clamped to at
+    /// least 1).
+    pub fn new(cap: usize) -> FeedbackState {
+        FeedbackState {
+            cap: cap.max(1),
+            total: 0,
+            items: VecDeque::new(),
+        }
+    }
+
+    /// Insert one labeled example, keeping the stream time-ordered
+    /// (stable for equal times: later arrivals go after earlier ones).
+    /// Evicts the oldest example when full.
+    pub fn insert(&mut self, fb: Feedback) {
+        let pos = self
+            .items
+            .iter()
+            .rposition(|f| f.time <= fb.time)
+            .map(|i| i + 1)
+            .unwrap_or(0);
+        self.items.insert(pos, fb);
+        if self.items.len() > self.cap {
+            self.items.pop_front();
+        }
+        self.total += 1;
+    }
+}
+
+/// An entry a [`Timeline`] can hold: it knows its registry version.
+pub trait Versioned {
+    /// The registry version.
+    fn version(&self) -> u64;
+}
+
+impl Versioned for (u64, String) {
+    fn version(&self) -> u64 {
+        self.0
+    }
+}
+
+impl<T: Versioned> Versioned for Arc<T> {
+    fn version(&self) -> u64 {
+        T::version(self)
+    }
+}
+
+/// One registry slot's promotion stack: the serving entry plus the
+/// superseded ones, retained for rollback.
 #[derive(Debug, Clone, PartialEq)]
+pub struct Timeline<T> {
+    /// The serving entry, if one is published.
+    pub current: Option<T>,
+    /// Superseded entries, oldest first, at most [`HISTORY_CAP`].
+    pub history: Vec<T>,
+}
+
+impl<T> Default for Timeline<T> {
+    fn default() -> Self {
+        Timeline {
+            current: None,
+            history: Vec::new(),
+        }
+    }
+}
+
+impl<T: Versioned> Timeline<T> {
+    /// Serve `entry`, pushing the current one onto the history (the
+    /// oldest falls off past [`HISTORY_CAP`]).
+    pub fn supersede(&mut self, entry: T) {
+        if let Some(prior) = self.current.replace(entry) {
+            self.history.push(prior);
+            if self.history.len() > HISTORY_CAP {
+                self.history.remove(0);
+            }
+        }
+    }
+
+    /// Serve the retained entry with `version` again (`None`: the most
+    /// recently superseded one), discarding every entry newer than it,
+    /// and return the demoted entry. `None` leaves the stack untouched:
+    /// the history is empty or no longer holds `version`.
+    pub fn roll_back_to(&mut self, version: Option<u64>) -> Option<T> {
+        let pos = match version {
+            None => self.history.len().checked_sub(1)?,
+            Some(v) => self.history.iter().rposition(|e| e.version() == v)?,
+        };
+        self.history.truncate(pos + 1);
+        let restored = self.history.pop();
+        std::mem::replace(&mut self.current, restored)
+    }
+}
+
+/// One team's registry projection: its promotion stack and pin.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TeamModels {
-    /// The serving `(version, source)`, if any model is published.
-    pub current: Option<(u64, String)>,
+    /// `(version, source)` entries.
+    pub models: Timeline<(u64, String)>,
     /// Is the team pinned?
     pub pinned: bool,
-    /// Superseded `(version, source)` entries, oldest first.
-    pub history: Vec<(u64, String)>,
 }
 
 /// The registry projection: version numbering, pins, and per-team
@@ -118,9 +305,10 @@ pub struct RegistryState {
 }
 
 /// Where a team's lifecycle controller is in its loop.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub enum PhaseState {
     /// Watching for drift.
+    #[default]
     Monitoring,
     /// Watching a fresh promotion.
     Probation {
@@ -134,7 +322,7 @@ pub enum PhaseState {
 }
 
 /// One controller's recoverable state.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TeamLifecycle {
     /// Current phase.
     pub phase: PhaseState,
@@ -142,6 +330,28 @@ pub struct TeamLifecycle {
     pub last_action: SimTime,
     /// Drift-monitor reset point.
     pub ignore_before: SimTime,
+}
+
+impl TeamLifecycle {
+    /// Put `version` on probation against `baseline_mcc` at `at`; the
+    /// cooldown and the drift monitor restart there.
+    pub fn start_probation(&mut self, version: u64, baseline_mcc: f64, at: SimTime) {
+        self.phase = PhaseState::Probation {
+            version,
+            started: at,
+            baseline_mcc,
+        };
+        self.ignore_before = at;
+        self.last_action = at;
+    }
+
+    /// End probation at `at` (confirmed or rolled back): back to
+    /// monitoring with a clean record.
+    pub fn end_probation(&mut self, at: SimTime) {
+        self.phase = PhaseState::Monitoring;
+        self.ignore_before = at;
+        self.last_action = at;
+    }
 }
 
 /// Every projection, folded together: the full recoverable state of the
@@ -173,16 +383,8 @@ impl Projections {
     pub fn new() -> Projections {
         Projections {
             seq: 0,
-            served: ServedState {
-                next_incident: 1,
-                cap: DEFAULT_SERVED_CAP as usize,
-                records: VecDeque::new(),
-            },
-            feedback: FeedbackState {
-                cap: DEFAULT_FEEDBACK_CAP as usize,
-                total: 0,
-                items: VecDeque::new(),
-            },
+            served: ServedState::new(DEFAULT_SERVED_CAP),
+            feedback: FeedbackState::new(DEFAULT_FEEDBACK_CAP),
             registry: RegistryState {
                 next_version: 1,
                 epoch: 0,
@@ -194,24 +396,11 @@ impl Projections {
     }
 
     fn team_lifecycle(&mut self, team: &str) -> &mut TeamLifecycle {
-        self.lifecycle
-            .entry(team.to_string())
-            .or_insert_with(|| TeamLifecycle {
-                phase: PhaseState::Monitoring,
-                last_action: SimTime::EPOCH,
-                ignore_before: SimTime::EPOCH,
-            })
+        self.lifecycle.entry(team.to_string()).or_default()
     }
 
     fn team_models(&mut self, team: &str) -> &mut TeamModels {
-        self.registry
-            .teams
-            .entry(team.to_string())
-            .or_insert_with(|| TeamModels {
-                current: None,
-                pinned: false,
-                history: Vec::new(),
-            })
+        self.registry.teams.entry(team.to_string()).or_default()
     }
 
     /// Fold one event in. `seq` becomes the new log position; events
@@ -238,20 +427,16 @@ impl Projections {
                 confidence,
                 time,
             } => {
-                if self.served.records.len() >= self.served.cap {
-                    self.served.records.pop_front();
-                }
-                self.served.records.push_back(ServedRec {
+                self.served.insert(ServedRecord {
                     incident: *incident,
                     team: team.clone(),
                     text: text.clone(),
                     model_version: *model_version,
-                    predicted: *predicted,
+                    predicted_responsible: *predicted,
                     confidence: *confidence,
                     time: *time,
                     resolved: false,
                 });
-                self.served.next_incident = self.served.next_incident.max(incident + 1);
             }
             Event::FeedbackAccepted {
                 incident,
@@ -262,17 +447,9 @@ impl Projections {
                 label,
                 time,
             } => {
-                if let Some(rec) = self
-                    .served
-                    .records
-                    .iter_mut()
-                    .find(|r| r.incident == *incident)
-                {
-                    rec.resolved = true;
-                }
-                // Same ordered insertion as `FeedbackStore::push`:
-                // stable by time, oldest evicted when full.
-                let fb = FeedbackRec {
+                // An evicted incident's feedback still joins the stream.
+                let _ = self.served.resolve(*incident);
+                self.feedback.insert(Feedback {
                     incident: *incident,
                     team: team.clone(),
                     text: text.clone(),
@@ -280,19 +457,7 @@ impl Projections {
                     predicted: *predicted,
                     label: *label,
                     time: *time,
-                };
-                let pos = self
-                    .feedback
-                    .items
-                    .iter()
-                    .rposition(|f| f.time <= fb.time)
-                    .map(|i| i + 1)
-                    .unwrap_or(0);
-                self.feedback.items.insert(pos, fb);
-                if self.feedback.items.len() > self.feedback.cap {
-                    self.feedback.items.pop_front();
-                }
-                self.feedback.total += 1;
+                });
             }
             Event::DriftArmed { .. }
             | Event::RetrainStarted { .. }
@@ -310,23 +475,13 @@ impl Projections {
                 source,
                 ..
             } => {
-                let slot = self.team_models(team);
-                if let Some(prior) = slot.current.take() {
-                    slot.history.push(prior);
-                    if slot.history.len() > HISTORY_CAP {
-                        slot.history.remove(0);
-                    }
-                }
-                slot.current = Some((*version, source.clone()));
+                self.team_models(team)
+                    .models
+                    .supersede((*version, source.clone()));
                 self.registry.next_version = self.registry.next_version.max(version + 1);
             }
             Event::ModelRolledBack { team, to, .. } => {
-                let slot = self.team_models(team);
-                if let Some(pos) = slot.history.iter().rposition(|(v, _)| v == to) {
-                    let restored = slot.history[pos].clone();
-                    slot.history.truncate(pos);
-                    slot.current = Some(restored);
-                }
+                self.team_models(team).models.roll_back_to(Some(*to));
             }
             Event::ModelPinned { team, pinned, .. } => {
                 self.team_models(team).pinned = *pinned;
@@ -341,20 +496,11 @@ impl Projections {
                 at,
                 ..
             } => {
-                let lc = self.team_lifecycle(team);
-                lc.phase = PhaseState::Probation {
-                    version: *version,
-                    started: *at,
-                    baseline_mcc: *baseline_mcc,
-                };
-                lc.ignore_before = *at;
-                lc.last_action = *at;
+                self.team_lifecycle(team)
+                    .start_probation(*version, *baseline_mcc, *at);
             }
             Event::ProbationEnded { team, at, .. } => {
-                let lc = self.team_lifecycle(team);
-                lc.phase = PhaseState::Monitoring;
-                lc.ignore_before = *at;
-                lc.last_action = *at;
+                self.team_lifecycle(team).end_probation(*at);
             }
         }
     }
@@ -371,7 +517,7 @@ impl Projections {
                     .str("team", &r.team)
                     .str("text", &r.text)
                     .uint("model_version", r.model_version)
-                    .bool("predicted", r.predicted)
+                    .bool("predicted", r.predicted_responsible)
                     .num("confidence", r.confidence)
                     .uint("time", r.time.0)
                     .bool("resolved", r.resolved)
@@ -401,10 +547,11 @@ impl Projections {
             .iter()
             .fold(Arr::new(), |arr, (team, slot)| {
                 let history = slot
+                    .models
                     .history
                     .iter()
                     .fold(Arr::new(), |h, (v, src)| h.raw(&versioned(v, src)));
-                let current = match &slot.current {
+                let current = match &slot.models.current {
                     Some((v, src)) => versioned(v, src),
                     None => "null".to_string(),
                 };
@@ -492,12 +639,12 @@ impl Projections {
         p.served.next_incident = get_u64(served, "next")?;
         p.served.cap = get_u64(served, "cap")?.max(1) as usize;
         for r in served.get("records")?.as_arr()? {
-            p.served.records.push_back(ServedRec {
+            p.served.records.push_back(ServedRecord {
                 incident: get_u64(r, "incident")?,
                 team: get_str(r, "team")?,
                 text: get_str(r, "text")?,
                 model_version: get_u64(r, "model_version")?,
-                predicted: get_bool(r, "predicted")?,
+                predicted_responsible: get_bool(r, "predicted")?,
                 confidence: get_f64(r, "confidence")?,
                 time: SimTime(get_u64(r, "time")?),
                 resolved: get_bool(r, "resolved")?,
@@ -508,7 +655,7 @@ impl Projections {
         p.feedback.cap = get_u64(feedback, "cap")?.max(1) as usize;
         p.feedback.total = get_u64(feedback, "total")?;
         for f in feedback.get("items")?.as_arr()? {
-            p.feedback.items.push_back(FeedbackRec {
+            p.feedback.items.push_back(Feedback {
                 incident: get_u64(f, "incident")?,
                 team: get_str(f, "team")?,
                 text: get_str(f, "text")?,
@@ -534,9 +681,8 @@ impl Projections {
             p.registry.teams.insert(
                 get_str(t, "team")?,
                 TeamModels {
-                    current,
+                    models: Timeline { current, history },
                     pinned: get_bool(t, "pinned")?,
-                    history,
                 },
             );
         }
@@ -632,6 +778,26 @@ mod tests {
     }
 
     #[test]
+    fn served_ids_start_at_one_and_resolve_is_exactly_once() {
+        let mut log = ServedState::new(2);
+        let a = log
+            .record("Storage", "disk latency", 3, true, 0.8, SimTime(9))
+            .incident;
+        let b = log
+            .record("PhyNet", "t2", 1, false, 0.6, SimTime(10))
+            .incident;
+        assert_eq!((a, b), (1, 2));
+        let rec = log.resolve(a).unwrap();
+        assert_eq!((rec.team.as_str(), rec.model_version), ("Storage", 3));
+        assert!(!rec.resolved, "returned snapshot is pre-resolution");
+        assert_eq!(log.resolve(a), Err(ResolveError::AlreadyResolved(a)));
+        assert_eq!(log.resolve(999), Err(ResolveError::Unknown(999)));
+        log.record("PhyNet", "t3", 1, true, 0.9, SimTime(11));
+        assert_eq!(log.records.len(), 2, "capacity evicts the oldest");
+        assert_eq!(log.resolve(a), Err(ResolveError::Unknown(a)));
+    }
+
+    #[test]
     fn feedback_is_time_ordered_regardless_of_arrival() {
         let p = fold(&[
             feedback(1, 50, true),
@@ -653,9 +819,13 @@ mod tests {
         let mut p = fold(&[promote(1), promote(2), promote(3), promote(4)]);
         assert_eq!(p.registry.next_version, 5);
         let slot = &p.registry.teams["PhyNet"];
-        assert_eq!(slot.current, Some((4, "src-4".into())));
+        assert_eq!(slot.models.current, Some((4, "src-4".into())));
         assert_eq!(
-            slot.history.iter().map(|(v, _)| *v).collect::<Vec<_>>(),
+            slot.models
+                .history
+                .iter()
+                .map(|(v, _)| *v)
+                .collect::<Vec<_>>(),
             vec![1, 2, 3]
         );
         // Roll back two steps in one event: straight to v2.
@@ -669,9 +839,13 @@ mod tests {
             },
         );
         let slot = &p.registry.teams["PhyNet"];
-        assert_eq!(slot.current, Some((2, "src-2".into())));
+        assert_eq!(slot.models.current, Some((2, "src-2".into())));
         assert_eq!(
-            slot.history.iter().map(|(v, _)| *v).collect::<Vec<_>>(),
+            slot.models
+                .history
+                .iter()
+                .map(|(v, _)| *v)
+                .collect::<Vec<_>>(),
             vec![1]
         );
     }

@@ -51,8 +51,10 @@ cargo fmt --check
 echo "== cargo clippy (all targets, warnings are errors) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== cargo test =="
-cargo test -q
+# `--workspace`: at the root, plain `cargo test` builds only the root
+# package's tests, not the crates' own.
+echo "== cargo test --workspace =="
+cargo test --workspace -q
 
 # `cargo test` only compiles examples and binaries. Run the Scout Master
 # programs: the example asserts its decision, the misroute replay its
