@@ -14,6 +14,10 @@
 //!    with the WAL attached vs without, same model, same client fleet.
 //!    The contract is ≤5% p50 regression: one buffered `write(2)` per
 //!    served prediction, no fsync on the request path.
+//! 4. **Snapshot stall** — per-append latency (p50, p99.9, max) across
+//!    three snapshot points on a log whose served projection is full,
+//!    with snapshots off and on. Snapshots are written off the append
+//!    lock, so the max with them on should stay near the max without.
 
 use bench::{
     max, min, paired_reps, predict_shot, rounded, rows, serving_world, smoke, trained, write_report,
@@ -173,6 +177,51 @@ fn serve_run(
     }
 }
 
+// ---- 4. append latency across snapshots ----
+
+struct StallStats {
+    snapshot_every: u64,
+    p50_us: f64,
+    p999_us: f64,
+    max_us: f64,
+}
+
+/// Time each of `3 * batch` appends onto a log that already holds
+/// `served` predictions (the served projection is at its cap, so each
+/// snapshot renders all of them), under `Os` so no fsync policy shows.
+/// With `snapshot_every = batch` three snapshots fall in the window.
+fn stall_run(served: u64, batch: u64, snapshot_every: u64) -> StallStats {
+    let dir = tmp_dir("stall");
+    let mut cfg = WalConfig::new(&dir);
+    cfg.sync = SyncPolicy::Os;
+    cfg.snapshot_every = snapshot_every;
+    let wal = Wal::open(cfg).unwrap();
+    wal.append(&Event::Init {
+        served_cap: served,
+        feedback_cap: served,
+    })
+    .unwrap();
+    for i in 0..served {
+        wal.append(&sample_event(i)).unwrap();
+    }
+    let mut us: Vec<f64> = (served..served + 3 * batch)
+        .map(|i| {
+            let started = Instant::now();
+            black_box(wal.append(&sample_event(i)).unwrap());
+            started.elapsed().as_secs_f64() * 1e6
+        })
+        .collect();
+    drop(wal);
+    let _ = std::fs::remove_dir_all(&dir);
+    us.sort_by(f64::total_cmp);
+    StallStats {
+        snapshot_every,
+        p50_us: percentile(&us, 50.0),
+        p999_us: percentile(&us, 99.9),
+        max_us: max(&us),
+    }
+}
+
 fn main() {
     let smoke = smoke();
     let (append_events, recovery_lens, concurrency, requests_per_client, reps): (
@@ -253,6 +302,20 @@ fn main() {
         on.throughput_rps, on.p50_ms, on.p99_ms, p50_overhead
     );
 
+    // 4. snapshot stall, runs interleaved (off, on, off, on, ...).
+    let (served, batch) = if smoke { (512, 256) } else { (8192, 4096) };
+    let stall_rows: Vec<StallStats> =
+        paired_reps(reps, 2, |arm| stall_run(served, batch, arm as u64 * batch))
+            .into_iter()
+            .flatten()
+            .collect();
+    for r in &stall_rows {
+        println!(
+            "append snapshot_every={:<5} p50 {:>7.1} us  p99.9 {:>8.1} us  max {:>9.1} us",
+            r.snapshot_every, r.p50_us, r.p999_us, r.max_us
+        );
+    }
+
     let append = rows(&append_rows, |(name, eps)| {
         Obj::new()
             .str("sync", name)
@@ -263,6 +326,13 @@ fn main() {
             .uint("events", r.events)
             .num("genesis_ms", rounded(r.genesis_ms, 3))
             .num("snapshot_ms", rounded(r.snapshot_ms, 3))
+    });
+    let stall = rows(&stall_rows, |r| {
+        Obj::new()
+            .uint("snapshot_every", r.snapshot_every)
+            .num("p50_us", rounded(r.p50_us, 1))
+            .num("p999_us", rounded(r.p999_us, 1))
+            .num("max_us", rounded(r.max_us, 1))
     });
     let serve = rows(&serve_rows, |r| {
         Obj::new()
@@ -279,6 +349,9 @@ fn main() {
             .raw("append", &append)
             .num("group_vs_always_speedup", rounded(group_vs_always, 2))
             .raw("recovery", &recovery)
+            .uint("stall_served", served)
+            .uint("stall_appends", 3 * batch)
+            .raw("snapshot_stall", &stall)
             .raw("serve", &serve)
             .num("serve_p50_overhead_pct", rounded(p50_overhead, 2)),
     );

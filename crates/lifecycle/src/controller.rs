@@ -298,9 +298,7 @@ impl LifecycleController {
 
     fn log(&self, event: wal::Event) {
         if let Some(w) = self.wal.as_deref() {
-            if w.append(&event).is_err() {
-                obs::counter("wal.append_errors").inc();
-            }
+            serve::durability::append_or_count(w, &event);
         }
     }
 

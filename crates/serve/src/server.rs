@@ -22,7 +22,7 @@
 //! | `POST /v1/models/reload` | atomic hot-swap from the model directory |
 //! | `POST /v1/models/rollback` | restore a prior version from the promotion timeline |
 //! | `POST /v1/feedback` | ground-truth resolving team for a served prediction |
-//! | `GET /v1/wal/state` | the WAL's recovered+live projections (409 without `--wal-dir`) |
+//! | `GET /v1/wal/state` | the WAL's projections, folded from disk (409 without `--wal-dir`) |
 //! | `POST /v1/monitoring/deprecate` | disable (or restore) one monitoring data set mid-stream |
 //!
 //! Shedding is `503`, a throttled source is `429` — both carry an
@@ -1141,8 +1141,9 @@ fn rollback(req: &Request, shared: &Shared) -> Handled {
     ))
 }
 
-/// `GET /v1/wal/state`: the durability log's live projections — what a
-/// crash right now would recover to. `409` when serving without a WAL.
+/// `GET /v1/wal/state`: what a crash right now would recover to — a
+/// fold of the log's segments on disk (newest snapshot plus tail).
+/// `409` when serving without a WAL.
 fn wal_state(shared: &Shared) -> Handled {
     let wal = shared.engine.wal.as_deref().ok_or_else(|| {
         HttpError::new(

@@ -23,7 +23,10 @@
 //!   fold of the event stream into them, with a canonical byte-stable
 //!   rendering (also the snapshot format);
 //! * [`log`] — the segmented write-ahead log: group-commit fsync,
-//!   rotation, snapshots, crash recovery, and read-only replay.
+//!   rotation, background snapshots, crash recovery, and read-only
+//!   replay. The log holds no live copy of the projections: recovery,
+//!   snapshots and [`Wal::projections`] are one fold of the segments
+//!   on disk.
 
 pub mod crc;
 pub mod event;

@@ -1,19 +1,26 @@
 //! The write-ahead log proper: segmented append, group-commit fsync,
-//! periodic snapshots, and crash recovery.
+//! background snapshots, and crash recovery.
+//!
+//! The [`Wal`] owns only the file side — frames, segments, sync and the
+//! flusher thread. It holds no copy of the state the events build:
+//! recovery, snapshots, [`Wal::projections`] and [`replay_dir`] are all
+//! one fold of the segments on disk ([`walk_segments`]), seeded by the
+//! newest usable snapshot.
 //!
 //! ## Durability model
 //!
 //! Every `append` issues the `write(2)` immediately — nothing buffers
 //! in user space — so a killed process (SIGKILL, panic, OOM) loses at
 //! most the final *partially written* frame, which recovery detects by
-//! CRC and truncates away. `fsync` only matters for machine-level
-//! failures (power loss); the [`SyncPolicy`] trades that window against
-//! throughput: `Always` syncs per append, `Group` batches syncs behind
-//! a time/size threshold serviced by a background flusher thread, `Os`
-//! leaves it to the kernel writeback. The flusher syncs *outside* the
-//! append lock (see [`flusher_loop`]), so under `Group` an appender
-//! waits for a sync only at the size threshold, a rotation or a
-//! snapshot.
+//! CRC and truncates away. The same fact makes a fold of the directory
+//! exactly "what a crash right now would recover to". `fsync` only
+//! matters for machine-level failures (power loss); the [`SyncPolicy`]
+//! trades that window against throughput: `Always` syncs per append,
+//! `Group` batches syncs behind a time/size threshold serviced by the
+//! background flusher, `Os` leaves it to the kernel writeback. The
+//! flusher syncs and writes snapshots *outside* the append lock (see
+//! [`flusher_loop`]), so an appender waits for a sync only under
+//! `Always`, at the `Group` size threshold, or at a rotation.
 //!
 //! ## Layout
 //!
@@ -24,8 +31,9 @@
 //! that model?" from genesis). `<dir>/snap-<seq:020>.snap` — one frame
 //! wrapping the canonical [`Projections::render`] at `seq`, written
 //! temp-then-rename so a crash mid-snapshot leaves the previous one
-//! intact. Recovery = newest parseable snapshot + contiguous tail
-//! replay; a snapshot is an *accelerator*, never required.
+//! intact (and [`Wal::open`] deletes the orphaned temp file). Recovery
+//! = newest parseable snapshot + contiguous tail replay; a snapshot is
+//! an *accelerator*, never required.
 
 use crate::event::Event;
 use crate::frame::{encode_frame, scan_frames, ScanEnd, FRAME_HEADER};
@@ -34,9 +42,14 @@ use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// How many snapshots stay on disk; older ones are pruned.
+const SNAPSHOTS_KEPT: usize = 2;
+
+const POISONED: &str = "a thread panicked while holding the wal lock";
 
 /// When the log file is flushed to stable storage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,22 +88,20 @@ pub struct WalConfig {
     pub sync: SyncPolicy,
     /// Rotate to a new segment once the current one would exceed this.
     pub segment_bytes: u64,
-    /// Write a snapshot every this many events (0 disables).
+    /// Write a snapshot at every sequence number that is a multiple of
+    /// this (0 disables).
     pub snapshot_every: u64,
-    /// How many snapshots to retain (older ones are pruned).
-    pub snapshots_keep: usize,
 }
 
 impl WalConfig {
     /// Defaults for `dir`: group commit, 8 MiB segments, snapshot every
-    /// 4096 events, keep 2 snapshots.
+    /// 4096 events.
     pub fn new(dir: impl Into<PathBuf>) -> WalConfig {
         WalConfig {
             dir: dir.into(),
             sync: SyncPolicy::group_default(),
             segment_bytes: 8 * 1024 * 1024,
             snapshot_every: 4096,
-            snapshots_keep: 2,
         }
     }
 }
@@ -100,7 +111,6 @@ struct Inner {
     file: Arc<File>,
     segment_len: u64,
     seq: u64,
-    proj: Projections,
     /// Bytes appended since open, and how many of them are known to be
     /// on stable storage. Both only grow, so a sync that finishes late
     /// (the flusher's runs unlocked) can never un-sync newer bytes.
@@ -108,7 +118,11 @@ struct Inner {
     synced: u64,
     /// When the oldest frame no sync has picked up yet was appended.
     dirty_since: Option<Instant>,
-    since_snapshot: u64,
+    /// The newest sequence number a snapshot is due at, for the flusher
+    /// to take; appends that outrun a snapshot in progress coalesce.
+    snapshot_due: Option<u64>,
+    /// Set by `Drop`: the flusher writes any due snapshot, then exits.
+    shutdown: bool,
 }
 
 /// The append side of the log. `Arc<Wal>` is shared by every producer;
@@ -118,8 +132,7 @@ pub struct Wal {
     cfg: WalConfig,
     inner: Arc<Mutex<Inner>>,
     cvar: Arc<Condvar>,
-    shutdown: Arc<AtomicBool>,
-    flusher: Mutex<Option<std::thread::JoinHandle<()>>>,
+    flusher: Option<JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for Wal {
@@ -194,6 +207,73 @@ fn best_snapshot(dir: &Path, max_seq: Option<u64>) -> Option<Projections> {
     None
 }
 
+/// A fold of the segments, and where their valid prefix ends.
+struct Walk {
+    proj: Projections,
+    segments: Vec<(u64, PathBuf)>,
+    /// Index of the segment the walk ended in and the length of its
+    /// valid prefix (`None`: no segments).
+    end: Option<(usize, u64)>,
+    /// The walk ended at a torn or corrupt frame.
+    torn: bool,
+    /// The walk ended at an undecodable or non-contiguous event.
+    bad_event: bool,
+}
+
+/// Fold the segments in `dir` into `proj` up to `until` (or the tip).
+/// Segments the fold already covers are skipped unread, and the walk
+/// stops at the first torn or corrupt frame, undecodable event or
+/// sequence gap. Recovery and [`replay_dir`] both walk the log here.
+fn walk_segments(dir: &Path, proj: Projections, until: Option<u64>) -> io::Result<Walk> {
+    let segments = list_segments(dir)?;
+    let mut walk = Walk {
+        proj,
+        segments: Vec::new(),
+        end: None,
+        torn: false,
+        bad_event: false,
+    };
+    'walk: for (idx, (_, path)) in segments.iter().enumerate() {
+        let covered = segments
+            .get(idx + 1)
+            .is_some_and(|(next_first, _)| *next_first <= walk.proj.seq + 1);
+        if covered {
+            continue; // entirely behind the snapshot
+        }
+        let bytes = fs::read(path)?;
+        let scan = scan_frames(&bytes);
+        walk.end = Some((idx, scan.valid_len as u64));
+        walk.torn = scan.end != ScanEnd::Clean;
+        for &(s, e) in &scan.payloads {
+            if until.is_some_and(|u| walk.proj.seq >= u) {
+                break 'walk;
+            }
+            let text = std::str::from_utf8(&bytes[s..e]).ok();
+            // Behind-snapshot records only need their seq stamp — skip
+            // the full JSON decode for the covered prefix.
+            if let Some(seq) = text.and_then(Event::peek_seq) {
+                if seq <= walk.proj.seq {
+                    continue;
+                }
+            }
+            match text.and_then(Event::decode) {
+                Some((seq, ev)) if seq == walk.proj.seq + 1 => walk.proj.apply(seq, &ev),
+                Some((seq, _)) if seq <= walk.proj.seq => {} // behind snapshot
+                _ => {
+                    walk.end = Some((idx, (s - FRAME_HEADER) as u64));
+                    walk.bad_event = true;
+                    break 'walk;
+                }
+            }
+        }
+        if walk.torn {
+            break 'walk;
+        }
+    }
+    walk.segments = segments;
+    Ok(walk)
+}
+
 fn timed_sync(file: &File) -> io::Result<()> {
     let start = Instant::now();
     file.sync_data()?;
@@ -210,8 +290,8 @@ fn fsync_inner(inner: &mut Inner) -> io::Result<()> {
     fsync_forced(inner)
 }
 
-/// Sync under the log's lock whatever the counters say (rotation and
-/// snapshots must not trust a sync the flusher only counted as failed).
+/// Sync under the log's lock whatever the counters say (a rotation
+/// must not trust a sync the flusher only counted as failed).
 fn fsync_forced(inner: &mut Inner) -> io::Result<()> {
     timed_sync(&inner.file)?;
     inner.synced = inner.written;
@@ -219,169 +299,180 @@ fn fsync_forced(inner: &mut Inner) -> io::Result<()> {
     Ok(())
 }
 
-/// The group-commit flusher: once the oldest unsynced frame is
-/// `interval` old, sync everything written so far. The sync itself runs
-/// **without** the log's lock, on a shared handle to the segment:
-/// appenders keep writing while the disk works, so what a request pays
-/// for the log is its own `write(2)` and never somebody's `fdatasync` —
-/// 0.4 ms at the median on an idle disk, 20–30 ms at p99 and 100+ ms at
-/// worst while the host writes back someone else's data, which is the
-/// host's number and not the program's.
-fn flusher_loop(inner: &Mutex<Inner>, cvar: &Condvar, shutdown: &AtomicBool, interval: Duration) {
-    let mut guard = inner.lock().unwrap();
+/// Fold the log in `dir` up to `seq` and write it as a snapshot:
+/// temp file, `sync_all`, rename, then prune to [`SNAPSHOTS_KEPT`].
+fn write_snapshot(dir: &Path, seq: u64) -> io::Result<()> {
+    let proj = replay_dir(dir, Some(seq), true)?;
+    let rendered = proj.render();
+    let mut framed = Vec::with_capacity(rendered.len() + FRAME_HEADER);
+    encode_frame(rendered.as_bytes(), &mut framed);
+    let path = snapshot_path(dir, proj.seq);
+    let tmp = path.with_extension("snap.tmp");
+    {
+        let mut f = File::create(&tmp)?;
+        f.write_all(&framed)?;
+        f.sync_all()?;
+    }
+    fs::rename(&tmp, &path)?;
+    obs::counter("wal.snapshots").inc();
+    // Prune old snapshots; the segments stay (full audit trail).
+    for (_, old) in list_snapshots(dir)?.iter().rev().skip(SNAPSHOTS_KEPT) {
+        fs::remove_file(old).ok();
+    }
+    Ok(())
+}
+
+/// The background half of the log, one thread per [`Wal`]. It writes
+/// each due snapshot (under every policy; one at a time) and, under
+/// [`SyncPolicy::Group`], syncs once the oldest unsynced frame is
+/// `interval` old. Both run **without** the log's lock, on a shared
+/// handle to the segment: what a request pays for the log is its own
+/// `write(2)` and never somebody's `fdatasync` — 0.4 ms at the median
+/// on an idle disk, 20–30 ms at p99 and 100+ ms at worst while the host
+/// writes back someone else's data — nor a snapshot's fold and render,
+/// tens of ms on a full served log.
+fn flusher_loop(lock: &Mutex<Inner>, cvar: &Condvar, dir: &Path, sync: SyncPolicy) {
+    let mut guard = lock.lock().expect(POISONED);
     loop {
-        if shutdown.load(Ordering::Acquire) {
+        let snapshot = guard.snapshot_due.take();
+        let group_due = match (sync, guard.dirty_since) {
+            (SyncPolicy::Group { interval, .. }, Some(t0)) => t0.elapsed() >= interval,
+            _ => false,
+        };
+        if snapshot.is_some() || group_due {
+            let file = Arc::clone(&guard.file);
+            let upto = guard.written;
+            // The next append opens the next group.
+            guard.dirty_since = None;
+            drop(guard);
+            let synced = timed_sync(&file).is_ok();
+            if !synced {
+                // Counted, not retried: the next group's sync covers
+                // these bytes too if the disk recovers.
+                obs::counter("wal.fsync_errors").inc();
+            }
+            // The snapshot must never get ahead of the durable log.
+            if let Some(seq) = snapshot.filter(|_| synced) {
+                if write_snapshot(dir, seq).is_err() {
+                    obs::counter("wal.snapshot_errors").inc();
+                }
+            }
+            guard = lock.lock().expect(POISONED);
+            guard.synced = guard.synced.max(upto);
+            continue;
+        }
+        if guard.shutdown {
             return;
         }
-        let wait = match guard.dirty_since.map(|t0| t0.elapsed()) {
-            Some(age) if age >= interval => {
-                let file = Arc::clone(&guard.file);
-                let upto = guard.written;
-                // The next append opens the next group.
-                guard.dirty_since = None;
-                drop(guard);
-                let outcome = timed_sync(&file);
-                guard = inner.lock().unwrap();
-                if outcome.is_err() {
-                    // Counted, not retried: the next group's sync covers
-                    // these bytes too if the disk recovers.
-                    obs::counter("wal.fsync_errors").inc();
-                }
-                guard.synced = guard.synced.max(upto);
-                continue;
+        guard = match (sync, guard.dirty_since) {
+            (SyncPolicy::Group { interval, .. }, Some(t0)) => {
+                let wait = interval.saturating_sub(t0.elapsed());
+                cvar.wait_timeout(guard, wait).expect(POISONED).0
             }
-            Some(age) => interval - age,
-            None => interval,
+            _ => cvar.wait(guard).expect(POISONED),
         };
-        guard = cvar.wait_timeout(guard, wait).unwrap().0;
     }
 }
 
 impl Wal {
-    /// Open (creating if needed) the log in `cfg.dir`, recovering the
-    /// projections from newest-snapshot + tail replay. A torn or
-    /// corrupt final frame is truncated away so appends continue from
-    /// the last valid record. A brand-new log reports `seq() == 0`;
-    /// the owner should append [`Event::Init`] first.
+    /// Open (creating if needed) the log in `cfg.dir`, recovering from
+    /// newest-snapshot + tail replay. A torn or corrupt final frame is
+    /// truncated away so appends continue from the last valid record. A
+    /// brand-new log reports `seq() == 0`; the owner should append
+    /// [`Event::Init`] first.
     pub fn open(cfg: WalConfig) -> io::Result<Wal> {
         fs::create_dir_all(&cfg.dir)?;
-        let mut proj = best_snapshot(&cfg.dir, None).unwrap_or_default();
-        let segments = list_segments(&cfg.dir)?;
-        let mut append_to: Option<(PathBuf, u64)> = None;
-        let mut dead = false;
-        for (idx, (_, path)) in segments.iter().enumerate() {
-            if dead {
-                // A damaged interior segment broke seq contiguity:
-                // everything after it can never replay. Move it aside
-                // so the on-disk invariant (contiguous segments) holds.
-                let orphan = path.with_extension("seg.orphan");
-                fs::rename(path, &orphan)?;
-                obs::counter("wal.recovery.orphaned_segments").inc();
-                continue;
-            }
-            let covered = segments
-                .get(idx + 1)
-                .is_some_and(|(next_first, _)| *next_first <= proj.seq + 1);
-            let is_last = idx + 1 == segments.len();
-            if covered && !is_last {
-                continue; // entirely behind the snapshot
-            }
-            let bytes = fs::read(path)?;
-            let scan = scan_frames(&bytes);
-            if scan.end != ScanEnd::Clean {
-                obs::counter("wal.recovery.torn_tail").inc();
-            }
-            let mut keep = scan.valid_len as u64;
-            let mut stopped = false;
-            for &(s, e) in &scan.payloads {
-                let text = std::str::from_utf8(&bytes[s..e]).ok();
-                // Behind-snapshot records only need their seq stamp —
-                // skip the full JSON decode for the covered prefix.
-                if let Some(seq) = text.and_then(Event::peek_seq) {
-                    if seq <= proj.seq {
-                        continue;
-                    }
-                }
-                let decoded = text.and_then(Event::decode);
-                match decoded {
-                    Some((seq, ev)) if seq == proj.seq + 1 => proj.apply(seq, &ev),
-                    Some((seq, _)) if seq <= proj.seq => {} // behind snapshot
-                    _ => {
-                        // Undecodable or non-contiguous: cut here.
-                        keep = (s - FRAME_HEADER) as u64;
-                        obs::counter("wal.recovery.bad_event").inc();
-                        stopped = true;
-                        break;
-                    }
-                }
-            }
-            if keep < bytes.len() as u64 {
-                let f = OpenOptions::new().write(true).open(path)?;
-                f.set_len(keep)?;
-                f.sync_data()?;
-            }
-            append_to = Some((path.clone(), keep));
-            if !is_last && (stopped || scan.end != ScanEnd::Clean) {
-                dead = true;
-            }
+        // A snapshot killed before its rename leaves only its temp file.
+        for (_, tmp) in list_numbered(&cfg.dir, "snap-", ".snap.tmp")? {
+            fs::remove_file(tmp)?;
         }
-        let (path, segment_len) = match append_to {
-            Some(v) => v,
-            None => (segment_path(&cfg.dir, proj.seq + 1), 0),
+        let seed = best_snapshot(&cfg.dir, None).unwrap_or_default();
+        let walk = walk_segments(&cfg.dir, seed, None)?;
+        if walk.torn {
+            obs::counter("wal.recovery.torn_tail").inc();
+        }
+        if walk.bad_event {
+            obs::counter("wal.recovery.bad_event").inc();
+        }
+        let seq = walk.proj.seq;
+        let (path, segment_len) = match walk.end {
+            Some((idx, valid_len)) => {
+                let path = &walk.segments[idx].1;
+                if walk.torn || walk.bad_event {
+                    let f = OpenOptions::new().write(true).open(path)?;
+                    f.set_len(valid_len)?;
+                    f.sync_data()?;
+                }
+                // A damaged interior segment broke seq contiguity:
+                // everything after it can never replay. Move it aside so
+                // the on-disk invariant (contiguous segments) holds.
+                for (_, later) in &walk.segments[idx + 1..] {
+                    fs::rename(later, later.with_extension("seg.orphan"))?;
+                    obs::counter("wal.recovery.orphaned_segments").inc();
+                }
+                (path.clone(), valid_len)
+            }
+            None => (segment_path(&cfg.dir, seq + 1), 0),
         };
         let file = Arc::new(OpenOptions::new().create(true).append(true).open(&path)?);
-        obs::gauge("wal.seq").set(proj.seq as f64);
+        obs::gauge("wal.seq").set(seq as f64);
         let inner = Arc::new(Mutex::new(Inner {
             file,
             segment_len,
-            seq: proj.seq,
-            proj,
+            seq,
             written: 0,
             synced: 0,
             dirty_since: None,
-            since_snapshot: 0,
+            snapshot_due: None,
+            shutdown: false,
         }));
-        let wal = Wal {
+        let cvar = Arc::new(Condvar::new());
+        let flusher = {
+            let (inner, cvar, dir, sync) = (
+                Arc::clone(&inner),
+                Arc::clone(&cvar),
+                cfg.dir.clone(),
+                cfg.sync,
+            );
+            std::thread::Builder::new()
+                .name("wal-flusher".into())
+                .spawn(move || flusher_loop(&inner, &cvar, &dir, sync))?
+        };
+        Ok(Wal {
             cfg,
             inner,
-            cvar: Arc::new(Condvar::new()),
-            shutdown: Arc::new(AtomicBool::new(false)),
-            flusher: Mutex::new(None),
-        };
-        if let SyncPolicy::Group { interval, .. } = wal.cfg.sync {
-            let inner = Arc::clone(&wal.inner);
-            let cvar = Arc::clone(&wal.cvar);
-            let shutdown = Arc::clone(&wal.shutdown);
-            let handle = std::thread::Builder::new()
-                .name("wal-flusher".into())
-                .spawn(move || flusher_loop(&inner, &cvar, &shutdown, interval))
-                .expect("spawn wal-flusher");
-            *wal.flusher.lock().unwrap() = Some(handle);
-        }
-        Ok(wal)
+            cvar,
+            flusher: Some(flusher),
+        })
     }
 
     /// Sequence number of the last appended (or recovered) event.
     pub fn seq(&self) -> u64 {
-        self.inner.lock().unwrap().seq
+        self.inner.lock().expect(POISONED).seq
     }
 
-    /// A clone of the current projections (recovered state at startup,
-    /// then kept in lockstep with every append).
+    /// What a crash right now would recover to: a read-only fold of the
+    /// log on disk (newest usable snapshot plus tail) up to [`Wal::seq`].
+    /// Every append has issued its `write(2)` before it returns, so the
+    /// fold sees it.
+    ///
+    /// # Panics
+    ///
+    /// If the log directory or a segment in it can no longer be read.
     pub fn projections(&self) -> Projections {
-        self.inner.lock().unwrap().proj.clone()
+        replay_dir(&self.cfg.dir, Some(self.seq()), true).expect("read back the wal directory")
     }
 
-    /// The canonical rendering of the current projections.
+    /// The canonical rendering of [`Wal::projections`].
     pub fn render_state(&self) -> String {
-        self.inner.lock().unwrap().proj.render()
+        self.projections().render()
     }
 
     /// Append one event, returning its sequence number. The record is
     /// written (visible to recovery after a process kill) before this
     /// returns; stable-storage sync follows the configured policy.
     pub fn append(&self, event: &Event) -> io::Result<u64> {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.inner.lock().expect(POISONED);
         let seq = inner.seq + 1;
         let payload = event.encode(seq);
         let mut frame = Vec::with_capacity(payload.len() + FRAME_HEADER);
@@ -393,7 +484,6 @@ impl Wal {
         (&*inner.file).write_all(&frame)?;
         inner.segment_len += frame.len() as u64;
         inner.seq = seq;
-        inner.proj.apply(seq, event);
         inner.written += frame.len() as u64;
         obs::counter("wal.appends").inc();
         obs::counter("wal.append_bytes").add(frame.len() as u64);
@@ -412,22 +502,16 @@ impl Wal {
             }
             SyncPolicy::Os => {}
         }
-        inner.since_snapshot += 1;
-        if self.cfg.snapshot_every > 0 && inner.since_snapshot >= self.cfg.snapshot_every {
-            self.snapshot_locked(&mut inner)?;
+        if self.cfg.snapshot_every > 0 && seq.is_multiple_of(self.cfg.snapshot_every) {
+            inner.snapshot_due = Some(seq);
+            self.cvar.notify_one();
         }
         Ok(seq)
     }
 
     /// Force everything appended so far onto stable storage.
     pub fn sync(&self) -> io::Result<()> {
-        fsync_inner(&mut self.inner.lock().unwrap())
-    }
-
-    /// Write a snapshot of the current projections now (also done
-    /// automatically every `snapshot_every` events).
-    pub fn snapshot(&self) -> io::Result<()> {
-        self.snapshot_locked(&mut self.inner.lock().unwrap())
+        fsync_inner(&mut self.inner.lock().expect(POISONED))
     }
 
     fn rotate_locked(&self, inner: &mut Inner, next_seq: u64) -> io::Result<()> {
@@ -440,41 +524,16 @@ impl Wal {
         obs::counter("wal.rotations").inc();
         Ok(())
     }
-
-    fn snapshot_locked(&self, inner: &mut Inner) -> io::Result<()> {
-        // The snapshot must never get ahead of the durable log.
-        fsync_forced(inner)?;
-        let rendered = inner.proj.render();
-        let mut framed = Vec::with_capacity(rendered.len() + FRAME_HEADER);
-        encode_frame(rendered.as_bytes(), &mut framed);
-        let path = snapshot_path(&self.cfg.dir, inner.proj.seq);
-        let tmp = path.with_extension("snap.tmp");
-        {
-            let mut f = File::create(&tmp)?;
-            f.write_all(&framed)?;
-            f.sync_all()?;
-        }
-        fs::rename(&tmp, &path)?;
-        inner.since_snapshot = 0;
-        obs::counter("wal.snapshots").inc();
-        // Prune old snapshots; the segments stay (full audit trail).
-        if let Ok(snaps) = list_snapshots(&self.cfg.dir) {
-            if snaps.len() > self.cfg.snapshots_keep.max(1) {
-                let drop_n = snaps.len() - self.cfg.snapshots_keep.max(1);
-                for (_, old) in &snaps[..drop_n] {
-                    fs::remove_file(old).ok();
-                }
-            }
-        }
-        Ok(())
-    }
 }
 
 impl Drop for Wal {
     fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::Release);
+        if let Ok(mut inner) = self.inner.lock() {
+            inner.shutdown = true;
+        }
         self.cvar.notify_all();
-        if let Some(handle) = self.flusher.lock().unwrap().take() {
+        // Joins only after the flusher has written any due snapshot.
+        if let Some(handle) = self.flusher.take() {
             handle.join().ok();
         }
         if let Ok(mut inner) = self.inner.lock() {
@@ -490,44 +549,12 @@ impl Drop for Wal {
 /// against. Torn or corrupt tails end the replay at the last valid
 /// record, exactly like recovery (but nothing on disk is modified).
 pub fn replay_dir(dir: &Path, until: Option<u64>, use_snapshot: bool) -> io::Result<Projections> {
-    let mut proj = if use_snapshot {
+    let seed = if use_snapshot {
         best_snapshot(dir, until).unwrap_or_default()
     } else {
         Projections::new()
     };
-    let segments = list_segments(dir)?;
-    'outer: for (idx, (_, path)) in segments.iter().enumerate() {
-        let covered = segments
-            .get(idx + 1)
-            .is_some_and(|(next_first, _)| *next_first <= proj.seq + 1);
-        if covered {
-            continue;
-        }
-        let bytes = fs::read(path)?;
-        let scan = scan_frames(&bytes);
-        for &(s, e) in &scan.payloads {
-            if until.is_some_and(|u| proj.seq >= u) {
-                break 'outer;
-            }
-            let text = std::str::from_utf8(&bytes[s..e]).ok();
-            // Behind-snapshot records only need their seq stamp.
-            if let Some(seq) = text.and_then(Event::peek_seq) {
-                if seq <= proj.seq {
-                    continue;
-                }
-            }
-            let decoded = text.and_then(Event::decode);
-            match decoded {
-                Some((seq, ev)) if seq == proj.seq + 1 => proj.apply(seq, &ev),
-                Some((seq, _)) if seq <= proj.seq => {}
-                _ => break 'outer,
-            }
-        }
-        if scan.end != ScanEnd::Clean {
-            break;
-        }
-    }
-    Ok(proj)
+    Ok(walk_segments(dir, seed, until)?.proj)
 }
 
 #[cfg(test)]
@@ -662,6 +689,27 @@ mod tests {
         // A freshly opened Wal agrees too.
         let wal = Wal::open(cfg).unwrap();
         assert_eq!(wal.render_state(), slow.render());
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn open_removes_a_snapshot_killed_before_its_rename() {
+        let dir = tmp_dir("snaptmp");
+        {
+            let wal = Wal::open(small_cfg(&dir)).unwrap();
+            for i in 1..=20 {
+                wal.append(&pred(i)).unwrap();
+            }
+        }
+        let tmp = snapshot_path(&dir, 20).with_extension("snap.tmp");
+        fs::write(&tmp, b"half a snapsh").unwrap();
+        let wal = Wal::open(small_cfg(&dir)).unwrap();
+        assert!(
+            !tmp.exists(),
+            "the killed snapshot's temp file survived open"
+        );
+        let genesis = replay_dir(&dir, None, false).unwrap();
+        assert_eq!(wal.render_state(), genesis.render());
         fs::remove_dir_all(&dir).ok();
     }
 

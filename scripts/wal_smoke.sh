@@ -3,8 +3,10 @@
 # `scoutctl serve --wal-dir`, push live traffic, kill -9 the server
 # mid-run, restart it against the same log, and assert the recovered
 # state is byte-identical to a deterministic offline replay of the same
-# event prefix. Exercises the full durability chain: CRC frames, torn
-# final frame tolerance, recovery, and `scoutctl wal replay`.
+# event prefix. Both lives snapshot every 64 events, so the kill lands
+# while background snapshots are being written. Exercises the full
+# durability chain: CRC frames, torn final frame tolerance, snapshot
+# temp files, recovery, and `scoutctl wal replay`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -16,7 +18,7 @@ trap 'rm -rf "$wal_dir"' EXIT
 start_server() {
   serve_log=$(mktemp)
   ./target/release/scoutctl serve --addr 127.0.0.1:0 --faults-per-day 1 \
-    --wal-dir "$wal_dir/wal" --max-runtime-secs 120 \
+    --wal-dir "$wal_dir/wal" --wal-snapshot-every 64 --max-runtime-secs 120 \
     >"$serve_log" 2>"$serve_log.err" &
   serve_pid=$!
   addr=""
