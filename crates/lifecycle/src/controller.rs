@@ -667,10 +667,9 @@ impl LifecycleController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serve::FeedbackEvent;
 
     fn labeled(team: &str) -> Feedback {
-        Feedback::from(FeedbackEvent {
+        Feedback {
             incident: 1,
             team: team.into(),
             text: "disk latency on sto-1".into(),
@@ -678,8 +677,7 @@ mod tests {
             predicted: false,
             label: true,
             time: SimTime(10),
-            trace_id: 0,
-        })
+        }
     }
 
     #[test]

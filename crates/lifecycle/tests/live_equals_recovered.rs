@@ -256,7 +256,7 @@ fn run_schedule(seed: u64, plane: &mut Plane, monitoring: &MonitoringSystem<'_>)
                     Team::Storage
                 };
                 if let Ok(event) = plane.engine.resolve_served(incident, resolver.name()) {
-                    plane.controller.ingest(Feedback::from(event));
+                    plane.controller.ingest(event);
                 }
             }
             60..=69 => promote(plane, format!("schedule-{seed}-op-{op}")),

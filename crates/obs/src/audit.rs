@@ -4,7 +4,10 @@
 //! interrogate (§8): every routing decision must be reviewable after
 //! the fact. One [`AuditRecord`] is written per `Scout::predict_*`
 //! call, capturing what was decided, by which model, how confidently,
-//! which features drove it, and where the incident went.
+//! which features drove it, and where the incident went. A served
+//! prediction writes a second, versioned record (served incident id,
+//! model version, trace id). Records go to the audit sink and nowhere
+//! else: nothing in the process keeps a copy to look them up by.
 
 use crate::json::{Arr, Obj, Value};
 use crate::trace;
@@ -29,8 +32,7 @@ pub struct AuditRecord {
     /// Registry version of the model that produced this prediction.
     /// `0` means "unversioned" (offline training/evaluation predictions,
     /// which are keyed by corpus ordinal rather than a served incident
-    /// id). Versioned records additionally enter the in-memory audit
-    /// tail so ground-truth feedback can be joined back to them.
+    /// id).
     pub model_version: u64,
     /// Trace id of the request that produced this prediction, `0` when
     /// the prediction ran outside a trace context (offline paths). Lets
@@ -100,18 +102,14 @@ impl AuditRecord {
 
     /// Write this record to the global audit sink (no-op while
     /// collection is disabled) and count it under
-    /// `scout.audit.records`. Versioned records (`model_version > 0`)
-    /// also enter the bounded in-memory audit tail, which is what
-    /// `POST /v1/feedback` joins ground-truth labels against.
+    /// `scout.audit.records`. The sink line is the only copy: feedback
+    /// joins against the served log, not against audit records.
     pub fn emit(&self) {
         if !crate::enabled() {
             return;
         }
         let collector = crate::global();
         collector.metrics.add_counter("scout.audit.records", 1);
-        if self.model_version > 0 {
-            collector.push_audit_tail(self.clone());
-        }
         if collector.has_audit_sink() {
             collector.emit_audit(&self.to_json());
         }

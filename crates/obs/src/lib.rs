@@ -25,7 +25,8 @@
 //! * **Audit log** ([`audit`]) — one JSONL record per Scout prediction:
 //!   incident id, model used, verdict, confidence, top-k feature
 //!   contributions, routing outcome. This is the paper's
-//!   explainability contract in machine-readable form.
+//!   explainability contract in machine-readable form; the sink line
+//!   is the record's only copy.
 //!
 //! # Span taxonomy
 //!
@@ -75,13 +76,6 @@ use std::sync::{Mutex, OnceLock};
 /// load per span/counter touch.
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
-/// How many versioned audit records the in-memory tail retains. Sized
-/// for the feedback join window of an online server: ground truth for a
-/// routed incident arrives hours after the prediction, so the tail must
-/// outlive the serving burst, not the whole history (the JSONL sink is
-/// the durable record).
-pub const AUDIT_TAIL_CAP: usize = 8192;
-
 /// The process-wide collector: metrics registry plus optional sinks.
 pub struct Collector {
     /// Metrics registry (counters, gauges, histograms).
@@ -91,7 +85,6 @@ pub struct Collector {
     /// [`Collector::set_trace_sink`] writes it, under the `trace` lock.
     has_trace: AtomicBool,
     audit: Mutex<Option<Box<dyn Sink>>>,
-    audit_tail: Mutex<std::collections::VecDeque<AuditRecord>>,
 }
 
 impl Collector {
@@ -101,7 +94,6 @@ impl Collector {
             trace: Mutex::new(None),
             has_trace: AtomicBool::new(false),
             audit: Mutex::new(None),
-            audit_tail: Mutex::new(std::collections::VecDeque::new()),
         }
     }
 
@@ -139,28 +131,6 @@ impl Collector {
         if let Some(s) = self.audit.lock().unwrap().as_mut() {
             s.write_line(line);
         }
-    }
-
-    /// Retain a versioned audit record in the bounded in-memory tail.
-    pub fn push_audit_tail(&self, rec: AuditRecord) {
-        let mut tail = self.audit_tail.lock().unwrap();
-        if tail.len() >= AUDIT_TAIL_CAP {
-            tail.pop_front();
-        }
-        tail.push_back(rec);
-    }
-
-    /// The most recent tail record for `incident`, if it has not been
-    /// evicted. Scans newest-first so a re-served incident joins against
-    /// its latest prediction.
-    pub fn audit_lookup(&self, incident: u64) -> Option<AuditRecord> {
-        self.audit_tail
-            .lock()
-            .unwrap()
-            .iter()
-            .rev()
-            .find(|r| r.incident == incident)
-            .cloned()
     }
 
     /// Flush both sinks.
@@ -215,12 +185,6 @@ pub fn global() -> &'static Collector {
 #[inline]
 pub fn flight() -> &'static flight::FlightRecorder {
     flight::FlightRecorder::global()
-}
-
-/// Shorthand: look up a versioned audit record by incident id in the
-/// global in-memory tail (the `POST /v1/feedback` join).
-pub fn audit_lookup(incident: u64) -> Option<AuditRecord> {
-    global().audit_lookup(incident)
 }
 
 /// Shorthand: the global counter named `name` (no-op handle when

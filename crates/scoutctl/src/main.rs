@@ -242,9 +242,6 @@ serve options:
   --fleet-shards N         worker groups for the /v1/route fan-out (default
                            4); teams are rendezvous-hashed so add/remove
                            never reshuffles
-  --fleet-suggestions K    top-k suggestions in /v1/route responses (default 3)
-  --fleet-fail-teams A,B   inject per-team Scout failures (case-insensitive)
-                           to exercise the degrade-gracefully path
   --synthetic-teams N      instead of one trained Scout, register N synthetic
                            per-team Scouts (nine trained base models, one
                            shared featurization pass, replicas beyond nine
@@ -255,11 +252,9 @@ serve options:
                            per-source throttling, Sev3 coalescing, per-team
                            circuit breakers (default on; byte-invisible to
                            non-storm traffic — off is the bench baseline)
-  --storm-dedup-window-ms MS, --storm-rate N, --storm-burst N,
-  --storm-batch N, --storm-breaker-threshold N
-                           storm-control tuning (defaults: 60000 ms window,
-                           50 alerts/s + burst 100 per source, batch 16,
-                           breaker trips after 5 consecutive failures)
+  --storm-rate N, --storm-burst N
+                           per-source storm throttle (defaults: 50 alerts/s,
+                           burst 100)
 
 loadgen options:
   --addr HOST:PORT         server to drive (required)

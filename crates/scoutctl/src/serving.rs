@@ -140,18 +140,8 @@ pub fn serve_cmd(args: &Args) -> Result<(), ArgError> {
     if let Some(dir) = model_dir {
         engine = engine.with_model_dir(dir);
     }
-    // Fleet routing plane: `--fleet-fail-teams` injects per-team faults
-    // for smoke tests of the degrade-gracefully path.
     let mut fleet = serve::FleetConfig::default();
     fleet.shards = args.get_parsed("fleet-shards", fleet.shards)?;
-    fleet.suggestions = args.get_parsed("fleet-suggestions", fleet.suggestions)?;
-    if let Some(list) = args.get("fleet-fail-teams") {
-        fleet.fail_teams = list
-            .split(',')
-            .map(|t| t.trim().to_string())
-            .filter(|t| !t.is_empty())
-            .collect();
-    }
     eprintln!(
         "[scoutctl] fleet routing plane: {} shard(s), top-{} suggestions",
         fleet.effective_shards(),
@@ -166,12 +156,8 @@ pub fn serve_cmd(args: &Args) -> Result<(), ArgError> {
         "off" => eprintln!("[scoutctl] storm control off (baseline mode)"),
         "on" => {
             let mut sc = storm::StormConfig::default();
-            sc.dedup.window_ms = args.get_parsed("storm-dedup-window-ms", sc.dedup.window_ms)?;
             sc.throttle.rate_per_sec = args.get_parsed("storm-rate", sc.throttle.rate_per_sec)?;
             sc.throttle.burst = args.get_parsed("storm-burst", sc.throttle.burst)?;
-            sc.batch.max_batch = args.get_parsed("storm-batch", sc.batch.max_batch)?;
-            sc.breaker.failure_threshold =
-                args.get_parsed("storm-breaker-threshold", sc.breaker.failure_threshold)?;
             eprintln!(
                 "[scoutctl] storm control on: dedup window {} ms, {}..{} alerts/s per source, Sev3 batch {}, breaker threshold {}",
                 sc.dedup.window_ms,
@@ -198,7 +184,7 @@ pub fn serve_cmd(args: &Args) -> Result<(), ArgError> {
             ScoutBuildConfig::default(),
         );
         cfg.store_cap = feedback_cap;
-        let handle = lifecycle::LifecycleHandle::start_with_wal(
+        let handle = lifecycle::LifecycleHandle::start(
             cfg,
             Arc::clone(&registry),
             Arc::new(world.topology.clone()),

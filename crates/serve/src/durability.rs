@@ -11,12 +11,12 @@
 //! post-restart state equals the deterministic replay of the log by
 //! construction.
 
-use crate::feedback::{FeedbackEvent, ResolveError, ServedLog};
+use crate::feedback::{ResolveError, ServedLog};
 use crate::registry::{RegistryChange, RegistryJournal};
 use crate::server::Engine;
 use cloudsim::SimTime;
 use std::sync::Arc;
-use wal::{Event, Wal};
+use wal::{Event, Feedback, Wal};
 
 /// Append `event`, containing failures: serving must not return 500s
 /// because the log disk hiccuped. A failed append is counted
@@ -137,13 +137,13 @@ impl Engine {
 
     /// Join `resolving_team`'s ground truth to served prediction
     /// `incident` (exactly once) and, with a WAL attached, log the
-    /// labeled example under the served log's lock. The returned event
-    /// carries the current trace id.
+    /// labeled example under the served log's lock. The returned
+    /// example is the one the log's `FeedbackAccepted` event replays to.
     pub fn resolve_served(
         &self,
         incident: u64,
         resolving_team: &str,
-    ) -> Result<FeedbackEvent, ResolveError> {
+    ) -> Result<Feedback, ResolveError> {
         let label = |team: &str| resolving_team.eq_ignore_ascii_case(team);
         let rec = self.served.resolve_logged(incident, |rec| {
             if let Some(wal) = self.wal.as_deref() {
@@ -161,7 +161,7 @@ impl Engine {
                 );
             }
         })?;
-        Ok(FeedbackEvent {
+        Ok(Feedback {
             incident: rec.incident,
             label: label(&rec.team),
             team: rec.team,
@@ -169,7 +169,6 @@ impl Engine {
             model_version: rec.model_version,
             predicted: rec.predicted_responsible,
             time: rec.time,
-            trace_id: obs::trace::current().map_or(0, |c| c.trace_id),
         })
     }
 }

@@ -5,11 +5,10 @@
 //! process-unique incident id and remembered in a bounded [`ServedLog`].
 //! When the incident is eventually resolved, `POST /v1/feedback`
 //! reports the ground-truth resolving team; the server joins it back to
-//! the served prediction (and, when available, the versioned audit
-//! record) and hands the labeled [`FeedbackEvent`] to the registered
-//! [`FeedbackHook`]. Each incident accepts feedback once — a second
-//! report is a `409`, so downstream labeled streams see each example
-//! exactly once.
+//! the served prediction and hands the labeled [`wal::Feedback`] — the
+//! same record the log replays — to the registered [`FeedbackHook`].
+//! Each incident accepts feedback once — a second report is a `409`, so
+//! downstream labeled streams see each example exactly once.
 //!
 //! The log is a lock around the WAL's own [`wal::ServedState`]: the
 //! capped insert, the id counter and the exactly-once resolve are the
@@ -20,7 +19,7 @@ use cloudsim::SimTime;
 use std::sync::Mutex;
 use wal::ServedState;
 
-pub use wal::{ResolveError, ServedRecord, DEFAULT_SERVED_CAP};
+pub use wal::{Feedback, ResolveError, ServedRecord, DEFAULT_SERVED_CAP};
 
 /// Bounded FIFO of served predictions, keyed by assigned incident id.
 /// Ids are assigned inside the lock, so they rise in log order.
@@ -105,48 +104,11 @@ impl ServedLog {
     }
 }
 
-/// One labeled example: a served prediction joined with its ground
-/// truth.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FeedbackEvent {
-    /// Server-assigned incident id.
-    pub incident: u64,
-    /// Team whose Scout answered.
-    pub team: String,
-    /// The incident text that was classified.
-    pub text: String,
-    /// Model version that answered.
-    pub model_version: u64,
-    /// What the Scout said.
-    pub predicted: bool,
-    /// Ground truth: was the Scout's team actually responsible?
-    pub label: bool,
-    /// Simulation time of the prediction (orders the labeled stream).
-    pub time: SimTime,
-    /// Trace id of the feedback request (0 = untraced), so the lifecycle
-    /// worker's ingestion spans join the reporting request's trace.
-    pub trace_id: u64,
-}
-
-impl From<FeedbackEvent> for wal::Feedback {
-    fn from(e: FeedbackEvent) -> wal::Feedback {
-        wal::Feedback {
-            incident: e.incident,
-            team: e.team,
-            text: e.text,
-            model_version: e.model_version,
-            predicted: e.predicted,
-            label: e.label,
-            time: e.time,
-        }
-    }
-}
-
 /// Receiver for labeled feedback (the lifecycle controller). Called on
 /// the HTTP handler thread — implementations must hand off quickly.
 pub trait FeedbackHook: Send + Sync {
     /// One incident's ground truth arrived.
-    fn on_feedback(&self, event: FeedbackEvent);
+    fn on_feedback(&self, feedback: Feedback);
 }
 
 #[cfg(test)]

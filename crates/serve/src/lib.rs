@@ -50,7 +50,7 @@ pub use admission::{Admission, Permit};
 pub use batcher::{Answer, PredictError};
 pub use client::{Client, ClientError, ClientResponse};
 pub use durability::WalJournal;
-pub use feedback::{FeedbackEvent, FeedbackHook, ResolveError, ServedLog, ServedRecord};
+pub use feedback::{Feedback, FeedbackHook, ResolveError, ServedLog, ServedRecord};
 pub use fleet::{FleetConfig, ScoutError, TeamOutcome};
 pub use http::{HttpError, Request, Response};
 pub use registry::{ModelEntry, ModelRegistry, RegistryChange, RegistryError, RegistryJournal};

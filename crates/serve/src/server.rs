@@ -51,6 +51,7 @@ use scout::Prediction;
 use scoutmaster::{FleetAnswer, FleetDecision, FleetMaster};
 use std::io::BufReader;
 use std::net::{TcpListener, TcpStream};
+use std::ops::RangeBounds;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::Receiver;
@@ -617,6 +618,17 @@ fn json_body(req: &Request) -> Result<Value, HttpError> {
         .ok_or_else(|| HttpError::new(400, "request body is not valid JSON"))
 }
 
+/// A request-body integer: a whole number in `range` and below
+/// [`wal::INT_BOUND`], so whatever is logged from it replays; anything
+/// else is a 400 saying `error`.
+fn body_int(v: &Value, range: impl RangeBounds<u64>, error: &str) -> Result<u64, HttpError> {
+    v.as_f64()
+        .filter(|n| n.fract() == 0.0 && (0.0..wal::INT_BOUND as f64).contains(n))
+        .map(|n| n as u64)
+        .filter(|n| range.contains(n))
+        .ok_or_else(|| HttpError::new(400, error))
+}
+
 fn parse_predict_input(req: &Request, shared: &Shared) -> Result<PredictInput, HttpError> {
     let value = json_body(req)?;
     let text = value
@@ -629,13 +641,11 @@ fn parse_predict_input(req: &Request, shared: &Shared) -> Result<PredictInput, H
     let default_time = SimTime::EPOCH + shared.engine.workload.config.faults.horizon;
     let time = match value.get("time_minutes") {
         None => default_time,
-        Some(v) => {
-            let n = v
-                .as_f64()
-                .filter(|n| n.is_finite() && *n >= 0.0)
-                .ok_or_else(|| HttpError::new(400, "\"time_minutes\" must be a number >= 0"))?;
-            SimTime(n as u64)
-        }
+        Some(v) => SimTime(body_int(
+            v,
+            0..,
+            "\"time_minutes\" must be a whole number >= 0",
+        )?),
     };
     let source = match value.get("source") {
         None => storm::DEFAULT_SOURCE.to_string(),
@@ -646,11 +656,11 @@ fn parse_predict_input(req: &Request, shared: &Shared) -> Result<PredictInput, H
     };
     let severity = match value.get("severity") {
         None => storm::Severity::Sev2,
-        Some(v) => v
-            .as_f64()
-            .filter(|n| n.fract() == 0.0)
-            .and_then(|n| storm::Severity::from_level(n as u64))
-            .ok_or_else(|| HttpError::new(400, "\"severity\" must be 1, 2, or 3"))?,
+        Some(v) => {
+            let error = "\"severity\" must be 1, 2, or 3";
+            storm::Severity::from_level(body_int(v, .., error)?)
+                .ok_or_else(|| HttpError::new(400, error))?
+        }
     };
     let deadline = match req.header("x-deadline-ms") {
         None => None,
@@ -768,8 +778,7 @@ fn await_reply<O>(reply: Receiver<Reply<O>>, dropped: &str) -> Result<O, HttpErr
 
 /// Remember a served answer (assigning its incident id), append it to
 /// the WAL (log-first, while the served log's lock pins the order), and
-/// emit the versioned audit record that `POST /v1/feedback` will join
-/// against.
+/// emit its versioned audit record to the audit sink.
 fn record_served(answer: &Answer, text: &str, time: SimTime, shared: &Shared) -> u64 {
     let p: &Prediction = &answer.prediction;
     let incident = shared.engine.record_served(
@@ -788,26 +797,19 @@ fn record_served(answer: &Answer, text: &str, time: SimTime, shared: &Shared) ->
 
 /// `POST /v1/feedback {"incident", "team"}`: record the ground-truth
 /// resolving team for a served prediction, join it back to the served
-/// record (and the audit tail), and hand the labeled event to the
-/// lifecycle hook.
+/// record, and hand the labeled example to the lifecycle hook.
 fn feedback(req: &Request, shared: &Shared) -> Handled {
     let value = json_body(req)?;
-    let incident = value
-        .get("incident")
-        .and_then(Value::as_f64)
-        .filter(|n| n.is_finite() && *n >= 1.0)
-        .ok_or_else(|| HttpError::new(400, "missing required numeric field \"incident\""))?;
+    let missing = "missing required numeric field \"incident\"";
+    let incident = body_int(value.get("incident").unwrap_or(&Value::Null), 1.., missing)?;
     let resolving_team = value.get("team").and_then(Value::as_str).ok_or_else(|| {
         HttpError::new(
             400,
             "missing required string field \"team\" (the resolving team)",
         )
     })?;
-    let event = match shared
-        .engine
-        .resolve_served(incident as u64, resolving_team)
-    {
-        Ok(event) => event,
+    let fb = match shared.engine.resolve_served(incident, resolving_team) {
+        Ok(fb) => fb,
         Err(e @ ResolveError::Unknown(_)) => {
             obs::counter("serve.feedback.unknown").inc();
             return Err(HttpError::new(404, e.to_string()));
@@ -817,24 +819,17 @@ fn feedback(req: &Request, shared: &Shared) -> Handled {
             return Err(HttpError::new(409, e.to_string()));
         }
     };
-    // Join against the versioned audit tail: presence means the full
-    // explanation for this prediction is still on hand.
-    if obs::audit_lookup(event.incident).is_some() {
-        obs::counter("serve.feedback.audit_joined").inc();
-    } else {
-        obs::counter("serve.feedback.audit_miss").inc();
-    }
     obs::counter("serve.feedback.accepted").inc();
     let response = Obj::new()
         .str("status", "recorded")
-        .uint("incident", event.incident)
-        .str("team", &event.team)
-        .uint("model_version", event.model_version)
-        .bool("predicted_responsible", event.predicted)
-        .bool("label_responsible", event.label)
+        .uint("incident", fb.incident)
+        .str("team", &fb.team)
+        .uint("model_version", fb.model_version)
+        .bool("predicted_responsible", fb.predicted)
+        .bool("label_responsible", fb.label)
         .finish();
     if let Some(hook) = shared.engine.feedback.as_ref() {
-        hook.on_feedback(event);
+        hook.on_feedback(fb);
     }
     Ok(Response::json(200, response))
 }
@@ -1118,12 +1113,7 @@ fn rollback(req: &Request, shared: &Shared) -> Handled {
         .ok_or_else(|| HttpError::new(400, "missing required string field \"team\""))?;
     let version = match value.get("version") {
         None => None,
-        Some(v) => Some(
-            v.as_f64()
-                .filter(|n| n.fract() == 0.0 && *n >= 1.0 && *n < 9.0e15)
-                .ok_or_else(|| HttpError::new(400, "\"version\" must be a whole number >= 1"))?
-                as u64,
-        ),
+        Some(v) => Some(body_int(v, 1.., "\"version\" must be a whole number >= 1")?),
     };
     let restored = shared
         .engine

@@ -1,12 +1,10 @@
-//! The versioned audit record a served predict leaves for
-//! `POST /v1/feedback` is the Scout's own record for that prediction,
-//! under a served incident id and a model version: the spelling
-//! `obs::AuditRecord` documents, the same confidence bits, the same
-//! `top_features`.
+//! The versioned audit record a served predict writes to the audit sink
+//! is the Scout's own record for that prediction, under a served
+//! incident id and a model version: the spelling `obs::AuditRecord`
+//! documents, the same confidence bits, the same `top_features`.
 //!
-//! The audit tail is process-global and served incident ids restart at 1
-//! on every server, so this is a test binary of its own: no other
-//! server's incident can shadow the one looked up.
+//! The audit sink is process-global, so this is a test binary of its
+//! own: no other test's records land in the sink read here.
 
 use cloudsim::{SimDuration, Team};
 use incident::{Workload, WorkloadConfig};
@@ -79,15 +77,25 @@ fn served_audit_record_is_the_scouts_own_record_versioned() {
         .expect("the forest answers some incident of the world");
     obs::global().set_audit_sink(None);
 
-    // The Scout's own record is unversioned, so only the sink has it.
-    let own = lines
+    // Each predict writes two records under its trace id: the Scout's
+    // own (unversioned) and the served one (versioned).
+    let records: Vec<AuditRecord> = lines
         .lock()
         .unwrap()
         .iter()
         .filter_map(|l| AuditRecord::from_json(l))
-        .find(|r| r.trace_id == trace_id && r.model_version == 0)
+        .filter(|r| r.trace_id == trace_id)
+        .collect();
+    let own = records
+        .iter()
+        .find(|r| r.model_version == 0)
+        .cloned()
         .expect("the Scout's own record");
-    let served = obs::audit_lookup(incident).expect("the versioned record in the tail");
+    let served = records
+        .iter()
+        .find(|r| r.model_version != 0)
+        .cloned()
+        .expect("the versioned record in the sink");
     assert_eq!(served.model, "RandomForest");
     assert!(
         ["Responsible", "NotResponsible"].contains(&served.verdict.as_str()),

@@ -413,12 +413,12 @@ fn readyz_reports_model_versions() {
 
 #[test]
 fn feedback_round_trip_dedup_and_hook() {
-    use serve::{FeedbackEvent, FeedbackHook};
+    use serve::{Feedback, FeedbackHook};
     use std::sync::Mutex;
 
-    struct Capture(Mutex<Vec<FeedbackEvent>>);
+    struct Capture(Mutex<Vec<Feedback>>);
     impl FeedbackHook for Capture {
-        fn on_feedback(&self, event: FeedbackEvent) {
+        fn on_feedback(&self, event: Feedback) {
             self.0.lock().unwrap().push(event);
         }
     }

@@ -104,6 +104,8 @@ fn traced_predict_yields_one_connected_trace() {
     let server = start_server(ServeConfig::default());
     let mut client = connect(&server);
 
+    let (sink, lines) = obs::sink::MemorySink::new();
+    obs::global().set_audit_sink(Some(Box::new(sink)));
     let trace_id: u64 = 0xfeed_c0de_1234;
     let resp = client
         .request(
@@ -123,8 +125,17 @@ fn traced_predict_yields_one_connected_trace() {
     let incident = Value::parse(&resp.body_text())
         .and_then(|v| v.get("incident").and_then(Value::as_f64))
         .expect("incident id in predict response") as u64;
-    let audit = obs::audit_lookup(incident).expect("audit record for served predict");
-    assert_eq!(audit.trace_id, trace_id, "audit trace != header trace");
+    obs::global().set_audit_sink(None);
+    let audit = lines
+        .lock()
+        .unwrap()
+        .iter()
+        .filter_map(|l| obs::AuditRecord::from_json(l))
+        .find(|r| r.trace_id == trace_id && r.model_version != 0)
+        .expect("versioned audit record under the header's trace id");
+    // Keyed by trace, not incident: another test's server in this
+    // process hands out the same incident ids into the same global sink.
+    assert_eq!(audit.incident, incident, "audit trace != header trace");
 
     // The batch span closes on the batcher thread just after the
     // response is answered; poll briefly so the assertion isn't racing

@@ -203,3 +203,73 @@ fn killed_server_recovers_bit_identical_and_continues_ids() {
     wal2.sync().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A fresh WAL directory for one test.
+fn fresh_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("serve-wal-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// `/v1/wal/state`'s log tip and the sequence number its fold reached.
+fn state_seqs(client: &mut Client) -> (u64, u64) {
+    let resp = client.get("/v1/wal/state").unwrap();
+    assert!(resp.is_success(), "{}", resp.body_text());
+    let v = obs::json::Value::parse(&resp.body_text()).expect("JSON state");
+    let seq = |v: &obs::json::Value| v.get("seq").and_then(obs::json::Value::as_f64).unwrap();
+    (
+        seq(&v) as u64,
+        seq(v.get("projections").expect("projections")) as u64,
+    )
+}
+
+#[test]
+fn a_time_the_log_cannot_replay_is_refused_and_the_log_folds_to_its_tip() {
+    let dir = fresh_dir("int-bound");
+    let (wal, engine, _registry) = wal_engine(&dir);
+    let server = Server::start(engine, "127.0.0.1:0", ServeConfig::default()).unwrap();
+    let mut client = Client::connect(&server.addr().to_string()).unwrap();
+    for (time, status) in [("1e16", 400), ("1.5", 400), ("-1", 400), ("100", 200)] {
+        let body = format!("{{\"text\":\"BGP flap on agg-3\",\"time_minutes\":{time}}}");
+        let resp = client
+            .post_json("/v1/scouts/PhyNet/predict", &body)
+            .unwrap();
+        assert_eq!(resp.status, status, "time {time}: {}", resp.body_text());
+    }
+    let (seq, folded) = state_seqs(&mut client);
+    assert_eq!(folded, seq, "every logged event must replay");
+    server.shutdown();
+    wal.sync().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_fractional_incident_id_is_refused_not_rounded() {
+    let dir = fresh_dir("frac-incident");
+    let (wal, engine, _registry) = wal_engine(&dir);
+    let server = Server::start(engine, "127.0.0.1:0", ServeConfig::default()).unwrap();
+    let mut client = Client::connect(&server.addr().to_string()).unwrap();
+    let resp = client
+        .post_json(
+            "/v1/scouts/PhyNet/predict",
+            "{\"text\":\"BGP flap on agg-3\",\"time_minutes\":5}",
+        )
+        .unwrap();
+    assert!(resp.is_success(), "{}", resp.body_text());
+    for (incident, status) in [("1.5", 400), ("9e15", 400), ("1", 200)] {
+        let body = format!("{{\"incident\":{incident},\"team\":\"PhyNet\"}}");
+        let resp = client.post_json("/v1/feedback", &body).unwrap();
+        assert_eq!(
+            resp.status,
+            status,
+            "incident {incident}: {}",
+            resp.body_text()
+        );
+    }
+    let (seq, folded) = state_seqs(&mut client);
+    assert_eq!(folded, seq);
+    server.shutdown();
+    wal.sync().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}

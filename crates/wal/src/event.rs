@@ -449,12 +449,17 @@ impl Event {
 // The JSON field readers of the log's two record shapes: event lines and
 // projection snapshots.
 
-/// An integer. `obs::json` parses all numbers as `f64`; every id the
-/// plane mints stays far under 2^53, so the conversion is exact —
-/// anything negative, fractional, or outside that range is malformed.
+/// Every integer in the log is below this bound (exclusive).
+/// `obs::json` parses all numbers as `f64`, and below 2^53 the
+/// conversion is exact. A producer must refuse a larger value before it
+/// is logged: replay stops at the first event it cannot decode.
+pub const INT_BOUND: u64 = 9_000_000_000_000_000;
+
+/// An integer: anything negative, fractional, or not below
+/// [`INT_BOUND`] is malformed.
 pub(crate) fn int_of(n: &Value) -> Option<u64> {
     let n = n.as_f64()?;
-    if n.fract() != 0.0 || !(0.0..9.0e15).contains(&n) {
+    if n.fract() != 0.0 || !(0.0..INT_BOUND as f64).contains(&n) {
         return None;
     }
     Some(n as u64)

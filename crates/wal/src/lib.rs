@@ -34,7 +34,7 @@ pub mod frame;
 pub mod log;
 pub mod projection;
 
-pub use event::{Event, SCHEMA};
+pub use event::{Event, INT_BOUND, SCHEMA};
 pub use log::{replay_dir, SyncPolicy, Wal, WalConfig};
 pub use projection::{
     Feedback, FeedbackState, PhaseState, Projections, ResolveError, ServedRecord, ServedState,

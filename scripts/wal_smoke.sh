@@ -6,7 +6,9 @@
 # event prefix. Both lives snapshot every 64 events, so the kill lands
 # while background snapshots are being written. Exercises the full
 # durability chain: CRC frames, torn final frame tolerance, snapshot
-# temp files, recovery, and `scoutctl wal replay`.
+# temp files, recovery, and `scoutctl wal replay`. Before the kill, it
+# checks that a request integer the log could not replay is refused and
+# that the log folds to its own tip.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -39,7 +41,29 @@ start_server
 first_pid=$serve_pid
 echo "server up on $addr (wal in $wal_dir/wal)"
 
+# A time the log could not replay (every logged integer stays below
+# 9e15) is refused with a 400, so it is never logged.
+if out=$(./target/release/scoutctl probe --addr "$addr" --path /v1/scouts/PhyNet/predict \
+  --body '{"text":"BGP flap on agg-3","time_minutes":1e16}' 2>/dev/null); then
+  echo "wal smoke: time_minutes 1e16 was accepted: $out" >&2
+  exit 1
+fi
+[[ "$out" == 400* ]] || { echo "wal smoke: time_minutes 1e16 did not answer 400: $out" >&2; exit 1; }
+
 ./target/release/scoutctl loadgen --addr "$addr" --requests 50 --concurrency 2
+
+# The log folds to its own tip: every event it holds replays.
+state=$(./target/release/scoutctl probe --addr "$addr" --path /v1/wal/state --expect-field seq)
+# The body is {"seq":<log tip>,"projections":{"schema":1,"seq":<fold>,...}}.
+seqs=$(grep -o '"seq":[0-9]*' <<<"$state" | cut -d: -f2)
+log_seq=$(sed -n 1p <<<"$seqs")
+fold_seq=$(sed -n 2p <<<"$seqs")
+if [[ -z "$log_seq" || "$fold_seq" != "$log_seq" ]]; then
+  echo "wal smoke: the log is at seq '$log_seq' but folds only to '$fold_seq'" >&2
+  exit 1
+fi
+echo "log folds to its tip at seq $log_seq"
+
 ./target/release/scoutctl loadgen --addr "$addr" --requests 400 --concurrency 4 &
 loadgen_pid=$!
 sleep 0.3
