@@ -1,8 +1,13 @@
 //! Random forests (§5.2.1): bagged CART trees with feature subsampling,
 //! class weights, and the explanation machinery the paper's operators
 //! required (§8 "Explanations are crucial").
+//!
+//! Every score — one served row, or an offline batch mapped across the
+//! pool one row per item — runs the same per-row descent over the
+//! flattened tables (`flat.rs`), so batch and single-row answers are the
+//! same bytes by construction.
 
-use crate::flat::{FlatForest, TILE};
+use crate::flat::FlatForest;
 use crate::matrix::FeatureMatrix;
 use crate::tree::{DecisionTree, TreeConfig};
 use crate::Classifier;
@@ -43,10 +48,11 @@ impl Default for ForestConfig {
 
 /// A fitted random forest.
 ///
-/// Prediction runs on a node-major [`FlatForest`] built once at fit /
+/// Prediction runs on node-major flattened tables built once at fit /
 /// load time; the original [`DecisionTree`]s are kept for persistence
 /// and the explanation walk ([`RandomForest::feature_contributions`]).
-/// Flat and enum walks are bit-identical (see [`crate::flat`]).
+/// Flat and enum walks are bit-identical
+/// ([`RandomForest::predict_proba_walk`] is the oracle).
 #[derive(Debug, Clone)]
 pub struct RandomForest {
     trees: Vec<DecisionTree>,
@@ -169,8 +175,9 @@ impl RandomForest {
     /// Reassemble a forest from trees (persistence). Zero-tree forests
     /// are rejected — an empty average would be all-`NaN` probabilities
     /// and a bogus argmax route, so a truncated persisted model must
-    /// fail loudly at load, not at predict. So are forests wider than
-    /// the flattened tables' `u16` feature index can address.
+    /// fail loudly at load, not at predict. So are forests with no
+    /// features (a leaf's descent step reads feature 0) and forests wider
+    /// than the flattened tables' `u16` feature index can address.
     pub fn from_trees(trees: Vec<DecisionTree>) -> Result<RandomForest, String> {
         let first = trees.first().ok_or("a forest needs at least one tree")?;
         let (n_classes, n_features) = (first.n_classes(), first.n_features());
@@ -179,6 +186,9 @@ impl RandomForest {
             .any(|t| t.n_classes() != n_classes || t.n_features() != n_features)
         {
             return Err("trees disagree on shape".into());
+        }
+        if n_features == 0 {
+            return Err("a forest needs at least one feature".into());
         }
         if n_features >= usize::from(u16::MAX) {
             return Err(format!(
@@ -192,11 +202,6 @@ impl RandomForest {
             n_classes,
             n_features,
         })
-    }
-
-    /// The node-major flattened tables prediction runs on.
-    pub fn flat(&self) -> &FlatForest {
-        &self.flat
     }
 
     /// Number of input features.
@@ -236,41 +241,26 @@ impl RandomForest {
         p
     }
 
-    /// Probability estimates for a batch, computed on the global thread
-    /// pool. Order-preserving and bit-identical to mapping
-    /// [`RandomForest::predict_proba`] sequentially.
+    /// Probability estimates for a batch: one
+    /// [`RandomForest::predict_proba`] per row, mapped across the global
+    /// thread pool. Order-preserving and bit-identical to the sequential
+    /// map at any worker count.
     pub fn predict_proba_batch(&self, xs: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        let m = FeatureMatrix::from_rows(xs);
-        let scores = self.predict_proba_matrix_on(pool::Pool::global(), &m);
-        (0..scores.rows()).map(|i| scores.row(i).to_vec()).collect()
+        let _span = obs::span!("ml.forest.predict_batch");
+        pool::Pool::global().parallel_map(xs, |_, x| self.predict_proba(x))
     }
 
-    /// Batch scoring over a columnar [`FeatureMatrix`]: the output is
-    /// filled in place by pool workers, each handling a large multi-tile
-    /// chunk of rows. Chunks are deliberately coarse (a couple per
-    /// worker, not one per [`TILE`]): inside a chunk the flattened
-    /// tables are walked tree-outer, so each tree's node table is
-    /// pulled from memory once per chunk and reused across every tile —
-    /// per-tile tasks would re-stream the whole forest for every
-    /// [`TILE`] rows. Per-row bytes are independent of both the
-    /// chunking and the worker count (each row's accumulation is
-    /// self-contained), so the result is bit-identical to the
-    /// sequential per-sample walk.
+    /// [`RandomForest::predict_proba_batch`] over the rows of a
+    /// [`FeatureMatrix`] on an explicit pool, returning a `rows ×
+    /// n_classes` matrix.
     pub fn predict_proba_matrix_on(&self, pool: &pool::Pool, x: &FeatureMatrix) -> FeatureMatrix {
         let _span = obs::span!("ml.forest.predict_batch");
-        obs::counter("ml.forest.predictions").add(x.rows() as u64);
-        let rows = x.rows();
-        let mut out = FeatureMatrix::zeros(rows, self.n_classes);
-        let n_tiles = rows.div_ceil(TILE);
-        let chunk_tiles = n_tiles.div_ceil(pool.threads() * 2).max(1);
-        let chunk_rows = chunk_tiles * TILE;
-        let chunks: Vec<usize> = (0..n_tiles.div_ceil(chunk_tiles)).collect();
-        let stride = chunk_rows * self.n_classes;
-        pool.parallel_fill(&chunks, out.data_mut(), stride, |_, &c, region| {
-            let lo = c * chunk_rows;
-            let hi = (lo + chunk_rows).min(rows);
-            self.flat.score_rows_into(x, lo..hi, region);
-        });
+        let rows: Vec<&[f64]> = (0..x.rows()).map(|i| x.row(i)).collect();
+        let scores = pool.parallel_map(&rows, |_, row| self.predict_proba(row));
+        let mut out = FeatureMatrix::zeros(rows.len(), self.n_classes);
+        for (i, p) in scores.iter().enumerate() {
+            out.row_mut(i).copy_from_slice(p);
+        }
         out
     }
 

@@ -29,7 +29,7 @@
 pub mod adaboost;
 pub mod cpd;
 pub mod data;
-pub mod flat;
+mod flat;
 pub mod forest;
 pub mod knn;
 pub mod linalg;
@@ -46,7 +46,6 @@ pub mod tree;
 pub use adaboost::AdaBoost;
 pub use cpd::{detect_change_points, CpdConfig};
 pub use data::{standardize, train_test_split, Scaler, SplitConfig};
-pub use flat::FlatForest;
 pub use forest::{ForestConfig, RandomForest};
 pub use knn::KnnClassifier;
 pub use matrix::FeatureMatrix;

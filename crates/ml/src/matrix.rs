@@ -1,12 +1,10 @@
 //! Arena-backed row-major feature matrix.
 //!
-//! The predict hot path used to carry features as `Vec<Vec<f64>>` — one
-//! heap allocation per incident, scattered across the heap, so batch
-//! scoring pointer-chased a fresh cache line per row. [`FeatureMatrix`]
-//! is the columnar replacement: one contiguous `Vec<f64>` arena holding
-//! `rows × cols` values, sized once (by `FeatureLayout::len` on the
-//! scout path), with rows exposed as contiguous slices that featurizers
-//! fill **in place** and the flattened forest streams through linearly.
+//! [`FeatureMatrix`] holds `rows × cols` values in one contiguous
+//! `Vec<f64>`, with rows exposed as contiguous slices. Forest scoring
+//! reads it one row at a time (`RandomForest::predict_proba_matrix` is
+//! a pool map of the per-row descent, the same call serving makes);
+//! nothing on the serving path builds one.
 
 /// A dense `rows × cols` matrix in one contiguous row-major allocation.
 #[derive(Debug, Clone, PartialEq)]
@@ -67,11 +65,6 @@ impl FeatureMatrix {
     /// The whole arena, row-major.
     pub fn data(&self) -> &[f64] {
         &self.data
-    }
-
-    /// The whole arena, mutable (for striped parallel fills).
-    pub fn data_mut(&mut self) -> &mut [f64] {
-        &mut self.data
     }
 }
 

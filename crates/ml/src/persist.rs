@@ -156,7 +156,9 @@ pub fn tree_from_lines(lines: &mut Lines<'_>) -> Result<DecisionTree, PersistErr
         .next()
         .and_then(|p| p.parse().ok())
         .ok_or_else(|| lines.error_here("bad node count"))?;
-    let mut nodes = Vec::with_capacity(n_nodes);
+    // Counts read from a file never size an allocation up front: a
+    // forged count must fail as a short file, not as a capacity panic.
+    let mut nodes = Vec::new();
     for _ in 0..n_nodes {
         let l = lines.next_line()?;
         let at = |msg: String| err(format!("line {}: {msg}", lines.line_no()));
@@ -228,7 +230,7 @@ pub fn forest_from_lines(lines: &mut Lines<'_>) -> Result<RandomForest, PersistE
         .ok_or_else(|| {
             lines.error_here(format_args!("expected forest header, found '{header}'"))
         })?;
-    let mut trees = Vec::with_capacity(n);
+    let mut trees = Vec::new();
     for _ in 0..n {
         trees.push(tree_from_lines(lines)?);
     }
@@ -256,7 +258,7 @@ pub fn adaboost_from_lines(lines: &mut Lines<'_>) -> Result<AdaBoost, PersistErr
         .ok_or_else(|| {
             lines.error_here(format_args!("expected adaboost header, found '{header}'"))
         })?;
-    let mut stumps = Vec::with_capacity(n);
+    let mut stumps = Vec::new();
     for _ in 0..n {
         let alpha_line = lines.next_line()?;
         let alpha: f64 = alpha_line

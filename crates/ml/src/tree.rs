@@ -246,7 +246,10 @@ impl DecisionTree {
     }
 
     /// Reassemble a tree from its parts (persistence). Validates child
-    /// indices and leaf arities.
+    /// indices, leaf arities, and that every node but the root is the
+    /// child of exactly one split: a tree, not a DAG whose shared
+    /// subtrees the flattened forest would copy once per path (2^depth
+    /// nodes from a file of a few dozen lines).
     pub fn from_parts(
         nodes: Vec<Node>,
         n_classes: usize,
@@ -255,6 +258,7 @@ impl DecisionTree {
         if nodes.is_empty() {
             return Err("a tree needs at least one node".into());
         }
+        let mut parents = vec![0u8; nodes.len()];
         for (i, node) in nodes.iter().enumerate() {
             if node.proba().len() != n_classes {
                 return Err(format!("node {i}: probability arity mismatch"));
@@ -274,7 +278,16 @@ impl DecisionTree {
                 if *left <= i || *right <= i || *left >= nodes.len() || *right >= nodes.len() {
                     return Err(format!("node {i}: invalid child indices"));
                 }
+                for child in [*left, *right] {
+                    parents[child] = parents[child].saturating_add(1);
+                }
             }
+        }
+        if let Some(orphan) = (1..nodes.len()).find(|&i| parents[i] != 1) {
+            return Err(format!(
+                "node {orphan}: has {} parents, not exactly one",
+                parents[orphan]
+            ));
         }
         Ok(DecisionTree {
             nodes,
@@ -288,7 +301,7 @@ impl DecisionTree {
     /// This enum walk is the *reference* traversal: `x[feature] <=
     /// threshold` goes left, anything else — including a `NaN` feature,
     /// for which the comparison is false — goes right. The flattened
-    /// forest ([`crate::flat::FlatForest`]) must preserve exactly this
+    /// forest (`flat.rs`) must preserve exactly this
     /// routing (its branchless predicate is `!(x <= t)`, not `x > t`,
     /// which would send `NaN` the other way).
     pub fn predict_proba(&self, x: &[f64]) -> &[f64] {

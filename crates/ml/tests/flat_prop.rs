@@ -136,6 +136,78 @@ fn too_wide_model_file_is_rejected() {
     assert!(forest_from_lines(&mut Lines::new(&widest)).is_ok());
 }
 
+/// A split line may only name children after itself, but that alone
+/// lets two splits share a child. Flattening copies a shared subtree
+/// once per path into it, so `levels` such lines would become 2^levels
+/// nodes (about 30 lines exhaust memory). Loading rejects any node that
+/// is not the child of exactly one split.
+#[test]
+fn shared_children_model_file_is_rejected() {
+    let levels = 16;
+    // Node i splits into node i+1 on both sides: a chain read as a DAG.
+    let mut same_child = format!("forest 1\ntree 2 1 {}\n", levels + 1);
+    // Node i's right child is node i+1's left child.
+    let mut crossed = format!("forest 1\ntree 2 1 {}\n", levels + 2);
+    for i in 0..levels {
+        same_child.push_str(&format!("S 0 0.5 {} {} 0.5 0.5\n", i + 1, i + 1));
+        crossed.push_str(&format!("S 0 0.5 {} {} 0.5 0.5\n", i + 1, i + 2));
+    }
+    same_child.push_str("L 0.5 0.5\n");
+    crossed.push_str("L 0.5 0.5\nL 0.5 0.5\n");
+    for src in [same_child, crossed] {
+        let err = forest_from_lines(&mut Lines::new(&src)).unwrap_err();
+        let msg = format!("{err:?}");
+        assert!(msg.contains("not exactly one"), "unexpected error: {msg}");
+    }
+}
+
+/// A valid tree may be a chain as deep as its node count. Flattening
+/// must not recurse once per level, or a 100k-level chain (a 3.7 MB
+/// file) overflows the stack and aborts the process.
+#[test]
+fn deep_chain_model_file_loads_and_scores() {
+    let depth = 100_000;
+    // Split 2i sends `x <= 0` to leaf 2i+1 and the rest to split 2i+2.
+    let mut src = format!("forest 1\ntree 2 1 {}\n", 2 * depth + 1);
+    for i in 0..depth {
+        src.push_str(&format!("S 0 0.0 {} {} 0.5 0.5\n", 2 * i + 1, 2 * i + 2));
+        src.push_str("L 1.0 0.0\n");
+    }
+    src.push_str("L 0.0 1.0\n");
+    let forest = forest_from_lines(&mut Lines::new(&src)).unwrap();
+    for x in [[-1.0], [1.0], [f64::NAN]] {
+        assert_eq!(forest.predict_proba(&x), forest.predict_proba_walk(&x));
+    }
+    assert_eq!(forest.predict_proba(&[1.0]), vec![0.0, 1.0]);
+}
+
+/// Counts in a header are claims, not sizes: a forged count must fail
+/// as a short file, not as a `capacity overflow` panic.
+#[test]
+fn huge_counts_in_model_file_are_errors() {
+    let huge = u64::MAX;
+    for src in [
+        format!("forest 1\ntree 2 1 {huge}\nL 0.5 0.5\n"),
+        format!("forest {huge}\ntree 2 1 1\nL 0.5 0.5\n"),
+    ] {
+        assert!(forest_from_lines(&mut Lines::new(&src)).is_err());
+    }
+    let src = format!("adaboost {huge}\nalpha 1.0\ntree 2 1 1\nL 0.5 0.5\n");
+    assert!(ml::persist::adaboost_from_lines(&mut Lines::new(&src)).is_err());
+}
+
+/// A leaf's descent step reads feature 0, so a forest of zero-width
+/// rows has no valid input; it is a format error at load.
+#[test]
+fn zero_feature_model_file_is_rejected() {
+    let err = forest_from_lines(&mut Lines::new("forest 1\ntree 2 0 1\nL 0.5 0.5\n")).unwrap_err();
+    let msg = format!("{err:?}");
+    assert!(
+        msg.contains("at least one feature"),
+        "unexpected error: {msg}"
+    );
+}
+
 /// Fitting with `n_trees: 0` is a configuration bug, caught eagerly.
 #[test]
 #[should_panic(expected = "a forest needs at least one tree")]

@@ -7,7 +7,7 @@
 //! this crate existed, forest training spawned one OS thread *per tree*
 //! (100 trees → 100 threads) and everything else ran sequentially. The
 //! pool bounds concurrency at a fixed worker count and gives every loop
-//! the same primitive:
+//! the same primitive, and its only one:
 //!
 //! ```
 //! let pool = pool::Pool::new(4);
@@ -32,8 +32,11 @@
 //! cannot be fetched; `rand`, `proptest`, and `criterion` are already
 //! in-workspace drop-ins for the same reason. This crate implements the
 //! slice of rayon the workspace needs (a scoped, indexed, order-preserving
-//! map over a bounded pool) in ~400 lines with no dependencies beyond the
-//! in-workspace `obs`.
+//! map over a bounded pool) in ~300 code lines with no dependencies
+//! beyond the in-workspace `obs`. Its one `unsafe` block is the lifetime
+//! erasure that lets workers run a closure borrowed from the caller's
+//! frame (argued at [`Pool::parallel_map`]); batch kernels that want to
+//! write into a shared output return their rows from the map instead.
 //!
 //! # Scheduling
 //!
@@ -338,7 +341,13 @@ impl Pool {
                 *slots[i].lock().unwrap() = Some(r);
             }
         };
-        // Lifetime erasure: see "Soundness" above.
+        // SAFETY: only the lifetime changes; the vtable and layout are the
+        // same type's. The erased borrows (`items`, `f`, `slots`) outlive
+        // every call of `run`: each chunk runs exactly once, this frame
+        // blocks below until the latch has counted every item down (panic
+        // or not), and a worker that drops its `Arc<Group>` later only
+        // frees a closure of references, running no user code.
+        #[allow(unsafe_code)]
         let run: Box<dyn Fn(usize) + Send + Sync> = unsafe {
             std::mem::transmute::<
                 Box<dyn Fn(usize) + Send + Sync + '_>,
@@ -383,59 +392,6 @@ impl Pool {
             .into_iter()
             .map(|m| m.into_inner().unwrap().expect("pool slot filled"))
             .collect()
-    }
-
-    /// Fill disjoint `stride`-spaced regions of `out` in parallel, one
-    /// region per item: `f(i, &items[i], region_i)` receives
-    /// `out[i·stride .. min((i+1)·stride, out.len())]` as a mutable
-    /// slice (the last region may be ragged). This is the in-place
-    /// sibling of [`Pool::parallel_map`] for batch kernels that write
-    /// into a shared contiguous arena — no per-item result `Vec`s, no
-    /// `Mutex` slots, no gather copy — with the same determinism
-    /// contract: regions are a pure function of `(i, item)`, disjoint by
-    /// construction, and scheduling is never exposed to `f`.
-    ///
-    /// `items` must cover `out` exactly: `items.len() == 0` requires
-    /// `out` empty, otherwise `(items.len() − 1)·stride < out.len() <=
-    /// items.len()·stride`.
-    pub fn parallel_fill<T, R, F>(&self, items: &[T], out: &mut [R], stride: usize, f: F)
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T, &mut [R]) + Sync,
-    {
-        if items.is_empty() {
-            assert!(out.is_empty(), "no items to fill a non-empty output");
-            return;
-        }
-        assert!(stride > 0, "stride must be positive");
-        assert!(
-            (items.len() - 1) * stride < out.len() && out.len() <= items.len() * stride,
-            "items ({}) x stride ({stride}) must cover out ({}) exactly",
-            items.len(),
-            out.len()
-        );
-        // A raw-pointer wrapper makes the arena base shareable across
-        // workers; each task reconstitutes only its own region.
-        struct SendPtr<R>(*mut R);
-        unsafe impl<R: Send> Send for SendPtr<R> {}
-        unsafe impl<R: Send> Sync for SendPtr<R> {}
-        let len = out.len();
-        let base = SendPtr(out.as_mut_ptr());
-        // Capture the wrapper by reference (not its raw-pointer field,
-        // which edition-2021 disjoint capture would otherwise pull out,
-        // losing the Sync impl).
-        let base = &base;
-        self.parallel_map(items, |i, item| {
-            let start = (i * stride).min(len);
-            let end = (start + stride).min(len);
-            // SAFETY: regions [i·stride, (i+1)·stride) are pairwise
-            // disjoint sub-slices of `out`, each touched by exactly one
-            // task, and `parallel_map` does not return before every task
-            // has settled — so no aliasing and no escape of the borrow.
-            let region = unsafe { std::slice::from_raw_parts_mut(base.0.add(start), end - start) };
-            f(i, item, region);
-        });
     }
 }
 
@@ -594,44 +550,6 @@ mod tests {
             acc
         });
         assert_eq!(out, seq);
-    }
-
-    #[test]
-    fn parallel_fill_covers_ragged_tails_identically() {
-        // 7 regions of stride 5 over 33 slots: last region is ragged (3).
-        let items: Vec<usize> = (0..7).collect();
-        let fill = |pool: &Pool| {
-            let mut out = vec![0u64; 33];
-            pool.parallel_fill(&items, &mut out, 5, |i, &item, region| {
-                assert_eq!(region.len(), if i == 6 { 3 } else { 5 });
-                for (k, slot) in region.iter_mut().enumerate() {
-                    *slot = (item as u64) * 100 + k as u64;
-                }
-            });
-            out
-        };
-        let baseline = fill(&Pool::new(1));
-        assert_eq!(baseline[5..10], [100, 101, 102, 103, 104]);
-        assert_eq!(&baseline[30..], [600, 601, 602]);
-        for threads in [2, 4, 8] {
-            assert_eq!(fill(&Pool::new(threads)), baseline);
-        }
-    }
-
-    #[test]
-    fn parallel_fill_empty_is_a_noop() {
-        let pool = Pool::new(4);
-        let items: Vec<usize> = Vec::new();
-        let mut out: Vec<u64> = Vec::new();
-        pool.parallel_fill(&items, &mut out, 8, |_, _, _| unreachable!());
-    }
-
-    #[test]
-    #[should_panic(expected = "must cover out")]
-    fn parallel_fill_rejects_uncovered_output() {
-        let pool = Pool::new(2);
-        let mut out = vec![0u64; 20];
-        pool.parallel_fill(&[1, 2], &mut out, 5, |_, _, _| {});
     }
 
     #[test]
