@@ -1,8 +1,9 @@
 //! Tracing overhead on the serving hot path, reported as
 //! `BENCH_obs.json`.
 //!
-//! One trained Scout answers the same batched predict call (the exact
-//! call the serve batcher makes) under three tracing regimes:
+//! One trained Scout answers the same batched predict call
+//! (`predict_many_traced`, the call a served predict makes over its one
+//! input) under three tracing regimes:
 //!
 //! - `off` — no per-item trace contexts (tracing disabled);
 //! - `sampled64` — every item traced, flight-sampled 1-in-64 (the

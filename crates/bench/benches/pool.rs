@@ -4,10 +4,15 @@
 //!
 //! Not a Criterion harness: the in-workspace Criterion shim prints
 //! statistics but does not return them, and this bench needs the raw
-//! medians to build the JSON report. Timing is done directly with
-//! `Instant` over a fixed repetition count (median of reps).
+//! medians to build the JSON report. Each row runs one untimed call per
+//! arm, then times the sequential and pooled arms interleaved over a
+//! fixed repetition count ([`paired_reps`]), so a cold start or drift on
+//! a shared machine lands on both arms alike: the times are medians of
+//! reps, the speedup the median of the per-pair ratios.
 
-use bench::{bench_monitoring, bench_world, median, reps_s, rounded, rows, smoke, write_report};
+use bench::{
+    bench_monitoring, bench_world, median, paired_reps, rounded, rows, smoke, time_s, write_report,
+};
 use ml::forest::{ForestConfig, RandomForest};
 use obs::json::Obj;
 use rand::rngs::SmallRng;
@@ -21,6 +26,25 @@ struct Row {
     name: &'static str,
     sequential_ms: f64,
     pooled_ms: f64,
+    speedup: f64,
+}
+
+/// Time `run` on a one-worker pool against the global pool, `reps`
+/// interleaved pairs after one untimed call on each.
+fn paired_row<R>(name: &'static str, reps: usize, run: impl Fn(&pool::Pool) -> R) -> Row {
+    let sequential = pool::Pool::new(1);
+    let arms = [&sequential, pool::Pool::global()];
+    for p in arms {
+        black_box(run(p));
+    }
+    let secs = paired_reps(reps, arms.len(), |arm| time_s(|| run(arms[arm])));
+    let ratios: Vec<f64> = secs[0].iter().zip(&secs[1]).map(|(s, p)| s / p).collect();
+    Row {
+        name,
+        sequential_ms: median(&secs[0]) * 1e3,
+        pooled_ms: median(&secs[1]) * 1e3,
+        speedup: median(&ratios),
+    }
 }
 
 fn main() {
@@ -31,8 +55,6 @@ fn main() {
         (600, 100, 40, 7)
     };
     let threads = pool::Pool::global().threads();
-    let pooled = pool::Pool::global();
-    let sequential = pool::Pool::new(1);
     let mut timings = Vec::new();
 
     // Hot path 1: forest training.
@@ -49,18 +71,10 @@ fn main() {
         n_trees: trees,
         ..ForestConfig::default()
     };
-    let fit = |p: &pool::Pool| {
-        let secs = reps_s(reps, || {
-            let mut rng = SmallRng::seed_from_u64(3);
-            RandomForest::fit_weighted_on(p, black_box(&x), &y, &w, 2, cfg.clone(), &mut rng)
-        });
-        median(&secs) * 1e3
-    };
-    timings.push(Row {
-        name: "forest_fit",
-        sequential_ms: fit(&sequential),
-        pooled_ms: fit(pooled),
-    });
+    timings.push(paired_row("forest_fit", reps, |p| {
+        let mut rng = SmallRng::seed_from_u64(3);
+        RandomForest::fit_weighted_on(p, black_box(&x), &y, &w, 2, cfg.clone(), &mut rng)
+    }));
 
     // Hot path 2: CPD+ cluster featurization (fan-out over every covered
     // device of a cluster mention).
@@ -79,32 +93,20 @@ fn main() {
         .map(|f| f.start + cloudsim::SimDuration::hours(1))
         .unwrap_or(cloudsim::SimTime::from_hours(100));
     let cpd_reps = if smoke { 1 } else { 3 };
-    let cluster = |p: &pool::Pool| {
-        let secs = reps_s(cpd_reps, || {
-            model.cluster_features_on(
-                p,
-                black_box(&found),
-                t,
-                &mon,
-                cloudsim::SimDuration::hours(2),
-            )
-        });
-        median(&secs) * 1e3
-    };
-    timings.push(Row {
-        name: "cluster_cpd",
-        sequential_ms: cluster(&sequential),
-        pooled_ms: cluster(pooled),
-    });
+    timings.push(paired_row("cluster_cpd", cpd_reps, |p| {
+        model.cluster_features_on(
+            p,
+            black_box(&found),
+            t,
+            &mon,
+            cloudsim::SimDuration::hours(2),
+        )
+    }));
 
-    let speedup = |r: &Row| r.sequential_ms / r.pooled_ms.max(1e-9);
     for r in &timings {
         println!(
             "{:<12} sequential {:>9.3} ms   pooled({threads}) {:>9.3} ms   speedup {:.2}x",
-            r.name,
-            r.sequential_ms,
-            r.pooled_ms,
-            speedup(r)
+            r.name, r.sequential_ms, r.pooled_ms, r.speedup
         );
     }
     let benches = rows(&timings, |r| {
@@ -112,7 +114,7 @@ fn main() {
             .str("name", r.name)
             .num("sequential_ms", rounded(r.sequential_ms, 3))
             .num("pooled_ms", rounded(r.pooled_ms, 3))
-            .num("speedup", rounded(speedup(r), 3))
+            .num("speedup", rounded(r.speedup, 3))
     });
     write_report(
         "pool",

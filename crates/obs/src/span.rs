@@ -20,7 +20,7 @@
 //! Spans recorded under a *sampled* context additionally enter the
 //! global flight recorder ([`crate::flight`]), and a span may carry
 //! *links* ([`SpanGuard::add_link`]) to spans of other traces — the
-//! batcher's fan-in span links every coalesced request.
+//! Sev3 route coalescer's fan-in span links every coalesced request.
 
 use crate::json::{Arr, Obj, Value};
 use crate::trace::TraceContext;

@@ -3,7 +3,7 @@
 //!
 //! PR 1's spans are per-thread: the id stack reconstructs a call tree
 //! *within* one thread, but causality dies at every queue hop (handler →
-//! batcher → pool worker → lifecycle worker). A [`TraceContext`] is the
+//! coalescer → pool worker → lifecycle worker). A [`TraceContext`] is the
 //! missing cross-thread half: a `(trace_id, span_id, sampled)` triple
 //! minted once per request at HTTP accept, carried *by value* across
 //! channels, and re-entered on whatever thread continues the work.

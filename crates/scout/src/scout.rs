@@ -319,7 +319,7 @@ impl Scout {
     /// context (index-aligned with `examples`). Each example's feature
     /// construction runs under its own request context, so its spans —
     /// including cache-miss `featcache.build` spans — attach to the
-    /// originating request's trace even when the batcher coalesced many
+    /// originating request's trace even when a coalescer gathered many
     /// requests into one prepare call. Tracing never touches the
     /// computation itself: prepared output is bit-identical with `ctxs`
     /// present, absent, or partially populated.
@@ -591,8 +591,8 @@ impl Scout {
     }
 
     /// [`Scout::predict_many_cached`] with optional per-input trace
-    /// contexts (index-aligned with `inputs`, as handed over from the
-    /// serving batcher). Each input's featurization and classification
+    /// contexts (index-aligned with `inputs`, as handed over by the
+    /// server). Each input's featurization and classification
     /// spans — and its audit record — carry that input's trace id.
     /// Predictions are bit-identical whether `ctxs` is given or not.
     ///

@@ -1,5 +1,5 @@
 //! Tracing must be a pure observer: threading per-item trace contexts
-//! through `parallel_map` (the serve batcher's fan-in hand-off) must
+//! through `parallel_map` (the hand-off a served predict makes) must
 //! leave prepared features and predictions **bit-identical** — for any
 //! worker count, any mix of traced/untraced items, and with or without
 //! a feature cache. A context `enter` swaps thread-local state on the
@@ -62,7 +62,7 @@ fn trained_model_text() -> &'static str {
 }
 
 /// Per-item contexts from a traced/untraced mask: traced items get a
-/// distinct always-sampled context (as the batcher hands over), the
+/// distinct always-sampled context (as a served request hands over), the
 /// rest `TraceContext::NONE`.
 fn contexts(mask: &[bool]) -> Vec<TraceContext> {
     mask.iter()
@@ -124,7 +124,7 @@ proptest! {
         }
     }
 
-    /// The full predict path (the batcher's call): predictions with
+    /// The full predict path (the server's call): predictions with
     /// per-input contexts are bit-identical to the untraced call.
     #[test]
     fn traced_predictions_are_bit_identical(

@@ -217,8 +217,6 @@ serve options:
   --model-dir DIR          load every *.scout in DIR (team = file stem) instead
                            of training at startup; also enables
                            POST /v1/models/reload
-  --batch-size N           max predict requests per inference batch (default 32);
-                           a batch is what queued while the previous one ran
   --queue-cap N            max outstanding requests before shedding (default 64)
   --max-connections N      max concurrent connections (default 128)
   --feat-cache-mb MB       per-model feature-chunk cache budget (default 64;

@@ -199,7 +199,6 @@ pub fn serve_cmd(args: &Args) -> Result<(), ArgError> {
         None
     };
     let config = ServeConfig {
-        batch_size: args.get_parsed("batch-size", 32usize)?,
         queue_cap: args.get_parsed("queue-cap", 64usize)?,
         max_connections: args.get_parsed("max-connections", 128usize)?,
         trace_sample: args.get_parsed("trace-sample", 64u64)?,

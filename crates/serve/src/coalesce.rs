@@ -5,18 +5,16 @@
 //! hands it to a handler closure. The policy, in one sentence: **a batch
 //! is what queued while the previous one ran, capped at `batch_size`.**
 //! An idle worker dispatches a lone job at once, so occupancy tracks load
-//! by itself — measured on 2 cores, closed loop: 1.05 jobs per batch at
-//! 2 callers, 5 at 8, 25 at 32.
-//! There is no linger, because there is nothing for it to buy: a batch
-//! has no fixed cost left to share — its monitoring plane opens on the
-//! engine's kept index — against ~170 µs of model work per warm item
-//! (DESIGN.md §5d has the ledger), so holding a job back costs it far
+//! by itself. There is no linger, because there is nothing for it to
+//! buy: a batch has no fixed cost left to share — its monitoring plane
+//! opens on the engine's kept index — so holding a job back costs it
 //! more than any share is worth.
 //!
-//! Two handlers exist: the predict batcher ([`crate::batcher`]) and the
-//! storm layer's Sev3 route coalescer
-//! ([`crate::fleet::start_route_coalescer`]). Everything they have in
-//! common lives here, once:
+//! It has one handler: the storm layer's Sev3 route coalescer
+//! ([`crate::fleet::start_route_coalescer`]), where a batch shares one
+//! fleet pass. Predicts run on their connection's thread and never
+//! queue here (DESIGN.md §5d has the measurements). The queue's
+//! contract:
 //!
 //! * the batch span is the fan-in point — it runs outside any single
 //!   request's context but *links* every request it coalesced;
@@ -24,16 +22,18 @@
 //!   [`PredictError::DeadlineExpired`] and never reaches the handler;
 //! * shutdown drains, never drops: new submits are refused, the batch
 //!   in flight finishes, and whatever is left in the queue is shed with
-//!   [`PredictError::ShuttingDown`] under a `serve.batch.drain` span
-//!   that links every shed request;
+//!   [`PredictError::ShuttingDown`] under a `<span>.drain` span that
+//!   links every shed request;
 //! * a handler panic costs its own batch and nothing else: those jobs'
 //!   callers see a closed reply channel, the worker takes the next batch.
 //!
-//! Metrics: the per-queue occupancy and queue-wait histograms named in
-//! [`Window`], `serve.deadline.expired`, `serve.batch.drained`,
-//! `serve.batch.panicked`.
+//! Metrics: the occupancy and queue-wait histograms named in [`Window`],
+//! `serve.deadline.expired`, and two counters named after the batch span
+//! — `<span>.drained` and `<span>.panicked` (a panic also raises a
+//! `<span>.panic` flight alert). For the Sev3 queue that is
+//! `storm.route.batch.*`.
 
-use crate::batcher::PredictError;
+use crate::PredictError;
 use obs::TraceContext;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -84,8 +84,8 @@ impl<I, O> Job<I, O> {
 
 pub(crate) type Reply<O> = Result<O, PredictError>;
 
-/// What distinguishes one coalescer from another: its names and its
-/// batch cap.
+/// A coalescer's names and its batch cap. The drain span and the
+/// drain and panic counters are named after `span`.
 pub(crate) struct Window {
     /// Worker thread name.
     pub thread: &'static str,
@@ -144,7 +144,7 @@ impl<I: Send + 'static, O: Send + 'static> Coalescer<I, O> {
                 while let Some(jobs) = collect_batch(&worker_queue, &window) {
                     run_batch(jobs, &window, &mut handler);
                 }
-                drain(&worker_queue);
+                drain(&worker_queue, &window);
             })
             .expect("spawn coalescer thread");
         Coalescer {
@@ -243,20 +243,25 @@ fn run_batch<I, O>(
     // batch's jobs drop with the unwind, which their callers see as a
     // closed reply channel (`500 … dropped the request`).
     if !live.is_empty() && catch_unwind(AssertUnwindSafe(|| handler(live))).is_err() {
-        obs::counter("serve.batch.panicked").inc();
-        obs::flight().alert("batch-panic", &format!("{} handler panicked", window.span));
+        obs::counter(&format!("{}.panicked", window.span)).inc();
+        obs::flight().alert(
+            &format!("{}.panic", window.span),
+            &format!("{} handler panicked", window.span),
+        );
     }
 }
 
 /// Shutdown: shed whatever is still queued. The drain span links every
 /// abandoned request so no trace dead-ends without a recorded cause.
-fn drain<I, O>(queue: &Queue<Job<I, O>>) {
+fn drain<I, O>(queue: &Queue<Job<I, O>>, window: &Window) {
     let drained: Vec<Job<I, O>> = queue.lock().jobs.drain(..).collect();
     if drained.is_empty() {
         return;
     }
-    let _span = linked_span("serve.batch.drain", &drained);
-    obs::counter("serve.batch.drained").add(drained.len() as u64);
+    // Span names are `'static`; this runs at most once per coalescer.
+    let name: &'static str = format!("{}.drain", window.span).leak();
+    let _span = linked_span(name, &drained);
+    obs::counter(&format!("{}.drained", window.span)).add(drained.len() as u64);
     for job in drained {
         job.answer(Err(PredictError::ShuttingDown));
     }

@@ -1,8 +1,7 @@
 //! The sharded fleet routing plane behind `POST /v1/route`.
 //!
 //! A routing request fans one incident out to *every* registered Scout.
-//! At paper scale (a handful of teams) a flat loop through the batcher
-//! works; at fleet scale (hundreds of teams) the fan-out itself becomes
+//! At paper scale (a handful of teams) a flat loop of predicts works; at fleet scale (hundreds of teams) the fan-out itself becomes
 //! the bottleneck and a single slow or broken Scout must not take the
 //! whole decision down. This module is the scalable middle layer:
 //!
@@ -39,10 +38,10 @@
 //! `shards=64` produce the same bytes. The integration proptests pin
 //! this.
 
-use crate::batcher::Answer;
 use crate::coalesce::{Coalescer, Job, Window};
 use crate::registry::ModelEntry;
 use crate::server::Engine;
+use crate::Answer;
 use cloudsim::SimTime;
 use incident::Workload;
 use monitoring::{MonitoringConfig, MonitoringSystem};
@@ -98,7 +97,7 @@ impl FleetConfig {
 }
 
 /// Why one team's Scout produced no answer. Unlike
-/// [`PredictError`](crate::batcher::PredictError), these are *per-team*
+/// [`PredictError`](crate::PredictError), these are *per-team*
 /// conditions: the routing decision proceeds over the Scouts that did
 /// answer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -217,9 +216,8 @@ pub fn dispatch_batch(
     config: &FleetConfig,
     skip: &[String],
 ) -> Vec<Vec<TeamOutcome>> {
-    // One monitoring plane for the whole fan-out, exactly like one
-    // batcher batch: it is read-only at predict time and shared by every
-    // shard.
+    // One monitoring plane for the whole fan-out: it is read-only at
+    // predict time and shared by every shard.
     let monitoring = MonitoringSystem::new(&workload.topology, &workload.faults, mon.clone());
     dispatch_over(entries, &monitoring, inputs, deadline, config, skip)
 }
@@ -412,10 +410,9 @@ pub(crate) type RouteRequest = (String, SimTime);
 /// that queued while the previous pass ran (up to `max_batch`) share one
 /// [`pass`] — one `MonitoringSystem` build, one prepare per fingerprint
 /// and one classify per Scout; an idle worker passes a lone incident at
-/// once, exactly as the predict batcher does. Batching never changes
-/// bytes: outcome sets are bit-identical to the same incidents passed one
-/// at a time, so the handler thread renders exactly the response a direct
-/// fan-out gives.
+/// once. Batching never changes bytes: outcome sets are bit-identical to
+/// the same incidents passed one at a time, so the handler thread renders
+/// exactly the response a direct fan-out gives.
 pub(crate) fn start_route_coalescer(
     engine: Arc<Engine>,
     policy: &BatchPolicy,

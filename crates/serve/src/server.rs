@@ -1,14 +1,13 @@
 //! The HTTP server: endpoints, connection handling, lifecycle.
 //!
-//! One acceptor thread, one handler thread per connection (capped), one
-//! batcher thread (plus the Sev3 route coalescer's under storm control).
-//! Handlers do the protocol work — parse, admission, deadline — and park
-//! on a rendezvous channel while the batcher answers; predict model
-//! execution happens in the batcher on the shared `pool`, and `/v1/route`
-//! fan-outs run as one [`fleet::pass`] — on the handler thread, or
-//! coalesced on the Sev3 worker. Neither worker holds a request back: a
-//! batch is what queued while the previous one ran, capped at
-//! `batch_size` (see `coalesce`).
+//! One acceptor thread and one handler thread per connection (capped),
+//! plus the Sev3 route coalescer's worker under storm control. A handler
+//! does the whole of a predict itself — parse, admission, deadline, one
+//! pinned model version's pass over the one input (its items fanned out
+//! on the shared `pool`), render — and so does a Sev1/Sev2 `/v1/route`,
+//! as one [`fleet::pass`]. Only a Sev3 route waits on another thread: it
+//! parks on a rendezvous channel while the coalescer runs the batch that
+//! queued while the previous one ran (see `coalesce`).
 //!
 //! | Endpoint | Behaviour |
 //! |---|---|
@@ -36,12 +35,12 @@
 //! either way.
 
 use crate::admission::{Admission, Permit};
-use crate::batcher::{self, Answer, PredictError, PredictRequest};
-use crate::coalesce::{Coalescer, Job, Reply};
+use crate::coalesce::{Coalescer, Job};
 use crate::feedback::{FeedbackHook, ResolveError, ServedLog, DEFAULT_SERVED_CAP};
 use crate::fleet::{self, FleetConfig, RouteRequest, ScoutError, TeamOutcome};
 use crate::http::{read_request, HttpError, Request, Response};
 use crate::registry::ModelRegistry;
+use crate::{Answer, PredictError};
 use cloudsim::SimTime;
 use incident::Workload;
 use monitoring::{Dataset, MonitoringConfig, MonitoringSystem, PlaneIndex};
@@ -52,9 +51,9 @@ use scoutmaster::{FleetAnswer, FleetDecision, FleetMaster};
 use std::io::BufReader;
 use std::net::{TcpListener, TcpStream};
 use std::ops::RangeBounds;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::Receiver;
 use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 use storm::{DedupOutcome, StormControl};
@@ -87,8 +86,8 @@ pub struct Engine {
     /// firing pays a full fan-out).
     pub storm: Option<Arc<StormControl>>,
     /// The live monitoring-plane configuration shared by the predict
-    /// batcher and the fleet dispatcher, kept as the [`PlaneIndex`]
-    /// built from it and the workload: every batch and every fleet pass
+    /// handler and the fleet dispatcher, kept as the [`PlaneIndex`]
+    /// built from it and the workload: every predict and every fleet pass
     /// opens a plane, and only a configuration change — never a request
     /// — can alter what a plane derives (the per-cluster fault index,
     /// the epoch hash over the whole fault schedule). Private so that
@@ -157,7 +156,7 @@ impl Engine {
         self
     }
 
-    /// The monitoring plane as of now: every batch and every fleet pass
+    /// The monitoring plane as of now: every predict and every fleet pass
     /// opens one, so a data set deprecated mid-stream takes effect on
     /// the next. Equal to `MonitoringSystem::new` over the workload with
     /// the live configuration, without re-deriving the index: opening
@@ -204,9 +203,7 @@ impl Engine {
 /// Server tunables. All have serving-grade defaults.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Maximum jobs per inference batch.
-    pub batch_size: usize,
-    /// Maximum outstanding predict requests before shedding.
+    /// Maximum outstanding predict and route requests before shedding.
     pub queue_cap: usize,
     /// Maximum concurrently-served connections.
     pub max_connections: usize,
@@ -222,7 +219,6 @@ pub struct ServeConfig {
 impl Default for ServeConfig {
     fn default() -> ServeConfig {
         ServeConfig {
-            batch_size: 32,
             queue_cap: 64,
             max_connections: 128,
             trace_sample: 64,
@@ -255,9 +251,8 @@ fn default_slos() -> Vec<obs::SloSpec> {
 }
 
 struct Shared {
-    /// Shared with the two coalescer workers.
+    /// Shared with the Sev3 route coalescer's worker.
     engine: Arc<Engine>,
-    batcher: Coalescer<PredictRequest, Answer>,
     /// The storm layer's Sev3 route coalescer (present iff storm
     /// control is attached with a batch-capable policy).
     route_batcher: Option<Coalescer<RouteRequest, Vec<TeamOutcome>>>,
@@ -269,7 +264,7 @@ struct Shared {
 }
 
 /// A running server. Dropping it (or calling [`Server::shutdown`]) stops
-/// the acceptor, the batcher, and the SLO sampler.
+/// the acceptor, the Sev3 route coalescer, and the SLO sampler.
 pub struct Server {
     addr: std::net::SocketAddr,
     shared: Arc<Shared>,
@@ -289,7 +284,6 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         let engine = Arc::new(engine);
-        let batcher = batcher::start(Arc::clone(&engine), &config);
         let route_batcher = engine
             .storm
             .as_ref()
@@ -298,7 +292,6 @@ impl Server {
             .map(|policy| fleet::start_route_coalescer(Arc::clone(&engine), policy));
         let shared = Arc::new(Shared {
             engine,
-            batcher,
             route_batcher,
             admission: Admission::new(config.queue_cap),
             slo: Arc::new(obs::SloEngine::new(
@@ -332,7 +325,7 @@ impl Server {
         self.addr
     }
 
-    /// Stop accepting, drain the batcher, join the acceptor.
+    /// Stop accepting, drain the Sev3 route coalescer, join the acceptor.
     pub fn shutdown(mut self) {
         self.stop();
     }
@@ -344,10 +337,10 @@ impl Server {
         if let Some(acceptor) = self.acceptor.take() {
             acceptor.join().ok();
         }
-        // Drain, don't drop: new submits are refused, the batch in flight
-        // finishes, and jobs still queued behind it are shed with 503 —
-        // never left unanswered.
-        self.shared.batcher.begin_shutdown();
+        // Predicts not yet past their shutdown check answer 503 from here
+        // on. Drain, don't drop: new Sev3 submits are refused, the batch in
+        // flight finishes, and jobs still queued behind it are shed with
+        // 503 — never left unanswered.
         if let Some(rb) = &self.shared.route_batcher {
             rb.begin_shutdown();
         }
@@ -742,38 +735,57 @@ fn admit(shared: &Shared) -> Option<Permit> {
     shared.admission.try_admit()
 }
 
+/// `POST /v1/scouts/<team>/predict`, start to finish on the connection's
+/// thread: admission, then — before any model work — the lapsed
+/// deadline (`504`), shutdown (`503`) and the team (`404`), then one
+/// pinned model version's pass over the one input. A panicking Scout
+/// is a `500`; the admission slot is freed on every path by its guard.
 fn predict(req: &Request, team: &str, shared: &Shared) -> Handled {
     let input = parse_predict_input(req, shared)?;
     let Some(_permit) = admit(shared) else {
         return Ok(shed_response(shared));
     };
-    // Handoff: the job's spans parent to this request's root span.
-    let (job, reply) = Job::new(
-        PredictRequest {
-            team: team.to_string(),
-            text: input.text.clone(),
-            time: input.time,
-        },
-        input.deadline,
-    );
-    if shared.batcher.submit(job).is_err() {
+    if input.deadline.is_some_and(|d| Instant::now() >= d) {
+        obs::counter("serve.deadline.expired").inc();
+        obs::flight().alert("deadline-miss", "predict deadline lapsed before model work");
+        return Err(PredictError::DeadlineExpired.into());
+    }
+    if shared.stop.load(Ordering::SeqCst) {
         return Err(PredictError::ShuttingDown.into());
     }
-    let answer = await_reply(reply, "batcher dropped the request")?;
+    let entry = shared
+        .engine
+        .registry
+        .get(team)
+        .ok_or_else(|| PredictError::UnknownTeam(team.to_string()))?;
+    let plane = shared.engine.monitoring_plane();
+    // The request's own context, so the per-item spans on pool workers
+    // land in its trace. The entry's chunk cache lets repeated predicts
+    // over overlapping look-back windows skip telemetry generation.
+    let ctx = obs::trace::capture().unwrap_or(TraceContext::NONE);
+    let predicted = catch_unwind(AssertUnwindSafe(|| {
+        entry.scout.predict_many_traced(
+            &[(&input.text, input.time)],
+            &plane,
+            Some(&entry.feat_cache),
+            Some(&[ctx]),
+        )
+    }));
+    let Ok(mut predictions) = predicted else {
+        obs::counter("serve.predict.panicked").inc();
+        obs::flight().alert("predict-panic", &format!("Scout {:?} panicked", entry.team));
+        return Err(HttpError::new(500, "the Scout panicked while predicting"));
+    };
+    let answer = Answer {
+        team: entry.team.clone(),
+        model_version: entry.version,
+        prediction: predictions.pop().expect("one input yields one prediction"),
+    };
     let incident = record_served(&answer, &input.text, input.time, shared);
     Ok(Response::json(
         200,
         render_answer(&answer).uint("incident", incident).finish(),
     ))
-}
-
-/// Park until the coalescer worker answers. A worker that died without
-/// answering is a `500` saying `dropped`.
-fn await_reply<O>(reply: Receiver<Reply<O>>, dropped: &str) -> Result<O, HttpError> {
-    match reply.recv() {
-        Ok(answered) => Ok(answered?),
-        Err(_) => Err(HttpError::new(500, dropped)),
-    }
 }
 
 /// Remember a served answer (assigning its incident id), append it to
@@ -918,7 +930,11 @@ fn route_fanout(input: &PredictInput, shared: &Shared) -> Handled {
         if storm.batch_policy().should_batch(input.severity) {
             let (job, reply) = Job::new((input.text.clone(), input.time), input.deadline);
             if coalescer.submit(job).is_ok() {
-                let outcomes = await_reply(reply, "route batcher dropped the request")?;
+                // Parks until the worker answers; one that died without
+                // answering is a `500`.
+                let outcomes = reply
+                    .recv()
+                    .map_err(|_| HttpError::new(500, "route batcher dropped the request"))??;
                 return decide_and_render(outcomes, shared);
             }
             // Coalescer shut down: fall through to a direct pass.

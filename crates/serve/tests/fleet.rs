@@ -504,6 +504,43 @@ fn scout_panicking_in_classify() -> Scout {
     Scout::from_text(&forged).expect("forged model text loads")
 }
 
+/// A predict runs on its connection's thread: a Scout that panics there
+/// answers that request `500`, counts in `serve.predict.panicked`, and
+/// frees its admission slot — with a cap of one slot, the next predict
+/// would otherwise be shed.
+#[test]
+fn a_panicking_predict_is_a_500_and_frees_its_slot() {
+    let registry = Arc::new(ModelRegistry::new());
+    registry
+        .register("Broken", scout_panicking_in_classify(), "test")
+        .expect("register broken model");
+    registry
+        .register("PhyNet", test_scout(), "test")
+        .expect("register test model");
+    let engine = Engine::new(registry, small_workload());
+    let config = ServeConfig {
+        queue_cap: 1,
+        ..ServeConfig::default()
+    };
+    let server = Server::start(engine, "127.0.0.1:0", config).expect("bind ephemeral port");
+    let mut client = Client::connect(&server.addr().to_string()).expect("connect");
+    let body = r#"{"text":"Switch agg-3 in c1.dc1 reporting CRC errors and packet loss"}"#;
+    let panicked = || {
+        obs::global()
+            .metrics
+            .counter_value("serve.predict.panicked")
+            .unwrap_or(0)
+    };
+    let before = panicked();
+    for _ in 0..2 {
+        let resp = client.post_json("/v1/scouts/Broken/predict", body).unwrap();
+        assert_eq!(resp.status, 500, "{}", resp.body_text());
+    }
+    assert!(panicked() >= before + 2, "each panic is counted");
+    let resp = client.post_json("/v1/scouts/PhyNet/predict", body).unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.body_text());
+}
+
 #[test]
 fn a_panicking_classify_is_one_teams_problem() {
     let world = small_workload();

@@ -161,15 +161,12 @@ fn predict_round_trip_and_unknown_team() {
 
 #[test]
 fn batched_responses_match_sequential_ones() {
-    // A burst of identical concurrent requests, batched however they
-    // happen to queue: every response must be byte-identical to the
-    // sequential answer. This is the over-HTTP smoke of the
-    // determinism-under-batching contract; `batcher`'s unit test pins
-    // the batch boundaries and compares bit for bit.
-    let server = start_server(ServeConfig {
-        batch_size: 8,
-        ..ServeConfig::default()
-    });
+    // A burst of identical concurrent requests, each computed on its
+    // own connection's thread: every response must be byte-identical to
+    // the sequential answer. This is the over-HTTP smoke of the
+    // determinism-under-concurrency contract; the scout-level
+    // `predict_many` ≡ `predict` test compares bit for bit.
+    let server = start_server(ServeConfig::default());
     let sequential = connect(&server)
         .post_json("/v1/scouts/PhyNet/predict", INCIDENT)
         .unwrap();

@@ -32,17 +32,15 @@ echo "server up on $addr"
   --expect-field verdict
 ./target/release/scoutctl loadgen --addr "$addr" --requests 100 --concurrency 4
 
-# The batcher's two histograms must be exported and have seen the
-# predicts above (existence, not timing).
+# Every predict above — the probe and loadgen's 100 — must have landed
+# in the predict latency histogram (existence, not timing).
 metrics=$(./target/release/scoutctl probe --addr "$addr" --path /metrics)
-for histogram in serve_batch_occupancy serve_batch_queue_wait_ms; do
-  count=$(awk -v name="${histogram}_count" '$1 == name {print int($2)}' <<<"$metrics")
-  if [[ "${count:-0}" -le 0 ]]; then
-    echo "serve smoke: ${histogram}_count is ${count:-missing} in /metrics" >&2
-    exit 1
-  fi
-done
-echo "batcher histograms exported: serve_batch_occupancy, serve_batch_queue_wait_ms"
+count=$(awk '$1 == "serve_latency_predict_count" {print int($2)}' <<<"$metrics")
+if [[ "${count:-0}" -lt 101 ]]; then
+  echo "serve smoke: serve_latency_predict_count is ${count:-missing} in /metrics, want >= 101" >&2
+  exit 1
+fi
+echo "predict latency histogram exported: serve_latency_predict_count $count"
 
 kill "$serve_pid" 2>/dev/null || true
 trap - EXIT
