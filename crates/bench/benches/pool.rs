@@ -2,13 +2,11 @@
 //! training and CPD+ cluster featurization — reported as
 //! `BENCH_pool.json` so CI and the docs can cite real numbers.
 //!
-//! Not a Criterion harness: the in-workspace Criterion shim prints
-//! statistics but does not return them, and this bench needs the raw
-//! medians to build the JSON report. Each row runs one untimed call per
-//! arm, then times the sequential and pooled arms interleaved over a
-//! fixed repetition count ([`paired_reps`]), so a cold start or drift on
-//! a shared machine lands on both arms alike: the times are medians of
-//! reps, the speedup the median of the per-pair ratios.
+//! Each row runs one untimed call per arm, then times the sequential and
+//! pooled arms interleaved over a fixed repetition count
+//! ([`paired_reps`]), so a cold start or drift on a shared machine lands
+//! on both arms alike: the times are medians of reps, the speedup the
+//! median of the per-pair ratios.
 
 use bench::{
     bench_monitoring, bench_world, median, paired_reps, rounded, rows, smoke, time_s, write_report,

@@ -1,10 +1,11 @@
 //! Offline-path costs: forest training, NLP baseline training, corpus
 //! preparation (the retraining cadence of Fig. 10 must be cheap enough to
 //! run every 10 days — §8 "given the cheap cost of re-training, we
-//! recommend frequent retraining").
+//! recommend frequent retraining"), reported as `BENCH_training.json`.
+//!
+//! Each kernel takes milliseconds, so a rep is one call.
 
-use bench::{bench_examples, bench_monitoring, bench_world};
-use criterion::{criterion_group, criterion_main, Criterion};
+use bench::{bench_examples, bench_monitoring, bench_world, kernel_report, smoke, Kernel};
 use ml::forest::{ForestConfig, RandomForest};
 use nlp::NlpRouter;
 use rand::rngs::SmallRng;
@@ -12,7 +13,7 @@ use rand::SeedableRng;
 use scout::{Scout, ScoutBuildConfig, ScoutConfig};
 use std::hint::black_box;
 
-fn forest_training(c: &mut Criterion) {
+fn main() {
     // Synthetic 600×200 matrix, mirroring the Scout's feature shape.
     let n = 600;
     let d = 200;
@@ -24,24 +25,7 @@ fn forest_training(c: &mut Criterion) {
         })
         .collect();
     let y: Vec<usize> = (0..n).map(|i| usize::from((i * 31) % 97 > 48)).collect();
-    c.bench_function("random_forest_fit_600x200", |b| {
-        b.iter(|| {
-            let mut rng = SmallRng::seed_from_u64(3);
-            black_box(RandomForest::fit(
-                black_box(&x),
-                &y,
-                2,
-                ForestConfig {
-                    n_trees: 40,
-                    ..Default::default()
-                },
-                &mut rng,
-            ))
-        })
-    });
-}
 
-fn nlp_training(c: &mut Criterion) {
     let world = bench_world();
     let texts: Vec<String> = world.incidents.iter().map(|i| i.text()).collect();
     let teams: Vec<usize> = world
@@ -49,34 +33,26 @@ fn nlp_training(c: &mut Criterion) {
         .iter()
         .map(|i| i.owner.id().0 as usize)
         .collect();
-    c.bench_function("nlp_router_fit", |b| {
-        b.iter(|| black_box(NlpRouter::fit(black_box(&texts), &teams, 11)))
-    });
-}
 
-fn corpus_preparation(c: &mut Criterion) {
-    let world = bench_world();
     let mon = bench_monitoring(&world);
     let exs: Vec<_> = bench_examples(&world).into_iter().take(60).collect();
     let build = ScoutBuildConfig::default();
-    c.bench_function("scout_prepare_60_incidents", |b| {
-        b.iter(|| {
-            black_box(Scout::prepare(
-                &ScoutConfig::phynet(),
-                &build,
-                black_box(&exs),
-                &mon,
-            ))
-        })
-    });
-}
 
-criterion_group! {
-    name = benches;
-    // Three samples under BENCH_SMOKE=1, as `pipeline`: enough to keep
-    // every offline path here compiling and running in
-    // `scripts/bench_smoke.sh`.
-    config = Criterion::default().sample_size(if bench::smoke() { 3 } else { 10 });
-    targets = forest_training, nlp_training, corpus_preparation
+    let kernels = vec![
+        Kernel::new("random_forest_fit_600x200", 1, || {
+            let mut rng = SmallRng::seed_from_u64(3);
+            let config = ForestConfig {
+                n_trees: 40,
+                ..Default::default()
+            };
+            RandomForest::fit(black_box(&x), &y, 2, config, &mut rng)
+        }),
+        Kernel::new("nlp_router_fit", 1, || {
+            NlpRouter::fit(black_box(&texts), &teams, 11)
+        }),
+        Kernel::new("scout_prepare_60_incidents", 1, || {
+            Scout::prepare(&ScoutConfig::phynet(), &build, black_box(&exs), &mon)
+        }),
+    ];
+    kernel_report("training", if smoke() { 3 } else { 10 }, kernels);
 }
-criterion_main!(benches);

@@ -8,7 +8,8 @@
 //!   numbers stay comparable across commits.
 //! * **Repetition** — [`time_s`], [`reps_s`], [`paired_reps`] (interleaved
 //!   arms, so drift on a shared machine lands on every arm alike),
-//!   [`median`], [`min`] and [`max`].
+//!   [`median`], [`min`] and [`max`]; [`Kernel`] and [`kernel_report`]
+//!   for a bench that is a list of named per-op kernels.
 //! * **Report** — [`write_report`] stamps `commit`, `cores`, `smoke` and
 //!   `reps` onto the bench's own keys and writes `BENCH_<name>.json`:
 //!   full runs to the workspace root (the committed baselines), smoke
@@ -21,6 +22,7 @@ use monitoring::{MonitoringConfig, MonitoringSystem};
 use obs::json::{Arr, Obj};
 use scout::{Example, Scout, ScoutBuildConfig, ScoutConfig};
 use serve::{Client, ClientError};
+use std::hint::black_box;
 use std::path::Path;
 use std::time::Instant;
 
@@ -129,7 +131,7 @@ pub fn predict_shot(client: &mut Client, _shot: usize) -> Result<(), ClientError
 /// Wall seconds of one call of `f`.
 pub fn time_s<R>(f: impl FnOnce() -> R) -> f64 {
     let t0 = Instant::now();
-    std::hint::black_box(f());
+    black_box(f());
     t0.elapsed().as_secs_f64()
 }
 
@@ -183,6 +185,69 @@ pub fn rows<T>(items: &[T], row: impl Fn(&T) -> Obj) -> String {
         .iter()
         .fold(Arr::new(), |arr, item| arr.raw(&row(item).finish()))
         .finish()
+}
+
+/// One named kernel of a [`kernel_report`] bench. A timed rep is
+/// `calls` back-to-back calls of it, so a kernel of a few microseconds
+/// is timed over about a millisecond rather than at the timer's grain.
+pub struct Kernel<'a> {
+    name: &'static str,
+    calls: usize,
+    run: Box<dyn FnMut() + 'a>,
+}
+
+impl<'a> Kernel<'a> {
+    /// `name` timed over `calls` calls of `f` per rep; each result goes
+    /// through [`black_box`].
+    pub fn new<R>(name: &'static str, calls: usize, mut f: impl FnMut() -> R + 'a) -> Kernel<'a> {
+        Kernel {
+            name,
+            calls,
+            run: Box::new(move || {
+                black_box(f());
+            }),
+        }
+    }
+}
+
+/// Time `kernels` as the bench `bench`: one untimed call of each, then
+/// `reps` interleaved rounds ([`paired_reps`]). Prints and reports each
+/// kernel's median and min nanoseconds per call in `BENCH_<bench>.json`.
+pub fn kernel_report(bench: &str, reps: usize, mut kernels: Vec<Kernel>) {
+    for kernel in &mut kernels {
+        (kernel.run)();
+    }
+    let secs = paired_reps(reps, kernels.len(), |k| {
+        let kernel = &mut kernels[k];
+        time_s(|| {
+            for _ in 0..kernel.calls {
+                (kernel.run)();
+            }
+        })
+    });
+    let per_op: Vec<Vec<f64>> = kernels
+        .iter()
+        .zip(&secs)
+        .map(|(kernel, s)| s.iter().map(|t| t * 1e9 / kernel.calls as f64).collect())
+        .collect();
+    for (kernel, ns) in kernels.iter().zip(&per_op) {
+        println!(
+            "{:<28} median {:>12.1} ns/op   min {:>12.1} ns/op   ({} calls/rep, {reps} reps)",
+            kernel.name,
+            median(ns),
+            min(ns),
+            kernel.calls
+        );
+    }
+    let table: Vec<(&Kernel, &Vec<f64>)> = kernels.iter().zip(&per_op).collect();
+    let report = rows(&table, |(kernel, ns)| {
+        Obj::new()
+            .str("name", kernel.name)
+            .uint("calls_per_rep", kernel.calls as u64)
+            .num("median_ns", rounded(median(ns), 1))
+            .num("min_ns", rounded(min(ns), 1))
+    });
+    write_report(bench, reps, Obj::new().raw("kernels", &report));
 }
 
 fn commit(root: &Path) -> String {

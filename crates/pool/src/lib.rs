@@ -29,8 +29,8 @@
 //! # Why not rayon
 //!
 //! crates.io is unreachable in the build environment, so external crates
-//! cannot be fetched; `rand`, `proptest`, and `criterion` are already
-//! in-workspace drop-ins for the same reason. This crate implements the
+//! cannot be fetched; `rand` and `proptest` are already in-workspace
+//! drop-ins for the same reason. This crate implements the
 //! slice of rayon the workspace needs (a scoped, indexed, order-preserving
 //! map over a bounded pool) in ~300 code lines with no dependencies
 //! beyond the in-workspace `obs`. Its one `unsafe` block is the lifetime

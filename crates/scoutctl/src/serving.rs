@@ -163,7 +163,7 @@ pub fn serve_cmd(args: &Args) -> Result<(), ArgError> {
                 sc.dedup.window_ms,
                 sc.throttle.rate_per_sec,
                 sc.throttle.burst,
-                sc.batch.max_batch,
+                storm::MAX_BATCH,
                 sc.breaker.failure_threshold
             );
             engine = engine.with_storm(std::sync::Arc::new(storm::StormControl::new(sc)));

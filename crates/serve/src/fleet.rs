@@ -50,7 +50,7 @@ use scout::scout::PreparedCorpus;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
-use storm::{BatchPolicy, Gate};
+use storm::{Gate, MAX_BATCH};
 
 /// Default shard count when `--fleet-shards` is not given.
 pub const DEFAULT_SHARDS: usize = 4;
@@ -407,7 +407,7 @@ pub(crate) fn pass(
 pub(crate) type RouteRequest = (String, SimTime);
 
 /// Stage 3 of storm control: start the Sev3 route coalescer. Incidents
-/// that queued while the previous pass ran (up to `max_batch`) share one
+/// that queued while the previous pass ran (up to [`MAX_BATCH`]) share one
 /// [`pass`] — one `MonitoringSystem` build, one prepare per fingerprint
 /// and one classify per Scout; an idle worker passes a lone incident at
 /// once. Batching never changes bytes: outcome sets are bit-identical to
@@ -415,14 +415,13 @@ pub(crate) type RouteRequest = (String, SimTime);
 /// exactly the response a direct fan-out gives.
 pub(crate) fn start_route_coalescer(
     engine: Arc<Engine>,
-    policy: &BatchPolicy,
 ) -> Coalescer<RouteRequest, Vec<TeamOutcome>> {
     let window = Window {
         thread: "serve-stormroute",
         span: "storm.route.batch",
         occupancy: "storm.batch.occupancy",
         queue_wait: "storm.batch.queue_wait_ms",
-        batch_size: policy.max_batch,
+        batch_size: MAX_BATCH,
     };
     Coalescer::start(
         window,

@@ -1,7 +1,7 @@
 //! A hand-rolled HTTP/1.1 request parser and response writer.
 //!
 //! The build environment has no crates.io, so — like the in-workspace
-//! `rand`/`proptest`/`criterion` shims — the serving layer carries its own
+//! `rand`/`proptest` shims — the serving layer carries its own
 //! HTTP implementation: exactly the slice the Scout endpoints need
 //! (request line + headers + `Content-Length` bodies, keep-alive), with
 //! hard limits on every dimension an untrusted peer controls.

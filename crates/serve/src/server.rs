@@ -286,10 +286,8 @@ impl Server {
         let engine = Arc::new(engine);
         let route_batcher = engine
             .storm
-            .as_ref()
-            .map(|s| s.batch_policy())
-            .filter(|policy| policy.max_batch > 1)
-            .map(|policy| fleet::start_route_coalescer(Arc::clone(&engine), policy));
+            .is_some()
+            .then(|| fleet::start_route_coalescer(Arc::clone(&engine)));
         let shared = Arc::new(Shared {
             engine,
             route_batcher,
@@ -386,24 +384,38 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
         }
         let Ok(stream) = conn else { continue };
         stream.set_nodelay(true).ok();
-        let active = shared.connections.fetch_add(1, Ordering::AcqRel) + 1;
-        if active > shared.max_connections {
-            shared.connections.fetch_sub(1, Ordering::AcqRel);
+        let Some(slot) = ConnSlot::take(&shared) else {
             obs::counter("serve.conn.rejected").inc();
             let mut stream = stream;
             let _ = Response::from_error(&HttpError::new(503, "connection limit reached"))
                 .with_header("Retry-After", &retry_after_secs(&shared).to_string())
                 .write_to(&mut stream, false);
             continue;
-        }
+        };
         obs::counter("serve.conn.accepted").inc();
-        let conn_shared = Arc::clone(&shared);
+        // The slot moves into the closure: it is released when the handler
+        // returns or unwinds, and when a failed spawn drops the closure.
         let _ = std::thread::Builder::new()
             .name("serve-conn".into())
-            .spawn(move || {
-                handle_connection(stream, &conn_shared);
-                conn_shared.connections.fetch_sub(1, Ordering::AcqRel);
-            });
+            .spawn(move || handle_connection(stream, &slot.0));
+    }
+}
+
+/// One of the server's `max_connections` slots, given back on drop.
+struct ConnSlot(Arc<Shared>);
+
+impl ConnSlot {
+    /// Take a slot, or `None` when all are held.
+    fn take(shared: &Arc<Shared>) -> Option<ConnSlot> {
+        let active = shared.connections.fetch_add(1, Ordering::AcqRel) + 1;
+        let slot = ConnSlot(Arc::clone(shared));
+        (active <= shared.max_connections).then_some(slot)
+    }
+}
+
+impl Drop for ConnSlot {
+    fn drop(&mut self) {
+        self.0.connections.fetch_sub(1, Ordering::AcqRel);
     }
 }
 
@@ -926,8 +938,8 @@ fn route_fanout(input: &PredictInput, shared: &Shared) -> Handled {
 
     // Stage 3: a low-severity incident queues into the coalescer and
     // shares one pass with its batch.
-    if let (Some(storm), Some(coalescer)) = (&shared.engine.storm, &shared.route_batcher) {
-        if storm.batch_policy().should_batch(input.severity) {
+    if let Some(coalescer) = &shared.route_batcher {
+        if input.severity == storm::Severity::Sev3 {
             let (job, reply) = Job::new((input.text.clone(), input.time), input.deadline);
             if coalescer.submit(job).is_ok() {
                 // Parks until the worker answers; one that died without

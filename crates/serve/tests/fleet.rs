@@ -4,68 +4,19 @@
 //! of featurize-once-per-fingerprint dispatch against every team
 //! predicting privately.
 
-use cloudsim::{SimDuration, Team};
 use featcache::FeatCache;
-use incident::{Workload, WorkloadConfig};
-use ml::forest::ForestConfig;
 use monitoring::{MonitoringConfig, MonitoringSystem};
 use obs::json::Value;
 use proptest::prelude::*;
-use scout::{Example, Prediction, Scout, ScoutBuildConfig, ScoutConfig};
+use scout::{Prediction, Scout};
 use serve::{
     Answer, Client, Engine, FleetConfig, ModelEntry, ModelRegistry, ScoutError, ServeConfig,
     Server, TeamOutcome,
 };
 use std::sync::{Arc, OnceLock};
 
-/// A small world: enough incidents to train on, fast enough for tests.
-fn small_workload() -> Arc<Workload> {
-    static WORLD: OnceLock<Arc<Workload>> = OnceLock::new();
-    WORLD
-        .get_or_init(|| {
-            let mut config = WorkloadConfig {
-                seed: 7,
-                ..WorkloadConfig::default()
-            };
-            config.faults.faults_per_day = 2.0;
-            config.faults.horizon = SimDuration::days(20);
-            Arc::new(Workload::generate(config))
-        })
-        .clone()
-}
-
-/// One PhyNet Scout trained on the small world, cached as model text so
-/// every test can cheaply mint `Scout` instances under any team name.
-fn trained_model_text() -> &'static str {
-    static TEXT: OnceLock<String> = OnceLock::new();
-    TEXT.get_or_init(|| {
-        let world = small_workload();
-        let mon =
-            MonitoringSystem::new(&world.topology, &world.faults, MonitoringConfig::default());
-        let examples: Vec<Example> = world
-            .incidents
-            .iter()
-            .map(|i| Example::new(i.text(), i.created_at, i.owner == Team::PhyNet))
-            .collect();
-        let config = ScoutConfig::phynet();
-        let build = ScoutBuildConfig {
-            forest: ForestConfig {
-                n_trees: 8,
-                ..ForestConfig::default()
-            },
-            cluster_train_cap: 10,
-            ..ScoutBuildConfig::default()
-        };
-        let corpus = Scout::prepare(&config, &build, &examples, &mon);
-        let train = corpus.trainable_indices();
-        let scout = Scout::train_prepared(config, build, &corpus, &train, &mon);
-        scout.to_text()
-    })
-}
-
-fn test_scout() -> Scout {
-    Scout::from_text(trained_model_text()).expect("cached model text round-trips")
-}
+mod common;
+use common::{small_workload, test_scout, trained_model_text};
 
 /// A server with one test Scout per `teams` entry (registered in order,
 /// so versions line up across servers) and the given fleet config.

@@ -3,64 +3,13 @@
 //! deadlines, and the hot-swap guarantee (concurrent predicts during a
 //! reload all succeed and each is attributable to exactly one version).
 
-use cloudsim::{SimDuration, Team};
-use incident::{Workload, WorkloadConfig};
-use ml::forest::ForestConfig;
-use monitoring::{MonitoringConfig, MonitoringSystem};
 use obs::json::Value;
-use scout::{Example, Scout, ScoutBuildConfig, ScoutConfig};
 use serve::{Client, Engine, ModelRegistry, ServeConfig, Server};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Duration;
 
-/// A small world: enough incidents to train on, fast enough for tests.
-fn small_workload() -> Arc<Workload> {
-    static WORLD: OnceLock<Arc<Workload>> = OnceLock::new();
-    WORLD
-        .get_or_init(|| {
-            let mut config = WorkloadConfig {
-                seed: 7,
-                ..WorkloadConfig::default()
-            };
-            config.faults.faults_per_day = 2.0;
-            config.faults.horizon = SimDuration::days(20);
-            Arc::new(Workload::generate(config))
-        })
-        .clone()
-}
-
-/// One PhyNet Scout trained on the small world, cached as model text so
-/// every test can cheaply mint its own `Scout` (or write a model file).
-fn trained_model_text() -> &'static str {
-    static TEXT: OnceLock<String> = OnceLock::new();
-    TEXT.get_or_init(|| {
-        let world = small_workload();
-        let mon =
-            MonitoringSystem::new(&world.topology, &world.faults, MonitoringConfig::default());
-        let examples: Vec<Example> = world
-            .incidents
-            .iter()
-            .map(|i| Example::new(i.text(), i.created_at, i.owner == Team::PhyNet))
-            .collect();
-        let config = ScoutConfig::phynet();
-        let build = ScoutBuildConfig {
-            forest: ForestConfig {
-                n_trees: 8,
-                ..ForestConfig::default()
-            },
-            cluster_train_cap: 10,
-            ..ScoutBuildConfig::default()
-        };
-        let corpus = Scout::prepare(&config, &build, &examples, &mon);
-        let train = corpus.trainable_indices();
-        let scout = Scout::train_prepared(config, build, &corpus, &train, &mon);
-        scout.to_text()
-    })
-}
-
-fn test_scout() -> Scout {
-    Scout::from_text(trained_model_text()).expect("cached model text round-trips")
-}
+mod common;
+use common::{small_workload, test_scout, trained_model_text};
 
 /// A server with one registered PhyNet model and the given config.
 fn start_server(config: ServeConfig) -> Server {
@@ -494,6 +443,58 @@ fn feedback_round_trip_dedup_and_hook() {
             .status,
         400
     );
+}
+
+#[test]
+fn panicking_handler_gives_its_connection_slot_back() {
+    use serve::{Feedback, FeedbackHook};
+
+    struct Panics;
+    impl FeedbackHook for Panics {
+        fn on_feedback(&self, _: Feedback) {
+            panic!("feedback hook fails");
+        }
+    }
+
+    let registry = Arc::new(ModelRegistry::new());
+    registry
+        .register("PhyNet", test_scout(), "test")
+        .expect("register test model");
+    let engine = Engine::new(registry, small_workload()).with_feedback_hook(Arc::new(Panics));
+    let config = ServeConfig {
+        max_connections: 1,
+        ..ServeConfig::default()
+    };
+    let server = Server::start(engine, "127.0.0.1:0", config).unwrap();
+
+    // The one slot: predict, then a feedback whose hook unwinds the
+    // handler thread and drops the connection unanswered.
+    let mut client = connect(&server);
+    let resp = client
+        .post_json("/v1/scouts/PhyNet/predict", INCIDENT)
+        .unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.body_text());
+    let value = Value::parse(&resp.body_text()).unwrap();
+    let incident = value.get("incident").and_then(Value::as_f64).unwrap() as u64;
+    let killed = client.post_json(
+        "/v1/feedback",
+        &format!(r#"{{"incident":{incident},"team":"PhyNet"}}"#),
+    );
+    assert!(killed.is_err(), "the panicking handler answers nothing");
+    drop(client);
+
+    // The unwound handler releases its slot, so a fresh connection is
+    // served. The retry covers the moment between the socket closing and
+    // the slot coming back.
+    let mut last = 0;
+    for _ in 0..200 {
+        last = connect(&server).get("/healthz").unwrap().status;
+        if last == 200 {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(last, 200, "the unwound handler leaked its connection slot");
 }
 
 #[test]

@@ -7,61 +7,13 @@
 //! storm costs. Responses with the layer on are byte-identical to the
 //! layer off for fresh, under-rate, default-severity traffic.
 
-use cloudsim::SimDuration;
-use incident::{Workload, WorkloadConfig};
-use ml::forest::ForestConfig;
-use monitoring::{MonitoringConfig, MonitoringSystem};
 use obs::json::Value;
-use scout::{Example, Scout, ScoutBuildConfig, ScoutConfig};
 use serve::{Client, Engine, FleetConfig, ModelRegistry, ServeConfig, Server};
-use std::sync::{Arc, OnceLock};
-use storm::{BatchPolicy, BreakerConfig, Clock, ManualClock, StormConfig, StormControl};
+use std::sync::Arc;
+use storm::{BreakerConfig, Clock, ManualClock, StormConfig, StormControl};
 
-fn small_workload() -> Arc<Workload> {
-    static WORLD: OnceLock<Arc<Workload>> = OnceLock::new();
-    WORLD
-        .get_or_init(|| {
-            let mut config = WorkloadConfig {
-                seed: 7,
-                ..WorkloadConfig::default()
-            };
-            config.faults.faults_per_day = 2.0;
-            config.faults.horizon = SimDuration::days(20);
-            Arc::new(Workload::generate(config))
-        })
-        .clone()
-}
-
-fn trained_model_text() -> &'static str {
-    static TEXT: OnceLock<String> = OnceLock::new();
-    TEXT.get_or_init(|| {
-        let world = small_workload();
-        let mon =
-            MonitoringSystem::new(&world.topology, &world.faults, MonitoringConfig::default());
-        let examples: Vec<Example> = world
-            .incidents
-            .iter()
-            .map(|i| Example::new(i.text(), i.created_at, i.phynet_owned()))
-            .collect();
-        let config = ScoutConfig::phynet();
-        let build = ScoutBuildConfig {
-            forest: ForestConfig {
-                n_trees: 8,
-                ..ForestConfig::default()
-            },
-            cluster_train_cap: 10,
-            ..ScoutBuildConfig::default()
-        };
-        let corpus = Scout::prepare(&config, &build, &examples, &mon);
-        let train = corpus.trainable_indices();
-        let scout = Scout::train_prepared(config, build, &corpus, &train, &mon);
-        scout.to_text()
-    })
-}
-
-fn test_scout() -> Scout {
-    Scout::from_text(trained_model_text()).expect("cached model text round-trips")
-}
+mod common;
+use common::{small_workload, test_scout};
 
 /// A fleet server with one test Scout per team and an optional storm
 /// layer. Registration order is fixed so model versions (and therefore
@@ -460,11 +412,7 @@ fn sev3_requests_coalesce_through_the_route_batcher() {
     // Concurrent Sev3 submitters queue behind whichever pass is running
     // and share the next; correctness (bytes) is covered by the on/off
     // test, here we check the plumbing answers under concurrency.
-    let config = StormConfig {
-        batch: BatchPolicy { max_batch: 8 },
-        ..StormConfig::default()
-    };
-    let (storm, _clock) = manual_storm(config);
+    let (storm, _clock) = manual_storm(StormConfig::default());
     let server = start_server(&["PhyNet", "Storage"], fleet_config(&[]), Some(storm));
     let world = small_workload();
     let addr = server.addr().to_string();

@@ -12,63 +12,15 @@
 //!    a model hot-swap and a shutdown drain, every captured span's
 //!    parent chain resolves to the trace root.
 
-use cloudsim::{SimDuration, Team};
-use incident::{Workload, WorkloadConfig};
-use ml::forest::ForestConfig;
-use monitoring::{MonitoringConfig, MonitoringSystem};
 use obs::json::Value;
 use obs::span::SpanEvent;
-use scout::{Example, Scout, ScoutBuildConfig, ScoutConfig};
 use serve::{Client, Engine, ModelRegistry, ServeConfig, Server};
 use std::collections::BTreeSet;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-fn small_workload() -> Arc<Workload> {
-    static WORLD: OnceLock<Arc<Workload>> = OnceLock::new();
-    WORLD
-        .get_or_init(|| {
-            let mut config = WorkloadConfig {
-                seed: 7,
-                ..WorkloadConfig::default()
-            };
-            config.faults.faults_per_day = 2.0;
-            config.faults.horizon = SimDuration::days(20);
-            Arc::new(Workload::generate(config))
-        })
-        .clone()
-}
-
-fn trained_model_text() -> &'static str {
-    static TEXT: OnceLock<String> = OnceLock::new();
-    TEXT.get_or_init(|| {
-        let world = small_workload();
-        let mon =
-            MonitoringSystem::new(&world.topology, &world.faults, MonitoringConfig::default());
-        let examples: Vec<Example> = world
-            .incidents
-            .iter()
-            .map(|i| Example::new(i.text(), i.created_at, i.owner == Team::PhyNet))
-            .collect();
-        let config = ScoutConfig::phynet();
-        let build = ScoutBuildConfig {
-            forest: ForestConfig {
-                n_trees: 8,
-                ..ForestConfig::default()
-            },
-            cluster_train_cap: 10,
-            ..ScoutBuildConfig::default()
-        };
-        let corpus = Scout::prepare(&config, &build, &examples, &mon);
-        let train = corpus.trainable_indices();
-        let scout = Scout::train_prepared(config, build, &corpus, &train, &mon);
-        scout.to_text()
-    })
-}
-
-fn test_scout() -> Scout {
-    Scout::from_text(trained_model_text()).expect("cached model text round-trips")
-}
+mod common;
+use common::{small_workload, test_scout, trained_model_text};
 
 fn start_server(config: ServeConfig) -> Server {
     let registry = Arc::new(ModelRegistry::new());

@@ -46,27 +46,9 @@ impl Severity {
     }
 }
 
-/// Coalescing policy for low-severity routing.
-#[derive(Debug, Clone)]
-pub struct BatchPolicy {
-    /// Maximum incidents per coalesced fan-out (`1` = never coalesce).
-    pub max_batch: usize,
-}
-
-impl Default for BatchPolicy {
-    /// Up to 16 Sev3 incidents that queued behind one fan-out share the
-    /// next.
-    fn default() -> BatchPolicy {
-        BatchPolicy { max_batch: 16 }
-    }
-}
-
-impl BatchPolicy {
-    /// Does `severity` queue into a coalesced pass?
-    pub fn should_batch(&self, severity: Severity) -> bool {
-        self.max_batch > 1 && severity == Severity::Sev3
-    }
-}
+/// Most incidents one coalesced Sev3 fan-out carries: up to 16 that
+/// queued behind one pass share the next.
+pub const MAX_BATCH: usize = 16;
 
 #[cfg(test)]
 mod tests {
@@ -79,15 +61,5 @@ mod tests {
         }
         assert_eq!(Severity::from_level(0), None);
         assert_eq!(Severity::from_level(4), None);
-    }
-
-    #[test]
-    fn only_sev3_batches() {
-        let policy = BatchPolicy::default();
-        assert!(!policy.should_batch(Severity::Sev1));
-        assert!(!policy.should_batch(Severity::Sev2));
-        assert!(policy.should_batch(Severity::Sev3));
-        let off = BatchPolicy { max_batch: 1 };
-        assert!(!off.should_batch(Severity::Sev3));
     }
 }

@@ -14,9 +14,9 @@
 //!    duplicates are answered from the original's cached decision.
 //! 2. **Throttling** ([`SourceThrottle`]): per-source token buckets so
 //!    one flooding source cannot starve the rest.
-//! 3. **Batching policy** ([`BatchPolicy`]): low-severity incidents are
-//!    flagged for coalesced fan-out passes (the queue lives in `serve`,
-//!    next to the dispatcher it feeds).
+//! 3. **Batching** ([`Severity`], [`MAX_BATCH`]): Sev3 incidents share
+//!    coalesced fan-out passes of up to [`MAX_BATCH`] (the queue lives in
+//!    `serve`, next to the dispatcher it feeds).
 //! 4. **Circuit breakers** ([`BreakerSet`]): per-downstream-team
 //!    closed/open/half-open circuits over the fan-out's per-team error
 //!    outcomes, tripping broken teams out of the fan-out entirely.
@@ -41,7 +41,7 @@ mod dedup;
 mod fingerprint;
 mod throttle;
 
-pub use batch::{BatchPolicy, Severity};
+pub use batch::{Severity, MAX_BATCH};
 pub use breaker::{BreakerConfig, BreakerSet, BreakerState, Gate};
 pub use clock::{Clock, ManualClock};
 pub use dedup::{DedupConfig, DedupOutcome, DedupTable};
@@ -58,11 +58,11 @@ pub const DEFAULT_SOURCE: &str = "unknown";
 pub struct StormConfig {
     pub dedup: DedupConfig,
     pub throttle: ThrottleConfig,
-    pub batch: BatchPolicy,
     pub breaker: BreakerConfig,
 }
 
-/// All four stages behind one façade, metered through `obs`.
+/// The three stateful stages (dedup, throttle, breakers) behind one
+/// façade, metered through `obs`.
 ///
 /// Each stage guards its own state with a mutex; the lock acquisition
 /// order *is* the decision order, so a concurrent run is always
@@ -209,11 +209,6 @@ impl StormControl {
     /// Lifetime throttle refusals.
     pub fn dropped_total(&self) -> u64 {
         self.throttle.lock().unwrap().dropped_total()
-    }
-
-    /// Low-severity coalescing knobs.
-    pub fn batch_policy(&self) -> &BatchPolicy {
-        &self.config.batch
     }
 }
 

@@ -4,10 +4,9 @@
 #   scripts/check.sh                # fmt + clippy + tests (incl. scoutbench's,
 #                                   # which pin the API BENCHMARK.json builds on)
 #                                   # + release runs of the Scout Master programs
-#   scripts/check.sh --bench-smoke  # also run every report-writing bench
-#                                   # and `pipeline` on its tiny workload
-#                                   # (BENCH_SMOKE=1; reports go to
-#                                   # target/bench/)
+#   scripts/check.sh --bench-smoke  # also run every bench on its tiny
+#                                   # workload (BENCH_SMOKE=1; reports go
+#                                   # to target/bench/)
 #   scripts/check.sh --serve-smoke  # also boot `scoutctl serve` on an
 #                                   # ephemeral port and probe it end-to-end
 #   scripts/check.sh --lifecycle-smoke
