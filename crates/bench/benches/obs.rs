@@ -15,7 +15,9 @@
 //! at the default rate must be effectively free, because the per-span
 //! cost when unsampled is a thread-local stack push/pop and a histogram
 //! record. Best-of-reps throughput is reported per mode, plus the
-//! overhead of each traced mode relative to `off`.
+//! overhead of each traced mode relative to `off`. A full-mode rep is
+//! sized from a calibration pass to run about [`REP_SECONDS`], so that a
+//! few milliseconds of scheduler noise cannot read as a 5% overhead.
 
 use bench::{
     bench_monitoring, max, paired_reps, rounded, rows, serving_world, smoke, trained, write_report,
@@ -27,6 +29,9 @@ use obs::json::Obj;
 use obs::TraceContext;
 use scout::Scout;
 use std::time::Instant;
+
+/// Target length of one full-mode rep of `off`, the fastest mode.
+const REP_SECONDS: f64 = 1.25;
 
 struct Mode {
     name: &'static str,
@@ -68,7 +73,7 @@ fn run(
 
 fn main() {
     let smoke = smoke();
-    let (batch, iters, reps) = if smoke { (16, 4, 2) } else { (64, 25, 5) };
+    let (batch, reps) = if smoke { (16, 2) } else { (64, 5) };
 
     let world = serving_world(smoke);
     let scout = trained(&world, smoke);
@@ -105,6 +110,12 @@ fn main() {
     for mode in &modes {
         run(mode, &scout, &mon, &inputs, &cache, 1);
     }
+    let iters = if smoke {
+        4
+    } else {
+        let items_per_s = run(&modes[0], &scout, &mon, &inputs, &cache, 25);
+        (REP_SECONDS * items_per_s / batch as f64).ceil() as usize
+    };
 
     // Best-of-reps throughput per mode, the modes interleaved.
     let stats: Vec<RunStats> = paired_reps(reps, modes.len(), |i| {
@@ -139,6 +150,7 @@ fn main() {
         reps,
         Obj::new()
             .uint("batch", batch as u64)
+            .uint("iters_per_rep", iters as u64)
             .raw("modes", &modes)
             .num("sampled64_overhead_pct", rounded(sampled_overhead, 2))
             .num("full_overhead_pct", rounded(full_overhead, 2)),

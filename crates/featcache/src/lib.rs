@@ -12,9 +12,10 @@
 //! allocation: per device its samples, the same samples *sorted*, and
 //! `sum / sum-of-squares / min / max` side by side, so merged percentiles
 //! stay exact rather than sketched. Chunks live behind a bounded,
-//! byte-budgeted LRU. A featurization makes one lookup per (feature block,
-//! mentioned component, bucket) — a few dozen per incident — however many
-//! devices those components cover.
+//! byte-budgeted LRU that admits a chunk on its second miss, so a burst of
+//! never-seen incidents does not flush it. A featurization makes one
+//! lookup per (feature block, mentioned component, bucket) — a few dozen
+//! per incident — however many devices those components cover.
 //!
 //! # Exactness
 //!
@@ -50,13 +51,14 @@
 //!
 //! # Counters
 //!
-//! Hits, misses and evictions are counted in atomics on the cache
-//! ([`FeatCache::stats`]). The `obs` mirror is batched:
+//! Hits, misses, evictions and deferred admissions are counted in atomics
+//! on the cache ([`FeatCache::stats`]). The `obs` mirror is batched:
 //! [`FeatCache::publish`] adds what accrued since the last publish to the
 //! `featcache.*` metrics, outside the cache lock — the featurizer calls
 //! it once per feature vector, not once per chunk.
 
 use std::collections::{HashMap, VecDeque};
+use std::hash::BuildHasher;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -277,7 +279,70 @@ impl std::hash::Hasher for KeyHasher {
     }
 }
 
-type KeyMap = HashMap<ChunkKey, Entry, std::hash::BuildHasherDefault<KeyHasher>>;
+type KeyBuildHasher = std::hash::BuildHasherDefault<KeyHasher>;
+type KeyMap = HashMap<ChunkKey, Entry, KeyBuildHasher>;
+
+/// TinyLFU's doorkeeper (Einziger et al., "TinyLFU: A Highly Efficient
+/// Cache Admission Policy"): a Bloom bit set of the keys that missed since
+/// the last clear. A chunk is admitted on its second miss, so a flood of
+/// one-shot chunks is built, used and dropped without evicting anything.
+///
+/// A key sets two bits taken from its [`KeyHasher`] fingerprint and counts
+/// as seen when both are set. Bits are only ever set between clears, so a
+/// key recorded since the last clear always reads as seen: the one error
+/// is a false "seen", which admits a one-shot chunk. A direct-mapped table
+/// of fingerprints would err the other way — two keys sharing a slot
+/// overwrite each other and neither is ever admitted.
+#[derive(Debug, Default)]
+struct Doorkeeper {
+    words: Vec<u64>,
+    /// Keys recorded since the last clear.
+    records: usize,
+}
+
+impl Doorkeeper {
+    /// One bit per 64 budget bytes, rounded up to a power of two, at least
+    /// 4096. Cleared every `bits / 8` records, the set remembers about
+    /// `capacity / 512` first misses: over half as many keys as the budget
+    /// holds of the smallest (one-device, 320-byte) chunks.
+    fn for_budget(capacity_bytes: usize) -> Doorkeeper {
+        let bits = (capacity_bytes / 64).next_power_of_two().max(4096);
+        Doorkeeper {
+            words: vec![0; bits / 64],
+            records: 0,
+        }
+    }
+
+    fn bit_positions(&self, key: &ChunkKey) -> [usize; 2] {
+        let fingerprint = KeyBuildHasher::default().hash_one(key);
+        let mask = self.words.len() * 64 - 1;
+        [
+            fingerprint as usize & mask,
+            (fingerprint >> 32) as usize & mask,
+        ]
+    }
+
+    /// Has `key` been recorded since the last clear? If not, record it.
+    /// Clearing after `bits / 8` records forgets keys that never came back
+    /// and caps the load at ~22% of the bits, so a false "seen" stays
+    /// under ~5%.
+    fn seen_or_record(&mut self, key: &ChunkKey) -> bool {
+        let positions = self.bit_positions(key);
+        let is_set = |p: usize| self.words[p / 64] >> (p % 64) & 1 == 1;
+        if positions.into_iter().all(is_set) {
+            return true;
+        }
+        if self.records == self.words.len() * 64 / 8 {
+            self.words.fill(0);
+            self.records = 0;
+        }
+        for p in positions {
+            self.words[p / 64] |= 1 << (p % 64);
+        }
+        self.records += 1;
+        false
+    }
+}
 
 /// Lazy-deletion LRU: touches push a fresh `(key, stamp)` slot instead of
 /// splicing a linked list; eviction pops slots and skips the stale ones.
@@ -288,6 +353,7 @@ struct Lru {
     queue: VecDeque<(ChunkKey, u64)>,
     next_stamp: u64,
     bytes: usize,
+    doorkeeper: Doorkeeper,
 }
 
 impl Lru {
@@ -350,8 +416,9 @@ pub struct FeatCache {
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
-    /// How much of the three counters above `obs` has already seen.
-    published: [AtomicU64; 3],
+    deferred: AtomicU64,
+    /// How much of the four counters above `obs` has already seen.
+    published: [AtomicU64; 4],
 }
 
 /// A point-in-time view of the cache counters, for tests and benches.
@@ -363,6 +430,9 @@ pub struct CacheStats {
     pub misses: u64,
     /// Chunks dropped to stay inside the byte budget.
     pub evictions: u64,
+    /// Chunks built on their first miss since the doorkeeper last cleared,
+    /// and returned without being kept.
+    pub deferred: u64,
     /// Bytes currently held.
     pub bytes: usize,
     /// Chunks currently held.
@@ -373,11 +443,15 @@ impl FeatCache {
     /// A cache holding at most `capacity_bytes` of chunk data.
     pub fn new(capacity_bytes: usize) -> FeatCache {
         FeatCache {
-            inner: Mutex::new(Lru::default()),
+            inner: Mutex::new(Lru {
+                doorkeeper: Doorkeeper::for_budget(capacity_bytes),
+                ..Lru::default()
+            }),
             capacity_bytes,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
+            deferred: AtomicU64::new(0),
             published: Default::default(),
         }
     }
@@ -395,6 +469,7 @@ impl FeatCache {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
+            deferred: self.deferred.load(Ordering::Relaxed),
             bytes: inner.bytes,
             chunks: inner.map.len(),
         }
@@ -402,8 +477,9 @@ impl FeatCache {
 
     /// Mirror the counters into the `obs` registry: what accrued since
     /// the last publish is added to `featcache.hits` / `.misses` /
-    /// `.evictions`, and after a miss (the only event that changes
-    /// residency) the `featcache.bytes` / `.chunks` gauges are refreshed.
+    /// `.evictions` / `.deferred`, and after a miss (the only event that
+    /// changes residency) the `featcache.bytes` / `.chunks` gauges are
+    /// refreshed.
     /// Lookups themselves never touch the registry — its global mutex
     /// would otherwise be taken once per chunk, under this cache's lock.
     /// Racing publishers split the delta between them; the totals equal
@@ -413,15 +489,19 @@ impl FeatCache {
             let now = counter.load(Ordering::Relaxed);
             now.saturating_sub(seen.fetch_max(now, Ordering::Relaxed))
         };
-        let [seen_hits, seen_misses, seen_evictions] = &self.published;
+        let [seen_hits, seen_misses, seen_evictions, seen_deferred] = &self.published;
         let hits = unpublished(&self.hits, seen_hits);
         let misses = unpublished(&self.misses, seen_misses);
         let evictions = unpublished(&self.evictions, seen_evictions);
+        let deferred = unpublished(&self.deferred, seen_deferred);
         if hits > 0 {
             obs::counter("featcache.hits").add(hits);
         }
         if evictions > 0 {
             obs::counter("featcache.evictions").add(evictions);
+        }
+        if deferred > 0 {
+            obs::counter("featcache.deferred").add(deferred);
         }
         if misses > 0 {
             obs::counter("featcache.misses").add(misses);
@@ -439,8 +519,10 @@ impl FeatCache {
     /// Fetch `key`'s chunk, building it with `build` on a miss. The build
     /// runs outside the lock — two racing threads may both build, but the
     /// chunk is a pure function of the key, so whichever insert wins stores
-    /// identical bytes. A chunk larger than the whole budget is returned
-    /// but not kept: inserting it would only evict everything else first.
+    /// identical bytes. A chunk is kept only on its second miss (see
+    /// [`Doorkeeper`]); on its first it is returned and dropped with its
+    /// last user. A chunk larger than the whole budget is returned but
+    /// never kept: inserting it would only evict everything else first.
     fn get_or_build(&self, key: ChunkKey, build: impl FnOnce() -> Chunk) -> Arc<Chunk> {
         if self.capacity_bytes > 0 {
             let mut inner = self.inner.lock().unwrap();
@@ -466,6 +548,10 @@ impl FeatCache {
             let incumbent = Arc::clone(&e.chunk);
             inner.touch(key);
             return incumbent;
+        }
+        if !inner.doorkeeper.seen_or_record(&key) {
+            self.deferred.fetch_add(1, Ordering::Relaxed);
+            return chunk;
         }
         inner.map.insert(
             key,
@@ -890,18 +976,19 @@ mod tests {
         // bookkeeping + one `DeviceHour` (4 aggregates, 12 samples and 12
         // keys inline: 224 bytes) = 320.
         let cache = FeatCache::new(600);
-        for bucket in 0..4 {
+        // Each bucket twice: deferred on its first miss, kept on its second.
+        for bucket in [0, 0, 1, 1, 2, 2, 3, 3] {
             let _ = chunk(Some(&cache), &mon, Dataset::PingStats, srv, bucket);
         }
         let s = cache.stats();
-        assert_eq!(s.misses, 4);
+        assert_eq!((s.misses, s.deferred), (8, 4));
         assert!(s.evictions >= 2, "evictions {}", s.evictions);
         assert!(s.bytes <= 600, "bytes {}", s.bytes);
         // Most-recent bucket is still resident (hit); oldest is not.
         let _ = chunk(Some(&cache), &mon, Dataset::PingStats, srv, 3);
         assert_eq!(cache.stats().hits, 1);
         let _ = chunk(Some(&cache), &mon, Dataset::PingStats, srv, 0);
-        assert_eq!(cache.stats().misses, 5);
+        assert_eq!(cache.stats().misses, 9);
     }
 
     #[test]
@@ -911,6 +998,12 @@ mod tests {
         let dc = topo.by_name("dc0").unwrap().id;
         let cache = FeatCache::new(1 << 20);
         let group = chunk(Some(&cache), &mon, Dataset::PingStats, dc, 0);
+        assert_eq!(cache.stats().bytes, 0, "a first miss is not kept");
+        let group_again = chunk(Some(&cache), &mon, Dataset::PingStats, dc, 0);
+        assert!(
+            !Arc::ptr_eq(&group, &group_again),
+            "rebuilt on the second miss"
+        );
         assert_eq!(group.devices(), 4, "the DC's four servers");
         assert_eq!(std::mem::size_of::<DeviceHour>(), 4 * 8 + 12 * 16);
         assert_eq!(
@@ -953,7 +1046,11 @@ mod tests {
         let dc = topo.by_name("dc0").unwrap().id;
         // A one-device chunk (320 bytes) fits; the DC's four (992) do not.
         let cache = FeatCache::new(600);
-        let _ = chunk(Some(&cache), &mon, Dataset::PingStats, srv, 5);
+        for _ in 0..2 {
+            let _ = chunk(Some(&cache), &mon, Dataset::PingStats, srv, 5);
+        }
+        // Oversized, it is never kept: not on its first miss, nor its second.
+        let _ = chunk(Some(&cache), &mon, Dataset::PingStats, dc, 5);
         let big = chunk(Some(&cache), &mon, Dataset::PingStats, dc, 5);
         let fresh = chunk(None, &mon, Dataset::PingStats, dc, 5);
         assert_eq!(big.devices(), 4);
@@ -961,7 +1058,11 @@ mod tests {
             assert_eq!(a.samples.map(f64::to_bits), b.samples.map(f64::to_bits));
         }
         let s = cache.stats();
-        assert_eq!((s.misses, s.evictions, s.chunks), (2, 0, 1), "{s:?}");
+        assert_eq!(
+            (s.misses, s.deferred, s.evictions, s.chunks),
+            (4, 1, 0, 1),
+            "{s:?}"
+        );
         assert!(s.bytes <= 600, "bytes {}", s.bytes);
         // The resident chunk survived the oversized one.
         let _ = chunk(Some(&cache), &mon, Dataset::PingStats, srv, 5);
@@ -974,7 +1075,7 @@ mod tests {
         // `featcache.*` totals move by this cache's counts alone.
         obs::enable();
         let mirrored = || {
-            ["hits", "misses", "evictions"].map(|n| {
+            ["hits", "misses", "evictions", "deferred"].map(|n| {
                 let name = format!("featcache.{n}");
                 obs::global().metrics.counter_value(&name).unwrap_or(0)
             })
@@ -984,27 +1085,89 @@ mod tests {
         let srv = topo.by_name("srv-0.c0.dc0").unwrap().id;
         let cache = FeatCache::new(600);
         let before = mirrored();
-        for bucket in [0, 1, 2, 3, 3, 3] {
+        // Each bucket twice (deferred, then kept), then two hits.
+        for bucket in [0, 0, 1, 1, 2, 2, 3, 3, 3, 3] {
             let _ = chunk(Some(&cache), &mon, Dataset::PingStats, srv, bucket);
         }
         assert_eq!(mirrored(), before, "lookups never touch the registry");
         let s = cache.stats();
-        assert!(s.hits == 2 && s.misses == 4 && s.evictions >= 2, "{s:?}");
+        assert!(
+            s.hits == 2 && s.misses == 8 && s.deferred == 4 && s.evictions >= 2,
+            "{s:?}"
+        );
         cache.publish();
         let after = mirrored();
         assert_eq!(
-            [
-                after[0] - before[0],
-                after[1] - before[1],
-                after[2] - before[2]
-            ],
-            [s.hits, s.misses, s.evictions]
+            [0, 1, 2, 3].map(|i| after[i] - before[i]),
+            [s.hits, s.misses, s.evictions, s.deferred]
         );
         let gauge = |n| obs::global().metrics.gauge_value(n);
         assert_eq!(gauge("featcache.bytes"), Some(s.bytes as f64));
         assert_eq!(gauge("featcache.chunks"), Some(s.chunks as f64));
         cache.publish();
         assert_eq!(mirrored(), after, "nothing accrued, nothing added");
+    }
+
+    /// Warm-set hits over rounds `2..=ROUNDS` of a cache whose warm set —
+    /// about half the budget — is looked up every round, with (when
+    /// `flood`) a seeded flood of never-repeated chunks totalling more
+    /// than the budget between rounds.
+    fn warm_hit_ratio(flood: bool) -> f64 {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        const ROUNDS: u64 = 10;
+        let topo = topo();
+        let mon = MonitoringSystem::new(&topo, &[], MonitoringConfig::default());
+        let servers: Vec<ComponentId> = topo
+            .components()
+            .filter(|c| c.kind == ComponentKind::Server)
+            .map(|c| c.id)
+            .collect();
+        // Room for 64 one-device chunks (320 bytes each); the warm set is
+        // 32 of them.
+        let budget = 64 * 320;
+        let cache = FeatCache::new(budget);
+        let warm: Vec<(ComponentId, u64)> = servers
+            .iter()
+            .flat_map(|&srv| (0..8).map(move |bucket| (srv, bucket)))
+            .collect();
+        let mut rng = SmallRng::seed_from_u64(43);
+        let mut next_cold_bucket = 1000;
+        let (mut hits, mut lookups) = (0, 0);
+        for round in 1..=ROUNDS {
+            let before = cache.stats().hits;
+            for &(srv, bucket) in &warm {
+                let _ = chunk(Some(&cache), &mon, Dataset::PingStats, srv, bucket);
+            }
+            if round >= 2 {
+                hits += cache.stats().hits - before;
+                lookups += warm.len() as u64;
+            }
+            let mut round_bytes = 0;
+            while flood && round_bytes <= budget {
+                let srv = servers[rng.gen_range(0..servers.len())];
+                next_cold_bucket += rng.gen_range(1..4u64);
+                let cold = chunk(
+                    Some(&cache),
+                    &mon,
+                    Dataset::PingStats,
+                    srv,
+                    next_cold_bucket,
+                );
+                round_bytes += cold.bytes();
+            }
+        }
+        hits as f64 / lookups as f64
+    }
+
+    #[test]
+    fn a_warm_working_set_survives_a_cold_flood() {
+        let quiet = warm_hit_ratio(false);
+        let flooded = warm_hit_ratio(true);
+        assert!(
+            flooded >= 0.9 * quiet,
+            "warm hit ratio {flooded:.3} under a flood against {quiet:.3} without"
+        );
     }
 
     #[test]

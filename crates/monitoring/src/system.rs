@@ -217,7 +217,6 @@ impl<'a> MonitoringSystem<'a> {
         device: ComponentId,
         steps: std::ops::Range<u64>,
     ) -> Option<Vec<f64>> {
-        obs::counter("monitoring.series.reads").inc();
         if !self.series_available(dataset, device) {
             return None;
         }
@@ -274,7 +273,6 @@ impl<'a> MonitoringSystem<'a> {
         device: ComponentId,
         steps: std::ops::Range<u64>,
     ) -> Vec<Event> {
-        obs::counter("monitoring.events.reads").inc();
         if !self.is_enabled(dataset)
             || dataset.data_type() != DataType::Event
             || !dataset.covers(self.topo.component(device).kind)
