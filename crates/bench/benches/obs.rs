@@ -14,13 +14,16 @@
 //! The contract is that `sampled64` stays within ~5% of `off`: tracing
 //! at the default rate must be effectively free, because the per-span
 //! cost when unsampled is a thread-local stack push/pop and a histogram
-//! record. Best-of-reps throughput is reported per mode, plus the
-//! overhead of each traced mode relative to `off`. A full-mode rep is
-//! sized from a calibration pass to run about [`REP_SECONDS`], so that a
-//! few milliseconds of scheduler noise cannot read as a 5% overhead.
+//! record. Best-of-reps throughput is reported per mode. A traced mode's
+//! overhead is taken from the median over reps of its throughput ratio to
+//! the `off` rep that ran beside it: on a shared machine, reps of one mode
+//! spread by ±20%, so a best-of-reps ratio reads drift as overhead, while
+//! drift over seconds cancels within a pair. A full-mode rep is sized
+//! from a calibration pass to run about [`REP_SECONDS`].
 
 use bench::{
-    bench_monitoring, max, paired_reps, rounded, rows, serving_world, smoke, trained, write_report,
+    bench_monitoring, max, median, paired_reps, rounded, rows, serving_world, smoke, trained,
+    write_report,
 };
 use cloudsim::SimTime;
 use featcache::FeatCache;
@@ -73,7 +76,7 @@ fn run(
 
 fn main() {
     let smoke = smoke();
-    let (batch, reps) = if smoke { (16, 2) } else { (64, 5) };
+    let (batch, reps) = if smoke { (16, 2) } else { (64, 9) };
 
     let world = serving_world(smoke);
     let scout = trained(&world, smoke);
@@ -117,28 +120,37 @@ fn main() {
         (REP_SECONDS * items_per_s / batch as f64).ceil() as usize
     };
 
-    // Best-of-reps throughput per mode, the modes interleaved.
-    let stats: Vec<RunStats> = paired_reps(reps, modes.len(), |i| {
+    // The modes interleaved, so `samples[m][r]` ran beside `samples[0][r]`.
+    let samples = paired_reps(reps, modes.len(), |i| {
         run(&modes[i], &scout, &mon, &inputs, &cache, iters)
-    })
-    .iter()
-    .zip(&modes)
-    .map(|(samples, mode)| RunStats {
-        name: mode.name,
-        throughput_ips: max(samples),
-    })
-    .collect();
+    });
+    let stats: Vec<RunStats> = samples
+        .iter()
+        .zip(&modes)
+        .map(|(samples, mode)| RunStats {
+            name: mode.name,
+            throughput_ips: max(samples),
+        })
+        .collect();
     obs::trace::set_sample_every(64);
 
-    let base = stats[0].throughput_ips.max(1e-9);
-    let overhead = |r: &RunStats| ((base - r.throughput_ips) / base * 100.0).max(0.0);
-    let sampled_overhead = overhead(&stats[1]);
-    let full_overhead = overhead(&stats[2]);
+    let overhead = |traced: &[f64]| {
+        let ratios: Vec<f64> = traced
+            .iter()
+            .zip(&samples[0])
+            .map(|(t, off)| t / off)
+            .collect();
+        ((1.0 - median(&ratios)) * 100.0).max(0.0)
+    };
+    let sampled_overhead = overhead(&samples[1]);
+    let full_overhead = overhead(&samples[2]);
 
     for r in &stats {
         println!("{:<10} {:>10.1} items/s", r.name, r.throughput_ips);
     }
-    println!("overhead vs off: sampled64 {sampled_overhead:.2}%, full {full_overhead:.2}%");
+    println!(
+        "overhead vs off (median paired ratio): sampled64 {sampled_overhead:.2}%, full {full_overhead:.2}%"
+    );
 
     let modes = rows(&stats, |r| {
         Obj::new()
